@@ -78,9 +78,10 @@ MIN_SOLVE_SPEEDUP = 5.0
 #: Which instance the acceleration floor is asserted on.
 ACCEL_INSTANCE = "fig2-E"
 #: Wall-clock cap for the lp_round arm.  The rounding repair loop drains
-#: its trial budget and exits early (a few seconds on the reference
-#: host); the cap only bites on much slower machines, where the baseline
-#: arm slows down proportionally, so the speedup floor still holds.
+#: its trial budget and exits early (about 2 s on a 2-core x86 host since
+#: candidate moves are scored by read-only DeltaEvaluator probes); the
+#: cap only bites on much slower machines, where the baseline arm slows
+#: down proportionally, so the speedup floor still holds.
 LP_ROUND_TIME_LIMIT = 20.0
 #: Deterministic solve effort cap: identical model inputs + a node limit
 #: (never a wall-clock limit) keep the two paths' solves bit-comparable.

@@ -18,7 +18,9 @@ Two race modes:
   stay reproducible while wall time approaches the slowest member's.
 
 The winner is the member with the lowest objective; ties break on lower
-deterministic time, then on portfolio order.
+deterministic time, then on portfolio order.  A winner that did not
+prove optimality itself reports ``optimal`` (with the prover's bound)
+when another member proved a bound its objective meets.
 
 Sequential races also *share incumbents* (see
 :class:`PortfolioOptions.share_incumbents`): each member's best solution
@@ -35,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .. import trace
+from ..ilp.highs_backend import HIGHS_DEFAULT_GAP
 from ..ilp.model import Model, ObjectiveSense
 from ..ilp.result import SolveResult, SolveStatus
 from ..ilp.solve import SolverSpec, solve_model
@@ -129,7 +132,7 @@ class PortfolioSolver:
         The returned result is the winning member's, re-tagged as
         ``portfolio[<member>]``, with ``det_time`` summed over every member
         that actually ran (deterministic effort is paid regardless of who
-        wins).
+        wins) and any other member's optimality proof carried over.
         """
         opts = self.options
         # Assemble the shared matrix form once, up front: every racer's
@@ -200,6 +203,7 @@ class PortfolioSolver:
                 arm_start += member.wall_time
 
         winner = _pick_winner(results, model.objective_sense)
+        _borrow_proof(winner, results, model.objective_sense)
         winner.det_time = sum(r.det_time for r in results)
         winner.wall_time = (
             max(r.wall_time for r in results)
@@ -250,6 +254,33 @@ def _pick_winner(
         if r.status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED)
     ]
     return conclusive[0] if conclusive else results[0]
+
+
+def _borrow_proof(
+    winner: SolveResult, results: list[SolveResult], sense: ObjectiveSense
+) -> None:
+    """Carry another member's optimality proof over to the winner.
+
+    Ties go to the cheaper arm, so a heuristic incumbent can win against
+    an exact arm that proved the same objective; the winner keeps its
+    own ``x`` and arm tag but reports the proof's status and bound.  The
+    bound closes on the winner within HiGHS's default relative gap, the
+    tolerance a HiGHS ``optimal`` is proven to.
+    """
+    if winner.status is SolveStatus.OPTIMAL or winner.objective is None:
+        return
+    fold = 1.0 if sense is ObjectiveSense.MINIMIZE else -1.0
+    for member in results:
+        if (
+            member.status is SolveStatus.OPTIMAL
+            and member.bound is not None
+            and "-interrupted" not in member.backend
+            and fold * (winner.objective - member.bound)
+            <= HIGHS_DEFAULT_GAP * max(1.0, abs(winner.objective))
+        ):
+            winner.status = SolveStatus.OPTIMAL
+            winner.bound = member.bound
+            return
 
 
 def portfolio_solver_factory(

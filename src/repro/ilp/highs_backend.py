@@ -26,6 +26,8 @@ from .result import Incumbent, SolveResult, SolveStatus
 #: operations" spirit.
 DET_UNITS_PER_NODE = 25.0
 DET_UNITS_PER_NNZ = 0.01
+#: HiGHS's own ``mip_rel_gap`` default: a stop at or below it is a proof.
+HIGHS_DEFAULT_GAP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ class HighsBackend:
             + DET_UNITS_PER_NNZ * form.a_matrix.nnz
         )
 
-        status = _translate_status(res)
+        status = _translate_status(res, self.options.mip_rel_gap)
         best_x: np.ndarray | None = None
         values: dict[str, float] | None = None
         objective: float | None = None
@@ -199,10 +201,19 @@ def solve_with_trace(
     return best
 
 
-def _translate_status(res) -> SolveStatus:
+def _translate_status(res, mip_rel_gap: float | None) -> SolveStatus:
     # scipy.optimize.milp status codes: 0 optimal, 1 iteration/time limit,
-    # 2 infeasible, 3 unbounded, 4 other.
+    # 2 infeasible, 3 unbounded, 4 other.  Status 0 also covers a stop at
+    # a caller-loosened mip_rel_gap, which proves nothing beyond the gap.
     if res.status == 0:
+        gap = getattr(res, "mip_gap", None)
+        if (
+            mip_rel_gap is not None
+            and mip_rel_gap > HIGHS_DEFAULT_GAP
+            and gap is not None
+            and gap > HIGHS_DEFAULT_GAP
+        ):
+            return SolveStatus.FEASIBLE
         return SolveStatus.OPTIMAL
     if res.status == 2:
         return SolveStatus.INFEASIBLE

@@ -16,9 +16,16 @@ maintains the objective under relocate moves in O(affected) time:
   :meth:`Mapping.area` bit for bit).
 
 A single :meth:`move` costs O(fan-in + slots-reading-the-neuron); swaps,
-drains and downsizes are sequences of moves.  ``verify=True`` re-derives
-everything from scratch after every move and asserts equality — the knob
-the property tests and the search's paranoid mode use.
+drains and downsizes are sequences of moves.  :meth:`probe` answers "what
+would ``(feasible, area, global routes)`` be after this move?" without
+mutating anything: O(fan-in) from the refcount tables, plus an
+O(occupied) area re-sum only when the move would empty or open a slot
+(O(1) when every slot area is integral) — so a search scores each
+candidate with one probe instead of a move and its undo.  Per-slot area
+and capacities are read from lists cached at construction.
+``verify=True`` re-derives everything from scratch after every move and
+asserts equality — the knob the property tests and the search's
+paranoid mode use.
 """
 
 from __future__ import annotations
@@ -42,6 +49,11 @@ class DeltaEvaluator:
         "_global_total",
         "_occupied",
         "_area",
+        "_slot_area",
+        "_out_cap",
+        "_in_cap",
+        "_exact_area",
+        "_src_terms",
     )
 
     def __init__(
@@ -52,6 +64,14 @@ class DeltaEvaluator:
     ) -> None:
         self.problem = problem
         self.verify = verify
+        slots = problem.architecture.slots
+        self._slot_area = [slot.area for slot in slots]
+        self._out_cap = [slot.outputs for slot in slots]
+        self._in_cap = [slot.inputs for slot in slots]
+        self._exact_area = sum(self._slot_area) <= 2**53 and all(
+            float(a).is_integer() for a in self._slot_area
+        )
+        self._src_terms: tuple | None = None
         self._slot_of: dict[int, int] = dict(assignment)
         self._members: dict[int, set[int]] = {}
         self._in_count: dict[int, dict[int, int]] = {}
@@ -108,16 +128,20 @@ class DeltaEvaluator:
         used = self.outputs_used(slot)
         if used == 0:
             return True
-        spec = self.problem.architecture.slot(slot)
-        return used <= spec.outputs and self.inputs_used(slot) <= spec.inputs
+        return (
+            used <= self._out_cap[slot] and self.inputs_used(slot) <= self._in_cap[slot]
+        )
 
     def area(self) -> float:
         """Objective 8 over the current placement (cached between
         occupancy changes; ascending-slot summation matches Mapping.area)."""
         if self._area is None:
-            arch = self.problem.architecture
-            self._area = sum(arch.slot(j).area for j in sorted(self._occupied))
+            self._area = self._sum_area(self._occupied)
         return self._area
+
+    def _sum_area(self, occupied) -> float:
+        areas = self._slot_area
+        return sum(areas[j] for j in sorted(occupied))
 
     def global_routes(self) -> int:
         """Objective 11 over the current placement."""
@@ -126,6 +150,100 @@ class DeltaEvaluator:
     def score(self) -> tuple[float, int]:
         """The lexicographic (area, global routes) objective."""
         return (self.area(), self._global_total)
+
+    def probe(self, neuron: int, dst: int) -> tuple[bool, float, int]:
+        """``(feasible, area, global_routes)`` as they would be after
+        ``move(neuron, dst)``, without mutating anything.
+
+        ``feasible`` is the capacity check of the source and destination
+        slots after the move.  Every term mirrors :meth:`move` step by
+        step, so the result equals what :meth:`slot_feasible`,
+        :meth:`area` and :meth:`global_routes` would read after the real
+        move — the area bit for bit (see :meth:`_area_after`).  The
+        source-side terms are cached per neuron until the next move, so
+        probing one neuron against every slot pays for them once.
+        """
+        src = self._slot_of[neuron]
+        if dst == src:
+            return self.slot_feasible(src), self.area(), self._global_total
+        terms = self._src_terms
+        if terms is None or terms[0] != neuron:
+            terms = self._src_terms = self._removal_terms(neuron, src)
+        _, feasible, total, src_left, readers = terms
+        # Step 2's dst term: a reader on dst sees the neuron turn local.
+        if dst in readers:
+            total -= 1
+
+        # 3. Insertion into dst (post-move placement: a self-loop is local).
+        slot_of = self._slot_of
+        dst_group = self._members.get(dst, ())
+        dst_counts = self._in_count.get(dst, {})
+        dst_inputs = len(dst_counts)
+        for k in self.problem.preds(neuron):
+            if k not in dst_counts:
+                dst_inputs += 1
+                if k != neuron and slot_of[k] != dst:
+                    total += 1
+        feasible = (
+            feasible
+            and len(dst_group) < self._out_cap[dst]
+            and dst_inputs <= self._in_cap[dst]
+        )
+        if src_left and dst_group:
+            return feasible, self.area(), total
+        return feasible, self._area_after(src, not src_left, dst, not dst_group), total
+
+    def _removal_terms(self, neuron: int, src: int) -> tuple:
+        """Source-side terms of a move of ``neuron`` out of ``src``:
+        ``(neuron, src feasible after, routes before the dst side,
+        members left on src, slots reading the neuron)``."""
+        slot_of = self._slot_of
+        total = self._global_total
+        # 1. Removal from src (pre-move placement, as in move()).
+        src_left = len(self._members[src]) - 1
+        src_counts = self._in_count[src]
+        src_inputs = len(src_counts)
+        self_fed = False
+        for k in self.problem.preds(neuron):
+            if src_counts[k] == 1:
+                src_inputs -= 1
+                if slot_of[k] != src:
+                    total -= 1
+                elif k == neuron:
+                    self_fed = True
+        feasible = src_left == 0 or (
+            src_left <= self._out_cap[src] and src_inputs <= self._in_cap[src]
+        )
+        # 2. Re-home neuron as a source: each reader left after step 1
+        #    flips by [j != dst] - [j != src], which nets to
+        #    [src reads it] - [dst reads it]; the dst term is per probe.
+        readers = self._src_slots.get(neuron, ())
+        if src in readers and not self_fed:
+            total += 1
+        return neuron, feasible, total, src_left, readers
+
+    def _area_after(self, src: int, emptied: bool, dst: int, opened: bool) -> float:
+        """The area once ``src`` is emptied and/or ``dst`` opened.
+
+        Re-summed in ascending slot order, like :meth:`Mapping.area`.
+        When every slot area is integral and their grand total is exactly
+        representable, every partial sum is exact in any order, so the
+        O(1) delta yields the same float.
+        """
+        areas = self._slot_area
+        if self._exact_area:
+            area = self.area()
+            if emptied:
+                area -= areas[src]
+            if opened:
+                area += areas[dst]
+            return area
+        occupied = set(self._occupied)
+        if emptied:
+            occupied.discard(src)
+        if opened:
+            occupied.add(dst)
+        return self._sum_area(occupied)
 
     # ------------------------------------------------------------------
     # writes
@@ -141,6 +259,7 @@ class DeltaEvaluator:
         src = self._slot_of[neuron]
         if dst == src:
             return src
+        self._src_terms = None
         preds = self.problem.preds(neuron)
 
         # 1. Remove from src: membership + input refcounts.

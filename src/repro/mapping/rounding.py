@@ -23,11 +23,17 @@ layer keeps no import of the mapping layer).  Its pipeline:
    point is often fully fractional and guides weakly, which is why the
    later stages carry the quality);
 3. **delta local search** — best-improvement relocations plus pairwise
-   swaps under :class:`DeltaEvaluator`, O(affected) per probe;
+   swaps.  Each candidate is scored by a read-only
+   :meth:`DeltaEvaluator.probe` (O(fan-in), no move and undo); a swap
+   makes one real move, probes the partner's move and then either
+   completes it or undoes the first;
 4. **ruin-and-recreate** — repeatedly empty a couple of random slots,
-   greedily re-insert by best delta, re-run local search, keep the best;
-   this crosses the plateaus single moves cannot (measured on fig2-E SNU
-   it beats the node-capped exact incumbent in well under a second).
+   greedily re-insert each mover at its best probed slot, re-run local
+   search, keep the best; this crosses the plateaus single moves cannot
+   (measured on fig2-E SNU it beats the node-capped exact incumbent in
+   well under a second).  The trial budget (``max_trials``) normally ends
+   the search; the deadline only cuts it short on slow hosts, and the
+   incumbent is deterministic whenever it does not.
 
 Every accepted move preserves mapping validity and the model's area
 budget, so the final incumbent is feasible by construction; the backend
@@ -94,7 +100,7 @@ class MappingRoundingGuide:
         neurons = problem.network.neuron_ids()
         self._improve(ev, neurons, allowed, budget, deadline)
         best = dict(ev.to_mapping().assignment)
-        best_score = self._score(ev)
+        best_score = self._key(*ev.score())
         best = self._ruin_recreate(
             ev, best, best_score, neurons, allowed, budget, deadline, rng
         )
@@ -105,17 +111,21 @@ class MappingRoundingGuide:
         options = getattr(self.handle, "options", None)
         return getattr(options, "area_budget", None)
 
-    def _score(self, ev: DeltaEvaluator) -> tuple[float, float]:
+    def _key(self, area: float, routes: int) -> tuple[float, float]:
+        """The score the search minimizes, from an area and route count."""
         if self.objective == "area":
-            return (ev.area(), float(ev.global_routes()))
-        return (float(ev.global_routes()), ev.area())
+            return (area, float(routes))
+        return (float(routes), area)
 
-    def _move_ok(
-        self, ev: DeltaEvaluator, src: int, dst: int, budget: float | None
-    ) -> bool:
-        if not (ev.slot_feasible(dst) and ev.slot_feasible(src)):
-            return False
-        return budget is None or ev.area() <= budget + _EPS
+    def _probe(
+        self, ev: DeltaEvaluator, neuron: int, dst: int, budget: float | None
+    ) -> tuple[float, float] | None:
+        """The score after relocating ``neuron`` to ``dst``, or ``None``
+        when the move breaks a capacity or the area budget."""
+        feasible, area, routes = ev.probe(neuron, dst)
+        if not feasible or (budget is not None and area > budget + _EPS):
+            return None
+        return self._key(area, routes)
 
     def _seed_mapping(
         self,
@@ -161,10 +171,9 @@ class MappingRoundingGuide:
             pref = allowed[int(np.argmax(xs[i]))]
             if pref == src or xs[i].max() < 0.5:
                 continue
-            before = self._score(ev)
-            ev.move(i, pref)
-            if not (self._move_ok(ev, src, pref, budget) and self._score(ev) <= before):
-                ev.move(i, src)
+            score = self._probe(ev, i, pref, budget)
+            if score is not None and score <= self._key(*ev.score()):
+                ev.move(i, pref)
 
     def _improve(
         self,
@@ -176,22 +185,21 @@ class MappingRoundingGuide:
         max_rounds: int = 20,
     ) -> None:
         """Best-improvement relocations + first-improvement swaps to a
-        local optimum of :meth:`_score`."""
+        local optimum of :meth:`_key`."""
         for _ in range(max_rounds):
             improved = False
             for i in neurons:
                 src = ev.slot_of(i)
                 best = None
-                before = self._score(ev)
+                before = self._key(*ev.score())
                 for dst in allowed:
                     if dst == src:
                         continue
-                    ev.move(i, dst)
-                    if self._move_ok(ev, src, dst, budget):
-                        score = self._score(ev)
-                        if score < before and (best is None or score < best[0]):
-                            best = (score, dst)
-                    ev.move(i, src)
+                    score = self._probe(ev, i, dst, budget)
+                    if score is not None and score < before and (
+                        best is None or score < best[0]
+                    ):
+                        best = (score, dst)
                 if best is not None:
                     ev.move(i, best[1])
                     improved = True
@@ -204,14 +212,14 @@ class MappingRoundingGuide:
                     ja, jb = ev.slot_of(a), ev.slot_of(b)
                     if ja == jb:
                         continue
-                    before = self._score(ev)
+                    before = self._key(*ev.score())
                     ev.move(a, jb)
-                    ev.move(b, ja)
-                    if self._move_ok(ev, ja, jb, budget) and self._score(ev) < before:
+                    score = self._probe(ev, b, ja, budget)
+                    if score is not None and score < before:
+                        ev.move(b, ja)
                         improved = True
                     else:
                         ev.move(a, ja)
-                        ev.move(b, jb)
             if not improved:
                 return
             if deadline is not None and time.perf_counter() > deadline:
@@ -246,16 +254,13 @@ class MappingRoundingGuide:
                 for dst in allowed:
                     if dst == src:
                         continue
-                    trial.move(i, dst)
-                    if self._move_ok(trial, src, dst, budget):
-                        score = self._score(trial)
-                        if pick is None or score < pick[0]:
-                            pick = (score, dst)
-                    trial.move(i, src)
+                    score = self._probe(trial, i, dst, budget)
+                    if score is not None and (pick is None or score < pick[0]):
+                        pick = (score, dst)
                 if pick is not None:
                     trial.move(i, pick[1])
             self._improve(trial, neurons, allowed, budget, deadline)
-            score = self._score(trial)
+            score = self._key(*trial.score())
             if score < best_score:
                 best_score = score
                 best = dict(trial.to_mapping().assignment)

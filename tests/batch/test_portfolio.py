@@ -132,6 +132,45 @@ class TestWinnerSelection:
         assert result.status is SolveStatus.INFEASIBLE
 
 
+class TestProofSharing:
+    """A heuristic winner takes the status and bound of an arm that
+    proved the same objective, but keeps its own placement and tag."""
+
+    def _race(self, exact: SolverSpec):
+        handle, warm = _area_instance()
+        alone = SolverSpec("lp_round", time_limit=5.0).build().solve(
+            handle.model, warm_start=warm
+        )
+        solver = PortfolioSolver(
+            PortfolioOptions(specs=(SolverSpec("lp_round", time_limit=5.0), exact))
+        )
+        races: list = []
+        solver.on_race = lambda winner, results: races.append(results)
+        return solver.solve(handle.model, warm_start=warm), races[0], alone
+
+    def test_winner_borrows_the_exact_arms_proof(self):
+        result, members, alone = self._race(SolverSpec("highs", time_limit=5.0))
+        exact = members[1]
+        # The rounding arm alone cannot close its LP bound (40 < 48) ...
+        assert alone.status is SolveStatus.FEASIBLE
+        assert alone.bound < alone.objective
+        # ... HiGHS proves the same objective, and loses the tie on det time.
+        assert exact.status is SolveStatus.OPTIMAL
+        assert exact.objective == pytest.approx(alone.objective)
+        assert result.backend == "portfolio[lp_round]"
+        assert (result.x == alone.x).all()
+        assert result.objective == alone.objective
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.bound == exact.bound
+
+    def test_no_proof_to_borrow_keeps_the_winners_own(self):
+        result, members, alone = self._race(SolverSpec("bnb", node_limit=0))
+        assert members[1].status is not SolveStatus.OPTIMAL
+        assert result.backend == "portfolio[lp_round]"
+        assert result.status is SolveStatus.FEASIBLE
+        assert result.bound == alone.bound
+
+
 class TestThreadRace:
     def test_threads_mode_matches_sequential_winner(self):
         handle, warm = _area_instance()

@@ -1,5 +1,6 @@
 """Tests for solve_with_trace details and HighsOptions plumbing."""
 
+import numpy as np
 import pytest
 
 from repro.ilp.expr import lin_sum
@@ -16,6 +17,18 @@ def cover_model():
         covering = [xs[n] for n, (members, _) in sets.items() if element in members]
         m.add(lin_sum(covering) >= 1)
     m.minimize(lin_sum(cost * xs[n] for n, (_, cost) in sets.items()))
+    return m
+
+
+def knapsack_model():
+    """A 20-item 0/1 knapsack (optimum 481) HiGHS does not close at the root."""
+    rng = np.random.default_rng(0)
+    weights = rng.integers(10, 60, 20)
+    values = rng.integers(10, 60, 20)
+    m = Model("knapsack")
+    xs = [m.add_binary(f"x{i}") for i in range(20)]
+    m.add(lin_sum(int(w) * x for w, x in zip(weights, xs)) <= int(weights.sum() // 2))
+    m.maximize(lin_sum(int(v) * x for v, x in zip(values, xs)))
     return m
 
 
@@ -38,6 +51,23 @@ class TestHighsOptions:
         # feasible; both are usable downstream.
         res = HighsBackend(HighsOptions(mip_rel_gap=0.5)).solve(cover_model())
         assert res.status.has_solution()
+
+    def test_loose_gap_stop_is_not_reported_optimal(self):
+        # HiGHS's first incumbent here (455) is within 10% of its bound,
+        # so SciPy reports status 0 at the loose gap; the true optimum
+        # is 481, so the stop proves nothing beyond the gap.
+        loose = HighsBackend(HighsOptions(mip_rel_gap=0.1)).solve(knapsack_model())
+        exact = HighsBackend().solve(knapsack_model())
+        assert exact.status is SolveStatus.OPTIMAL
+        assert loose.objective < exact.objective
+        assert loose.status is SolveStatus.FEASIBLE
+        assert loose.bound >= exact.objective
+
+    def test_tight_gap_stop_stays_optimal(self):
+        for gap in (None, 1e-6, 1e-4):
+            res = HighsBackend(HighsOptions(mip_rel_gap=gap)).solve(knapsack_model())
+            assert res.status is SolveStatus.OPTIMAL
+            assert res.objective == pytest.approx(481.0)
 
 
 class TestSolveWithTrace:

@@ -24,31 +24,55 @@ from repro.mca.crossbar import CrossbarType
 from repro.snn.generators import random_network
 
 
-def _random_problem(seed: int) -> MappingProblem:
+def _random_problem(seed: int, heterogeneous: bool = False) -> MappingProblem:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 16))
     m = int(rng.integers(n, 2 * n + 1))
     net = random_network(n, m, seed=seed, max_fan_in=5)
-    arch = homogeneous_architecture(n, dimension=8, slack=2.0)
+    if heterogeneous:
+        # Non-integral overheads make the area's summation order matter.
+        arch = heterogeneous_architecture(
+            n,
+            types=[
+                CrossbarType(4, 4, overhead=1.1),
+                CrossbarType(8, 4, overhead=0.7),
+                CrossbarType(8, 8, overhead=1.3),
+            ],
+            slack=2.0,
+        )
+    else:
+        arch = homogeneous_architecture(n, dimension=8, slack=2.0)
     return MappingProblem(net, arch)
 
 
 class TestDeltaVsFull:
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 400))
-    def test_random_move_sequences(self, seed):
-        problem = _random_problem(seed)
+    @given(seed=st.integers(0, 400), heterogeneous=st.booleans())
+    def test_random_move_sequences(self, seed, heterogeneous):
+        problem = _random_problem(seed, heterogeneous)
         rng = np.random.default_rng(seed + 1)
+        # Placements crowded onto the first few slots hit full slots too.
+        slots = int(rng.integers(2, problem.num_slots + 1))
         assignment = {
-            i: int(rng.integers(problem.num_slots))
-            for i in problem.network.neuron_ids()
+            i: int(rng.integers(slots)) for i in problem.network.neuron_ids()
         }
         evaluator = DeltaEvaluator(problem, assignment)
         neurons = problem.network.neuron_ids()
         for _ in range(40):
             neuron = int(rng.choice(neurons))
-            dst = int(rng.integers(problem.num_slots))
+            dst = int(rng.integers(slots))
+            src = evaluator.slot_of(neuron)
+            # A probe elsewhere first, so the probe below reuses the
+            # neuron's cached source-side terms.
+            evaluator.probe(neuron, int(rng.integers(slots)))
+            probed = evaluator.probe(neuron, dst)
             evaluator.move(neuron, dst)
+            # The read-only probe predicted exactly the post-move state.
+            assert probed == (
+                evaluator.slot_feasible(src) and evaluator.slot_feasible(dst),
+                evaluator.area(),
+                evaluator.global_routes(),
+            )
             # Full re-derivation after *every* move.
             evaluator.assert_consistent()
         rebuilt = evaluator.to_mapping()
@@ -103,10 +127,10 @@ class TestDeltaVsFull:
         arch = custom_architecture([(CrossbarType(4, 4), 3)])
         problem = MappingProblem(net, arch)
         evaluator = DeltaEvaluator(problem, {0: 0, 1: 0}, verify=True)
-        evaluator.move(0, 1)
-        evaluator.move(1, 2)
-        evaluator.move(0, 2)
-        evaluator.move(0, 0)
+        for neuron, dst in ((0, 1), (1, 2), (0, 2), (0, 0)):
+            probed = evaluator.probe(neuron, dst)
+            evaluator.move(neuron, dst)
+            assert probed == (True, evaluator.area(), evaluator.global_routes())
         assert evaluator.to_mapping().is_valid()
 
 
