@@ -1,144 +1,244 @@
-"""Iterative-swap local search over mappings (paper §V-E extension).
+"""The move engine: iterative-swap search over mappings (paper §V-E).
 
 The paper's area-breakdown experiment observes that "preferred crossbar
 sizes were clearly identified quickly before solutions were slowly
-refined" and explicitly notes that "the iterative swapping approach in
-[22] is validated with our data" as a route toward finding optimal
-solutions faster.  This module implements that suggestion: a portfolio of
-neighbourhood moves over complete mappings, usable standalone (anytime
-optimizer) or as a high-quality warm start for the exact ILP.
+refined" and notes that "the iterative swapping approach in [22] is
+validated with our data" as a route toward finding optimal solutions
+faster.  This module is the one implementation of that idea in the repo:
+every neighbourhood search runs on :class:`MoveEngine` over a
+:class:`~repro.mapping.delta.DeltaEvaluator`, and differs only in the
+policy it picks — the destination slots, the score order and the budget:
 
-Moves:
+- the ``lp_round`` arm (:mod:`repro.mapping.rounding`): the model's slot
+  universe, ``(area, routes)`` or ``(routes, area)``, the model's area
+  budget and a wall-clock deadline;
+- :func:`local_search`: every slot, ``(area, routes)``, then
+  ``max_rounds`` ruin-and-recreate trials;
+- :func:`~repro.mapping.kl_partition.kl_refine`: the initially enabled
+  slots, ``(routes, area)``.
 
-- **relocate**: move one neuron to another (possibly empty) slot;
-- **swap**: exchange two neurons between slots;
-- **drain**: try to empty the least-utilized enabled crossbar by
-  relocating all its neurons elsewhere — the move that actually reduces
-  area, mirroring how the ILP incumbents improve in Fig. 3a;
-- **downsize**: migrate a whole crossbar's contents to a cheaper unused
-  slot that still fits them (heterogeneous pools only).
+The engine's moves:
 
-The objective is lexicographic ``(area, global routes)``, matching the
-paper's area-then-SNU pipeline.  All candidate moves are scored through
-the incremental :class:`~repro.mapping.delta.DeltaEvaluator` — O(affected
-slots) per trial instead of a full O(V + E) re-evaluation — which is what
-lets a round visit every (neuron, slot) pair at interactive speed.
+- **relocate** — best-improvement: each neuron moves to the slot with the
+  best probed score, when that beats the current one;
+- **swap** — first-improvement over neuron pairs on different slots: one
+  real move, a probe of the partner's move, then completion or undo;
+- **ruin-and-recreate** — empty two random occupied slots, re-insert each
+  mover at its best probed slot, descend again and keep the best trial.
+  This is what empties and downsizes crossbars: single moves cannot
+  cross the plateau between two half-full slots and one cheaper one.
+
+Every candidate is scored by the read-only :meth:`DeltaEvaluator.probe`
+(O(fan-in), no move and undo), and a move is accepted only when both
+slots stay within capacity and the area within the budget, so a search
+started from a valid mapping ends on one.
+
+:func:`repair_overflow` is the engine's repair for states that are *not*
+valid — stitched regions (:mod:`repro.mapping.hierarchical`) and edited
+networks (:mod:`repro.mapping.incremental`).
 """
 
 from __future__ import annotations
 
+import random
+import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .delta import DeltaEvaluator
 from .greedy import greedy_first_fit
 from .problem import MappingProblem
 from .solution import Mapping
 
+#: Slack on the area budget, so a float re-sum equal to it still fits.
+AREA_TOL = 1e-9
+
+
+@dataclass(frozen=True, slots=True)
+class MoveEngine:
+    """Relocations, swaps and ruin-and-recreate over a ``DeltaEvaluator``.
+
+    ``slots`` are the destinations a move may use, in candidate order.
+    The score minimized is ``(area, global routes)``, or ``(global
+    routes, area)`` with ``routes_first``; both are compared as float
+    pairs.  No accepted state exceeds ``budget`` in area, and the search
+    stops early once ``time.perf_counter()`` passes ``deadline``.
+    """
+
+    slots: Sequence[int]
+    routes_first: bool = False
+    budget: float | None = None
+    deadline: float | None = None
+
+    def key(self, ev: DeltaEvaluator) -> tuple[float, float]:
+        """The score of the evaluator's current state."""
+        area, routes = ev.score()
+        return (float(routes), area) if self.routes_first else (area, float(routes))
+
+    def probe(
+        self, ev: DeltaEvaluator, neuron: int, dst: int
+    ) -> tuple[float, float] | None:
+        """The score after relocating ``neuron`` to ``dst``, or ``None``
+        when the move breaks a capacity or the area budget."""
+        feasible, area, routes = ev.probe(neuron, dst)
+        if not feasible or (
+            self.budget is not None and area > self.budget + AREA_TOL
+        ):
+            return None
+        return (float(routes), area) if self.routes_first else (area, float(routes))
+
+    def _timed_out(self) -> bool:
+        return self.deadline is not None and time.perf_counter() > self.deadline
+
+    def improve(
+        self, ev: DeltaEvaluator, neurons: Sequence[int], max_rounds: int = 20
+    ) -> None:
+        """Best-improvement relocations + first-improvement swaps to a
+        local optimum of :meth:`key` (or ``max_rounds`` rounds)."""
+        for _ in range(max_rounds):
+            improved = False
+            for i in neurons:
+                src = ev.slot_of(i)
+                best = None
+                before = self.key(ev)
+                for dst in self.slots:
+                    if dst == src:
+                        continue
+                    score = self.probe(ev, i, dst)
+                    if score is not None and score < before and (
+                        best is None or score < best[0]
+                    ):
+                        best = (score, dst)
+                if best is not None:
+                    ev.move(i, best[1])
+                    improved = True
+            if self._timed_out():
+                return
+            for a in neurons:
+                for b in neurons:
+                    if b <= a:
+                        continue
+                    ja, jb = ev.slot_of(a), ev.slot_of(b)
+                    if ja == jb:
+                        continue
+                    before = self.key(ev)
+                    ev.move(a, jb)
+                    score = self.probe(ev, b, ja)
+                    if score is not None and score < before:
+                        ev.move(b, ja)
+                        improved = True
+                    else:
+                        ev.move(a, ja)
+            if not improved or self._timed_out():
+                return
+
+    def ruin_recreate(
+        self,
+        ev: DeltaEvaluator,
+        neurons: Sequence[int],
+        rng: random.Random,
+        max_trials: int = 200,
+    ) -> dict[int, int]:
+        """The best placement over ``ev``'s state and ``max_trials``
+        ruin-and-recreate trials from the best so far.
+
+        Each trial runs on its own evaluator (inheriting ``ev.verify``);
+        ``ev`` itself is left as it was.
+        """
+        best = ev.assignment()
+        best_score = self.key(ev)
+        for _ in range(max_trials):
+            if self._timed_out():
+                break
+            trial = DeltaEvaluator(ev.problem, dict(best), verify=ev.verify)
+            occupied = sorted(trial.occupied_slots())
+            if len(occupied) < 2:
+                break
+            victims = rng.sample(occupied, min(2, len(occupied)))
+            movers = [i for j in victims for i in sorted(trial.members_of(j))]
+            rng.shuffle(movers)
+            for i in movers:
+                src = trial.slot_of(i)
+                pick = None
+                for dst in self.slots:
+                    if dst == src:
+                        continue
+                    score = self.probe(trial, i, dst)
+                    if score is not None and (pick is None or score < pick[0]):
+                        pick = (score, dst)
+                if pick is not None:
+                    trial.move(i, pick[1])
+            self.improve(trial, neurons)
+            score = self.key(trial)
+            if score < best_score:
+                best_score = score
+                best = trial.assignment()
+        return best
+
+
+def _overflow(ev: DeltaEvaluator, slot: int) -> int:
+    spec = ev.problem.architecture.slot(slot)
+    return max(0, ev.outputs_used(slot) - spec.outputs) + max(
+        0, ev.inputs_used(slot) - spec.inputs
+    )
+
+
+def repair_overflow(ev: DeltaEvaluator) -> int:
+    """Evict neurons from over-capacity slots until every slot fits.
+
+    The lowest over-capacity slot evicts its members in descending
+    fan-in order.  An eviction goes to the first destination — occupied
+    slots ascending, then free slots by ascending area — that stays
+    within capacity, and is accepted only when the source's overflow
+    strictly shrinks.  Total overflow therefore falls with every
+    eviction, so on return every slot fits; slots that fitted on entry
+    keep all their members.  Returns the number of evictions; raises
+    ``RuntimeError`` when an over-capacity slot has no such eviction
+    (grow the pool).
+    """
+    problem = ev.problem
+    slots = problem.architecture.slots
+    evictions = 0
+    while True:
+        occupied = sorted(ev.occupied_slots())
+        bad = [j for j in occupied if not ev.slot_feasible(j)]
+        if not bad:
+            return evictions
+        src = bad[0]
+        before = _overflow(ev, src)
+        taken = set(occupied)
+        targets = occupied + sorted(
+            (s.index for s in slots if s.index not in taken),
+            key=lambda j: (slots[j].area, j),
+        )
+        members = sorted(ev.members_of(src), key=lambda i: (-len(problem.preds(i)), i))
+        if not any(
+            _evict(ev, neuron, src, before, targets) for neuron in members
+        ):
+            raise RuntimeError(f"cannot repair the overflow of slot {src} by eviction")
+        evictions += 1
+
+
+def _evict(
+    ev: DeltaEvaluator, neuron: int, src: int, before: int, targets: list[int]
+) -> bool:
+    for dst in targets:
+        if dst == src:
+            continue
+        ev.move(neuron, dst)
+        if ev.slot_feasible(dst) and _overflow(ev, src) < before:
+            return True
+        ev.move(neuron, src)
+    return False
+
 
 @dataclass(frozen=True)
 class LocalSearchOptions:
-    """Search budget and behaviour."""
+    """Search budget."""
 
+    #: Ruin-and-recreate trials after the first descent.
     max_rounds: int = 30
     seed: int = 0
-    allow_drain: bool = True
-    allow_downsize: bool = True
-    allow_swap: bool = True
-    #: Re-derive the objective from scratch after *every* move and assert
-    #: it matches the incremental value (slow; tests and debugging only).
-    verify_deltas: bool = False
-
-
-def _try_relocate(state: DeltaEvaluator, neuron: int, dst: int) -> bool:
-    """Commit the move iff it keeps both slots feasible and improves."""
-    src = state.slot_of(neuron)
-    if src == dst:
-        return False
-    before = state.score()
-    state.move(neuron, dst)
-    if (
-        state.slot_feasible(dst)
-        and state.slot_feasible(src)
-        and state.score() < before
-    ):
-        return True
-    state.move(neuron, src)
-    return False
-
-
-def _try_swap(state: DeltaEvaluator, a: int, b: int) -> bool:
-    ja, jb = state.slot_of(a), state.slot_of(b)
-    if ja == jb:
-        return False
-    before = state.score()
-    state.move(a, jb)
-    state.move(b, ja)
-    if (
-        state.slot_feasible(ja)
-        and state.slot_feasible(jb)
-        and state.score() < before
-    ):
-        return True
-    state.move(a, ja)
-    state.move(b, jb)
-    return False
-
-
-def _try_drain(
-    state: DeltaEvaluator, victim: int, rng: np.random.Generator
-) -> bool:
-    """Attempt to empty ``victim`` by relocating every member elsewhere."""
-    group = sorted(state.members_of(victim))
-    if not group:
-        return False
-    before = state.score()
-    undo: list[tuple[int, int]] = []
-    targets = sorted(j for j in state.occupied_slots() if j != victim)
-    rng.shuffle(targets)
-    for neuron in group:
-        placed = False
-        for dst in targets:
-            state.move(neuron, dst)
-            if state.slot_feasible(dst):
-                undo.append((neuron, victim))
-                placed = True
-                break
-            state.move(neuron, victim)
-        if not placed:
-            for neuron_back, src in undo:
-                state.move(neuron_back, src)
-            return False
-    if state.score() < before:
-        return True
-    for neuron_back, src in undo:
-        state.move(neuron_back, src)
-    return False
-
-
-def _try_downsize(state: DeltaEvaluator, j: int) -> bool:
-    """Move slot j's whole population to a cheaper, unused, fitting slot."""
-    group = state.members_of(j)
-    if not group:
-        return False
-    arch = state.problem.architecture
-    demand_in = state.inputs_used(j)
-    current_area = arch.slot(j).area
-    used = set(state.occupied_slots())
-    candidates = [
-        s for s in arch.slots
-        if s.index not in used
-        and s.area < current_area
-        and s.outputs >= len(group)
-        and s.inputs >= demand_in
-    ]
-    if not candidates:
-        return False
-    best = min(candidates, key=lambda s: (s.area, s.index))
-    for neuron in sorted(group):
-        state.move(neuron, best.index)
-    return True
 
 
 def local_search(
@@ -148,48 +248,23 @@ def local_search(
 ) -> Mapping:
     """Anytime lexicographic (area, global-routes) local search.
 
-    Returns a valid mapping that is never worse than ``initial`` in the
+    Descends from ``initial`` (greedy first-fit by default) over every
+    slot, then runs ``max_rounds`` ruin-and-recreate trials.  Returns a
+    valid mapping that is never worse than ``initial`` in the
     lexicographic objective.
     """
     opts = options or LocalSearchOptions()
     if opts.max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    rng = np.random.default_rng(opts.seed)
     base = initial if initial is not None else greedy_first_fit(problem)
-    state = DeltaEvaluator.from_mapping(base, verify=opts.verify_deltas)
+    ev = DeltaEvaluator.from_mapping(base)
+    engine = MoveEngine(range(problem.num_slots))
     neurons = problem.network.neuron_ids()
-
-    for _ in range(opts.max_rounds):
-        improved = False
-
-        if opts.allow_downsize:
-            for j in sorted(state.occupied_slots()):
-                improved |= _try_downsize(state, j)
-
-        if opts.allow_drain:
-            # Attack the least-utilized crossbars first.
-            occupied = [
-                (state.outputs_used(j), j) for j in state.occupied_slots()
-            ]
-            for _, victim in sorted(occupied):
-                improved |= _try_drain(state, victim, rng)
-
-        for neuron in neurons:
-            for dst in sorted(state.occupied_slots()):
-                if _try_relocate(state, neuron, dst):
-                    improved = True
-                    break
-
-        if opts.allow_swap:
-            order = rng.permutation(len(neurons))
-            for idx in range(0, len(order) - 1, 2):
-                a, b = neurons[int(order[idx])], neurons[int(order[idx + 1])]
-                improved |= _try_swap(state, a, b)
-
-        if not improved:
-            break
-
-    mapping = state.to_mapping()
+    engine.improve(ev, neurons)
+    best = engine.ruin_recreate(
+        ev, neurons, random.Random(opts.seed), max_trials=opts.max_rounds
+    )
+    mapping = Mapping(problem, best)
     issues = mapping.validate()
     if issues:  # pragma: no cover - every move is feasibility-checked
         raise AssertionError(f"local search broke validity: {issues}")

@@ -15,7 +15,11 @@ from repro.mapping.spikehard import (
     make_mcc,
     singleton_mccs,
 )
-from repro.mca.architecture import custom_architecture, homogeneous_architecture
+from repro.mca.architecture import (
+    custom_architecture,
+    heterogeneous_architecture,
+    homogeneous_architecture,
+)
 from repro.mca.crossbar import CrossbarType
 from repro.snn.generators import random_network
 from repro.snn.network import Network
@@ -143,6 +147,21 @@ class TestKlRefine:
     def test_max_passes_validated(self, problem):
         with pytest.raises(ValueError):
             kl_refine(problem, max_passes=0)
+
+    def test_improves_on_a_heterogeneous_pool(self):
+        # No single relocation improves this greedy seed; swaps do.
+        net = random_network(16, 32, seed=1, max_fan_in=6)
+        arch = heterogeneous_architecture(
+            16,
+            types=[CrossbarType(4, 4), CrossbarType(8, 4), CrossbarType(8, 8)],
+            max_slots_per_type=6,
+        )
+        problem = MappingProblem(net, arch)
+        initial = greedy_first_fit(problem)
+        refined = kl_refine(problem, initial)
+        assert refined.is_valid()
+        assert refined.global_routes() < initial.global_routes()
+        assert refined.area() <= initial.area()
 
 
 class TestSpectral:

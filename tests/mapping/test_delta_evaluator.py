@@ -1,10 +1,13 @@
 """Delta-evaluated objectives must equal full re-evaluation, move by move.
 
-The DeltaEvaluator underpins local search and LNS acceptance decisions;
-any drift between its incremental ``(area, global routes)`` and a
-from-scratch :class:`Mapping` evaluation silently corrupts the search.
-Every test here checks the equality after *each* individual move.
+The DeltaEvaluator underpins every move-engine decision (lp_round, local
+search, KL refinement, overflow repair); any drift between its
+incremental ``(area, global routes)`` and a from-scratch :class:`Mapping`
+evaluation silently corrupts the search.  Every evaluator test here
+checks the equality after *each* individual move.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mapping.delta import DeltaEvaluator
 from repro.mapping.greedy import greedy_first_fit
 from repro.mapping.lns import LnsOptions, lns_area
-from repro.mapping.local_search import LocalSearchOptions, local_search
+from repro.mapping.local_search import MoveEngine, repair_overflow
 from repro.mapping.problem import MappingProblem
 from repro.mapping.solution import Mapping
 from repro.mca.architecture import (
@@ -135,6 +138,10 @@ class TestDeltaVsFull:
 
 
 class TestSearchConsultsDeltas:
+    """The move engine on a ``verify=True`` evaluator: every move —
+    descent, ruin-and-recreate trials and overflow repair alike — is
+    re-derived from scratch and asserted equal inside ``move``."""
+
     def test_local_search_verified_move_by_move(self):
         net = random_network(20, 40, seed=21, max_fan_in=6)
         arch = heterogeneous_architecture(
@@ -144,13 +151,12 @@ class TestSearchConsultsDeltas:
         )
         problem = MappingProblem(net, arch)
         initial = greedy_first_fit(problem)
-        # verify_deltas re-derives the objective from scratch after every
-        # single move and asserts equality inside DeltaEvaluator.move.
-        result = local_search(
-            problem,
-            initial,
-            LocalSearchOptions(max_rounds=3, verify_deltas=True),
-        )
+        ev = DeltaEvaluator.from_mapping(initial, verify=True)
+        engine = MoveEngine(range(problem.num_slots))
+        neurons = problem.network.neuron_ids()
+        engine.improve(ev, neurons, max_rounds=3)
+        best = engine.ruin_recreate(ev, neurons, random.Random(0), max_trials=3)
+        result = Mapping(problem, best)
         assert result.is_valid()
         assert (result.area(), result.global_routes()) <= (
             initial.area(),
@@ -162,30 +168,33 @@ class TestSearchConsultsDeltas:
         problem = MappingProblem(
             net, homogeneous_architecture(16, dimension=8, slack=2.0)
         )
-        plain = local_search(
-            problem, options=LocalSearchOptions(max_rounds=4, seed=2)
-        )
-        checked = local_search(
-            problem,
-            options=LocalSearchOptions(max_rounds=4, seed=2, verify_deltas=True),
-        )
-        assert plain.assignment == checked.assignment
+        # Everything crammed onto two slots: repair, then search.
+        crowded = {i: i % 2 for i in problem.network.neuron_ids()}
+
+        def engine_run(verify: bool) -> dict[int, int]:
+            ev = DeltaEvaluator(problem, crowded, verify=verify)
+            assert repair_overflow(ev) > 0
+            engine = MoveEngine(range(problem.num_slots))
+            neurons = problem.network.neuron_ids()
+            engine.improve(ev, neurons)
+            return engine.ruin_recreate(ev, neurons, random.Random(2), max_trials=4)
+
+        checked = engine_run(verify=True)
+        assert Mapping(problem, checked).is_valid()
+        assert engine_run(verify=False) == checked
 
     def test_lns_verified_move_by_move(self):
+        # LNS scores each HiGHS repair by its full Mapping.area(), once.
         net = random_network(12, 24, seed=31, max_fan_in=5)
         problem = MappingProblem(
             net, homogeneous_architecture(12, dimension=8, slack=2.0)
         )
         result = lns_area(
-            problem,
-            options=LnsOptions(
-                rounds=2, repair_time_limit=2.0, verify_deltas=True
-            ),
+            problem, options=LnsOptions(rounds=2, repair_time_limit=2.0)
         )
         assert result.mapping.is_valid()
         # Anytime history is non-increasing (LNS never accepts a worse repair).
         areas = [area for _, area in result.history]
         assert areas == sorted(areas, reverse=True)
-        # The history values come from the delta evaluator; the final one
-        # must equal the full evaluation of the returned mapping.
+        # The last history value is the returned mapping's full evaluation.
         assert areas[-1] == result.mapping.area()

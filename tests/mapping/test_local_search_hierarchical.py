@@ -1,4 +1,7 @@
-"""Tests for the local-search optimizer and the hierarchical mapper."""
+"""Tests for the local-search optimizer, the overflow repair and the
+hierarchical mapper."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +14,12 @@ from repro.mapping.hierarchical import (
     hierarchical_map,
     partition_regions,
 )
-from repro.mapping.local_search import LocalSearchOptions, local_search
+from repro.mapping.delta import DeltaEvaluator
+from repro.mapping.local_search import (
+    LocalSearchOptions,
+    local_search,
+    repair_overflow,
+)
 from repro.mapping.problem import MappingProblem
 from repro.mca.architecture import (
     heterogeneous_architecture,
@@ -66,13 +74,6 @@ class TestLocalSearch:
         b = local_search(het_problem, options=LocalSearchOptions(seed=5))
         assert a.assignment == b.assignment
 
-    def test_move_toggles(self, het_problem):
-        opts = LocalSearchOptions(
-            allow_drain=False, allow_downsize=False, allow_swap=False
-        )
-        result = local_search(het_problem, options=opts)
-        assert result.is_valid()
-
     def test_max_rounds_validated(self, het_problem):
         with pytest.raises(ValueError):
             local_search(het_problem, options=LocalSearchOptions(max_rounds=0))
@@ -88,6 +89,51 @@ class TestLocalSearch:
         result = local_search(problem, initial, LocalSearchOptions(max_rounds=5))
         assert result.validate() == []
         assert result.area() <= initial.area() + 1e-9
+
+
+class TestRepairOverflow:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 500),
+        crowd=st.integers(1, 4),
+        heterogeneous=st.booleans(),
+    )
+    def test_valid_or_runtime_error(self, seed, crowd, heterogeneous):
+        """An over-packed placement ends valid or raises RuntimeError,
+        and slots that fit on entry keep their members."""
+        net = random_network(12, 30, seed=seed, max_fan_in=5)
+        if heterogeneous:
+            arch = heterogeneous_architecture(
+                12,
+                types=[CrossbarType(4, 4), CrossbarType(8, 4), CrossbarType(8, 8)],
+                max_slots_per_type=3,
+            )
+        else:
+            arch = homogeneous_architecture(12, dimension=8, slack=2.0)
+        problem = MappingProblem(net, arch)
+        rng = random.Random(seed)
+        crowded = {
+            i: rng.randrange(min(crowd, problem.num_slots))
+            for i in problem.network.neuron_ids()
+        }
+        ev = DeltaEvaluator(problem, crowded, verify=True)
+        fitting = {j for j in ev.occupied_slots() if ev.slot_feasible(j)}
+        try:
+            evictions = repair_overflow(ev)
+        except RuntimeError:
+            return
+        repaired = ev.to_mapping()
+        assert repaired.validate() == []
+        moved = {i for i, j in crowded.items() if repaired.assignment[i] != j}
+        assert all(crowded[i] not in fitting for i in moved)
+        # An evicted neuron lands on a slot that fits and never moves again.
+        assert evictions == len(moved)
+
+    def test_feasible_placement_untouched(self, het_problem):
+        initial = greedy_first_fit(het_problem)
+        ev = DeltaEvaluator.from_mapping(initial)
+        assert repair_overflow(ev) == 0
+        assert ev.assignment() == initial.assignment
 
 
 class TestPartitionRegions:

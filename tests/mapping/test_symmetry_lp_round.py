@@ -146,6 +146,27 @@ class TestLpRound:
         mapping = handle.extract_mapping(result)
         assert mapping.validate() == []
 
+    def test_only_pool_exhaustion_means_no_seed(self, monkeypatch):
+        import random
+
+        from repro.mapping import rounding
+
+        guide = AreaModel(_fixed_problem()).model.rounding_guide
+
+        def exhausted(problem):
+            raise RuntimeError("pool exhausted")
+
+        monkeypatch.setattr(rounding, "greedy_first_fit", exhausted)
+        assert guide.round(None, None, None, random.Random(0)) is None
+
+        def broken(problem):
+            raise AssertionError("greedy produced an invalid mapping")
+
+        # A greedy bug is not "no seed": it must surface, not be swallowed.
+        monkeypatch.setattr(rounding, "greedy_first_fit", broken)
+        with pytest.raises(AssertionError):
+            guide.round(None, None, None, random.Random(0))
+
     def test_infeasible_model_short_circuits(self):
         from repro.ilp.expr import lin_sum
         from repro.ilp.model import Model
