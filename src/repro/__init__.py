@@ -4,7 +4,7 @@ Heterogeneous Crossbar Architectures using Integer Linear Programming"
 
 Public API tour
 ---------------
-- :mod:`repro.snn` — networks, statistics, simulation, generators, EONS.
+- :mod:`repro.snn` — networks, statistics, simulation, generators.
 - :mod:`repro.mca` — crossbar types/pools (Table II), NoC, processor model.
 - :mod:`repro.ilp` — ILP modeling layer with HiGHS and branch-and-bound
   backends (the CP-SAT stand-in), plus picklable

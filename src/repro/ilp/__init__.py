@@ -8,17 +8,10 @@ for the OR-Tools CP-SAT stack used by the paper.
 
 from .bnb_backend import BnBBackend, BnBOptions, BranchAndBoundBackend
 from .dettime import DeterministicClock
-from .diagnostics import IisResult, explain_infeasibility, find_iis
 from .expr import Constraint, LinExpr, Sense, Variable, VarType, lin_sum
 from .greedy_rounding import lp_rounding_warm_start
 from .highs_backend import HighsBackend, HighsOptions, solve_with_trace
 from .model import CODE_SENSES, SENSE_CODES, MatrixForm, Model, ObjectiveSense, RowSystem
-from .presolve import (
-    InfeasibleModelError,
-    PresolveReport,
-    extend_solution,
-    presolve,
-)
 from .result import Incumbent, SolveResult, SolveStatus
 from .solve import BACKEND_NAMES, SolverSpec, solve_model
 
@@ -32,16 +25,9 @@ __all__ = [
     "BranchAndBoundBackend",
     "Constraint",
     "DeterministicClock",
-    "IisResult",
-    "explain_infeasibility",
-    "find_iis",
     "HighsBackend",
     "HighsOptions",
     "Incumbent",
-    "InfeasibleModelError",
-    "PresolveReport",
-    "extend_solution",
-    "presolve",
     "LinExpr",
     "MatrixForm",
     "Model",

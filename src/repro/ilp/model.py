@@ -566,7 +566,7 @@ class Model:
 
         O(nnz) NumPy/SciPy work; the result is reused until the model
         gains variables or rows, so repeated lowers (warm-start checks,
-        portfolio racers, presolve) pay for assembly once.
+        portfolio racers) pay for assembly once.
         """
         cached = self._system_cache
         if cached is not None and cached[0] == self._version:
@@ -599,7 +599,7 @@ class Model:
         objective; :attr:`MatrixForm.sign` undoes this in reports.  The
         constraint matrix comes from the cached :meth:`row_system`;
         variable bounds are re-read on every call so direct ``Variable``
-        bound mutations (``fix_var``, presolve tightening) always land.
+        bound mutations (``fix_var``) always land.
         """
         system = self.row_system()
         n = len(self._vars)

@@ -5,17 +5,11 @@ sizes were clearly identified quickly before solutions were slowly
 refined" and notes that "the iterative swapping approach in [22] is
 validated with our data" as a route toward finding optimal solutions
 faster.  This module is the one implementation of that idea in the repo:
-every neighbourhood search runs on :class:`MoveEngine` over a
-:class:`~repro.mapping.delta.DeltaEvaluator`, and differs only in the
-policy it picks — the destination slots, the score order and the budget:
-
-- the ``lp_round`` arm (:mod:`repro.mapping.rounding`): the model's slot
-  universe, ``(area, routes)`` or ``(routes, area)``, the model's area
-  budget and a wall-clock deadline;
-- :func:`local_search`: every slot, ``(area, routes)``, then
-  ``max_rounds`` ruin-and-recreate trials;
-- :func:`~repro.mapping.kl_partition.kl_refine`: the initially enabled
-  slots, ``(routes, area)``.
+the search runs on :class:`MoveEngine` over a
+:class:`~repro.mapping.delta.DeltaEvaluator`, under the policy of its one
+caller, the ``lp_round`` arm (:mod:`repro.mapping.rounding`): the model's
+slot universe as destinations, ``(area, routes)`` or ``(routes, area)`` as
+the score, the model's area budget and a wall-clock deadline.
 
 The engine's moves:
 
@@ -32,10 +26,6 @@ Every candidate is scored by the read-only :meth:`DeltaEvaluator.probe`
 (O(fan-in), no move and undo), and a move is accepted only when both
 slots stay within capacity and the area within the budget, so a search
 started from a valid mapping ends on one.
-
-:func:`repair_overflow` is the engine's repair for states that are *not*
-valid — stitched regions (:mod:`repro.mapping.hierarchical`) and edited
-networks (:mod:`repro.mapping.incremental`).
 """
 
 from __future__ import annotations
@@ -46,9 +36,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .delta import DeltaEvaluator
-from .greedy import greedy_first_fit
-from .problem import MappingProblem
-from .solution import Mapping
 
 #: Slack on the area budget, so a float re-sum equal to it still fits.
 AREA_TOL = 1e-9
@@ -174,98 +161,3 @@ class MoveEngine:
                 best_score = score
                 best = trial.assignment()
         return best
-
-
-def _overflow(ev: DeltaEvaluator, slot: int) -> int:
-    spec = ev.problem.architecture.slot(slot)
-    return max(0, ev.outputs_used(slot) - spec.outputs) + max(
-        0, ev.inputs_used(slot) - spec.inputs
-    )
-
-
-def repair_overflow(ev: DeltaEvaluator) -> int:
-    """Evict neurons from over-capacity slots until every slot fits.
-
-    The lowest over-capacity slot evicts its members in descending
-    fan-in order.  An eviction goes to the first destination — occupied
-    slots ascending, then free slots by ascending area — that stays
-    within capacity, and is accepted only when the source's overflow
-    strictly shrinks.  Total overflow therefore falls with every
-    eviction, so on return every slot fits; slots that fitted on entry
-    keep all their members.  Returns the number of evictions; raises
-    ``RuntimeError`` when an over-capacity slot has no such eviction
-    (grow the pool).
-    """
-    problem = ev.problem
-    slots = problem.architecture.slots
-    evictions = 0
-    while True:
-        occupied = sorted(ev.occupied_slots())
-        bad = [j for j in occupied if not ev.slot_feasible(j)]
-        if not bad:
-            return evictions
-        src = bad[0]
-        before = _overflow(ev, src)
-        taken = set(occupied)
-        targets = occupied + sorted(
-            (s.index for s in slots if s.index not in taken),
-            key=lambda j: (slots[j].area, j),
-        )
-        members = sorted(ev.members_of(src), key=lambda i: (-len(problem.preds(i)), i))
-        if not any(
-            _evict(ev, neuron, src, before, targets) for neuron in members
-        ):
-            raise RuntimeError(f"cannot repair the overflow of slot {src} by eviction")
-        evictions += 1
-
-
-def _evict(
-    ev: DeltaEvaluator, neuron: int, src: int, before: int, targets: list[int]
-) -> bool:
-    for dst in targets:
-        if dst == src:
-            continue
-        ev.move(neuron, dst)
-        if ev.slot_feasible(dst) and _overflow(ev, src) < before:
-            return True
-        ev.move(neuron, src)
-    return False
-
-
-@dataclass(frozen=True)
-class LocalSearchOptions:
-    """Search budget."""
-
-    #: Ruin-and-recreate trials after the first descent.
-    max_rounds: int = 30
-    seed: int = 0
-
-
-def local_search(
-    problem: MappingProblem,
-    initial: Mapping | None = None,
-    options: LocalSearchOptions | None = None,
-) -> Mapping:
-    """Anytime lexicographic (area, global-routes) local search.
-
-    Descends from ``initial`` (greedy first-fit by default) over every
-    slot, then runs ``max_rounds`` ruin-and-recreate trials.  Returns a
-    valid mapping that is never worse than ``initial`` in the
-    lexicographic objective.
-    """
-    opts = options or LocalSearchOptions()
-    if opts.max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    base = initial if initial is not None else greedy_first_fit(problem)
-    ev = DeltaEvaluator.from_mapping(base)
-    engine = MoveEngine(range(problem.num_slots))
-    neurons = problem.network.neuron_ids()
-    engine.improve(ev, neurons)
-    best = engine.ruin_recreate(
-        ev, neurons, random.Random(opts.seed), max_trials=opts.max_rounds
-    )
-    mapping = Mapping(problem, best)
-    issues = mapping.validate()
-    if issues:  # pragma: no cover - every move is feasibility-checked
-        raise AssertionError(f"local search broke validity: {issues}")
-    return mapping

@@ -212,8 +212,7 @@ class MappingPipeline:
         solve = backend.solve(handle.model, warm_start=handle.warm_start_from(base))
         solve.phases = (("build", build_wall),) + tuple(solve.phases)
         mapping = handle.extract_mapping(solve)
-        # The SNU stage must never regress area (paper Figs. 5/6 premise).
-        assert mapping.area() <= base.area() + 1e-9
+        _check_area_kept("snu", mapping, base)
         return mapping, solve
 
     def _run_pgo(
@@ -231,5 +230,14 @@ class MappingPipeline:
         solve = backend.solve(handle.model, warm_start=handle.warm_start_from(base))
         solve.phases = (("build", build_wall),) + tuple(solve.phases)
         mapping = handle.extract_mapping(solve)
-        assert mapping.area() <= base.area() + 1e-9
+        _check_area_kept("pgo", mapping, base)
         return mapping, solve
+
+
+def _check_area_kept(stage: str, mapping: Mapping, base: Mapping) -> None:
+    """A route stage must never regress area (paper Figs. 5/6 premise)."""
+    if mapping.area() > base.area() + 1e-9:
+        raise RuntimeError(
+            f"{stage} stage raised the area from {base.area():g} "
+            f"to {mapping.area():g}"
+        )

@@ -14,13 +14,6 @@ from .architecture import (
 )
 from .crossbar import CrossbarSlot, CrossbarType
 from .energy import CostSummary, EnergyModel, cost_summary, enabled_area
-from .nonideal import (
-    FidelityReport,
-    NonidealityModel,
-    apply_nonidealities,
-    fidelity,
-    quantize_weight,
-)
 from .noc import LinkLoad, MeshNoC, MeshPosition, hop_weighted_packets
 from .processor import (
     MappedProcessor,
@@ -36,11 +29,6 @@ __all__ = [
     "CrossbarSlot",
     "CrossbarType",
     "EnergyModel",
-    "FidelityReport",
-    "NonidealityModel",
-    "apply_nonidealities",
-    "fidelity",
-    "quantize_weight",
     "LinkLoad",
     "MACRO_FACTORS",
     "MAX_INPUT_CHANNELS",

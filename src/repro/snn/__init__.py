@@ -1,6 +1,6 @@
 """Spiking-neural-network substrate: graphs, statistics, simulation,
 generation (random + statistical twins of the paper's Table-I networks),
-EONS-style evolutionary training, encodings and serialization."""
+validation, encodings and serialization."""
 
 from .analysis import (
     StructureReport,
@@ -12,7 +12,6 @@ from .analysis import (
 )
 from .encoding import decode_rate, encode_frame, rate_encode, ttfs_encode
 from .engine import ENGINE_ENV_VAR, ENGINES, CompiledNetwork, resolve_engine
-from .eons import Eons, EonsConfig, EonsResult
 from .generators import (
     TwinSpec,
     gini_degree_sequence,
@@ -24,7 +23,6 @@ from .generators import (
 from .io import load_network, network_from_dict, network_to_dict, save_network
 from .network import Network, Neuron, Synapse
 from .simulator import SimulationResult, Simulator, spike_profile
-from .stdp import StdpConfig, run_stdp, weight_drift
 from .validation import LintIssue, LintLevel, has_errors, lint_network
 from .stats import (
     NetworkStats,
@@ -39,22 +37,16 @@ __all__ = [
     "CompiledNetwork",
     "ENGINES",
     "ENGINE_ENV_VAR",
-    "Eons",
-    "EonsConfig",
-    "EonsResult",
     "resolve_engine",
     "Network",
     "NetworkStats",
     "Neuron",
     "SimulationResult",
     "Simulator",
-    "StdpConfig",
     "LintIssue",
     "LintLevel",
     "has_errors",
     "lint_network",
-    "run_stdp",
-    "weight_drift",
     "Synapse",
     "TwinSpec",
     "StructureReport",

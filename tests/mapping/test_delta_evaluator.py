@@ -1,9 +1,8 @@
 """Delta-evaluated objectives must equal full re-evaluation, move by move.
 
-The DeltaEvaluator underpins every move-engine decision (lp_round, local
-search, KL refinement, overflow repair); any drift between its
-incremental ``(area, global routes)`` and a from-scratch :class:`Mapping`
-evaluation silently corrupts the search.  Every evaluator test here
+The DeltaEvaluator underpins every move-engine decision of the lp_round
+arm; any drift between its incremental ``(area, global routes)`` and a
+from-scratch :class:`Mapping` evaluation silently corrupts the search.  Every evaluator test here
 checks the equality after *each* individual move.
 """
 
@@ -15,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mapping.delta import DeltaEvaluator
 from repro.mapping.greedy import greedy_first_fit
-from repro.mapping.lns import LnsOptions, lns_area
-from repro.mapping.local_search import MoveEngine, repair_overflow
+from repro.mapping.local_search import MoveEngine
 from repro.mapping.problem import MappingProblem
 from repro.mapping.solution import Mapping
 from repro.mca.architecture import (
@@ -139,8 +137,8 @@ class TestDeltaVsFull:
 
 class TestSearchConsultsDeltas:
     """The move engine on a ``verify=True`` evaluator: every move —
-    descent, ruin-and-recreate trials and overflow repair alike — is
-    re-derived from scratch and asserted equal inside ``move``."""
+    descent and ruin-and-recreate trials alike — is re-derived from
+    scratch and asserted equal inside ``move``."""
 
     def test_local_search_verified_move_by_move(self):
         net = random_network(20, 40, seed=21, max_fan_in=6)
@@ -168,12 +166,10 @@ class TestSearchConsultsDeltas:
         problem = MappingProblem(
             net, homogeneous_architecture(16, dimension=8, slack=2.0)
         )
-        # Everything crammed onto two slots: repair, then search.
-        crowded = {i: i % 2 for i in problem.network.neuron_ids()}
+        initial = greedy_first_fit(problem)
 
         def engine_run(verify: bool) -> dict[int, int]:
-            ev = DeltaEvaluator(problem, crowded, verify=verify)
-            assert repair_overflow(ev) > 0
+            ev = DeltaEvaluator.from_mapping(initial, verify=verify)
             engine = MoveEngine(range(problem.num_slots))
             neurons = problem.network.neuron_ids()
             engine.improve(ev, neurons)
@@ -182,19 +178,3 @@ class TestSearchConsultsDeltas:
         checked = engine_run(verify=True)
         assert Mapping(problem, checked).is_valid()
         assert engine_run(verify=False) == checked
-
-    def test_lns_verified_move_by_move(self):
-        # LNS scores each HiGHS repair by its full Mapping.area(), once.
-        net = random_network(12, 24, seed=31, max_fan_in=5)
-        problem = MappingProblem(
-            net, homogeneous_architecture(12, dimension=8, slack=2.0)
-        )
-        result = lns_area(
-            problem, options=LnsOptions(rounds=2, repair_time_limit=2.0)
-        )
-        assert result.mapping.is_valid()
-        # Anytime history is non-increasing (LNS never accepts a worse repair).
-        areas = [area for _, area in result.history]
-        assert areas == sorted(areas, reverse=True)
-        # The last history value is the returned mapping's full evaluation.
-        assert areas[-1] == result.mapping.area()

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.mapping import pipeline as pipeline_module
 from repro.mapping.metrics import evaluate_mapping, improvement_pct
 from repro.mapping.pgo import SpikeProfile
 from repro.mapping.pipeline import MappingPipeline
 from repro.mapping.problem import MappingProblem
+from repro.mapping.solution import Mapping
 from repro.mca.architecture import heterogeneous_architecture
 from repro.mca.crossbar import CrossbarType
 from repro.snn.generators import random_network
@@ -103,3 +105,48 @@ class TestPipeline:
         pipeline = MappingPipeline(problem, area_time_limit=5, route_time_limit=3)
         result = pipeline.run(("area", "pgo"), profile=dict(profile.counts))
         assert "pgo" in result.stages
+
+
+def _one_more_crossbar(mapping: Mapping) -> Mapping:
+    """``mapping`` with one neuron moved from a shared slot to a free one."""
+    slots = list(mapping.assignment.values())
+    shared = next(j for j in slots if slots.count(j) > 1)
+    neuron = next(i for i, j in mapping.assignment.items() if j == shared)
+    free = next(
+        s.index
+        for s in mapping.problem.architecture.slots
+        if s.index not in slots
+    )
+    return Mapping(mapping.problem, {**mapping.assignment, neuron: free})
+
+
+class _GrowingHandle:
+    """A route-model handle whose extracted mapping costs more area."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def extract_mapping(self, solve):
+        return _one_more_crossbar(self._handle.extract_mapping(solve))
+
+
+@pytest.mark.parametrize(
+    "stage, builder", [("snu", "build_snu_model"), ("pgo", "build_pgo_model")]
+)
+def test_route_stage_that_raises_area_is_an_error(
+    problem, profile, monkeypatch, stage, builder
+):
+    # An explicit check, not an ``assert``: ``python -O`` must not let a
+    # larger-area route mapping through.
+    build = getattr(pipeline_module, builder)
+    monkeypatch.setattr(
+        pipeline_module,
+        builder,
+        lambda *args, **kwargs: _GrowingHandle(build(*args, **kwargs)),
+    )
+    pipeline = MappingPipeline(problem, route_time_limit=3)
+    with pytest.raises(RuntimeError, match=f"{stage} stage raised the area"):
+        pipeline.run((stage,), profile=profile)

@@ -10,7 +10,6 @@ the engine selection plumbing fails fast in the tier-1 run.
 import pytest
 
 from repro.mapping.greedy import greedy_first_fit
-from repro.mapping.local_search import LocalSearchOptions, local_search
 from repro.mapping.metrics import evaluate_mapping
 from repro.mapping.problem import MappingProblem
 from repro.mca.architecture import heterogeneous_architecture
@@ -37,11 +36,9 @@ def test_tiny_sweep_end_to_end_vector_engine(monkeypatch):
     assert set(profile) == set(net.neuron_ids())
     assert sum(profile.values()) > 0
 
-    # Map: greedy start refined by (delta-evaluated) local search.
+    # Map: greedy first-fit.
     problem = MappingProblem(net, heterogeneous_architecture(16))
-    mapping = local_search(
-        problem, greedy_first_fit(problem), LocalSearchOptions(max_rounds=3)
-    )
+    mapping = greedy_first_fit(problem)
     assert mapping.is_valid()
     metrics = evaluate_mapping(mapping, spike_counts=profile)
     assert metrics.total_packets is not None

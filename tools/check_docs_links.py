@@ -4,10 +4,11 @@
 Scans every Markdown file for inline links and images
 (``[text](target)`` / ``![alt](target)``) and reference definitions
 (``[label]: target``).  External targets (``http(s)://``, ``mailto:``)
-and pure in-page anchors (``#section``) are skipped; everything else is
-resolved relative to the containing file and must exist inside the
-repository.  Fragments are stripped before the existence check
-(``solver.md#presolve`` checks ``solver.md``).
+are skipped; everything else is resolved relative to the containing file
+and must exist inside the repository.  A ``#fragment`` on a Markdown
+target — another file's (``solver.md#backends``) or the page's own
+(``#running-a-fleet``) — must name one of that file's headings by its
+GitHub anchor slug.
 
 Run:  python tools/check_docs_links.py
 Exit: 0 when every link resolves, 1 otherwise (each break on stderr).
@@ -30,6 +31,11 @@ REFERENCE = re.compile(r"^\s*\[[^\]]+\]:\s+<?(\S+?)>?\s*$", re.MULTILINE)
 #: Fenced code blocks — links inside them are examples, not links.
 FENCE = re.compile(r"```.*?```", re.DOTALL)
 
+#: ATX headings; an optional closing run of ``#`` is not part of the text.
+HEADING = re.compile(r"^#{1,6}[ \t]+(.*?)(?:[ \t]+#+)?[ \t]*$", re.MULTILINE)
+#: Inline links/images inside a heading render as their text.
+LINK_TEXT = re.compile(r"!?\[([^\]]*)\]\([^)]*\)")
+
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 
 
@@ -46,23 +52,51 @@ def targets_in(text: str) -> list[str]:
     return found
 
 
-def check_file(path: Path) -> list[str]:
+def slug(heading: str) -> str:
+    """GitHub's anchor for a heading: link text kept, HTML tags dropped,
+    lowercased, punctuation other than ``-``/``_`` removed, spaces to
+    hyphens."""
+    text = re.sub(r"<[^>]+>", "", LINK_TEXT.sub(r"\1", heading))
+    return re.sub(r"[^\w\- ]", "", text.strip().lower()).replace(" ", "-")
+
+
+def anchors(path: Path) -> set[str]:
+    """The anchor of every heading in ``path``; a repeated slug gets
+    ``-1``, ``-2``, ... as on GitHub."""
+    counts: dict[str, int] = {}
+    found = set()
+    text = FENCE.sub("", path.read_text(encoding="utf-8"))
+    for heading in HEADING.findall(text):
+        base = slug(heading)
+        found.add(f"{base}-{counts[base]}" if base in counts else base)
+        counts[base] = counts.get(base, 0) + 1
+    return found
+
+
+def check_file(path: Path, root: Path = REPO) -> list[str]:
     errors = []
+    where = path.relative_to(root)
     for target in targets_in(path.read_text(encoding="utf-8")):
-        if target.startswith(SKIP_PREFIXES) or target.startswith("#"):
+        if target.startswith(SKIP_PREFIXES):
             continue
-        resolved = (path.parent / target.split("#", 1)[0]).resolve()
+        file_part, _, fragment = target.partition("#")
+        resolved = (path.parent / file_part).resolve() if file_part else path
         try:
-            resolved.relative_to(REPO)
+            resolved.relative_to(root)
         except ValueError:
-            errors.append(f"{path.relative_to(REPO)}: link escapes the "
-                          f"repository: {target}")
+            errors.append(f"{where}: link escapes the repository: {target}")
             continue
         if not resolved.exists():
             errors.append(
-                f"{path.relative_to(REPO)}: broken link: {target} "
-                f"(resolved to {resolved.relative_to(REPO)})"
+                f"{where}: broken link: {target} "
+                f"(resolved to {resolved.relative_to(root)})"
             )
+        elif (
+            fragment
+            and resolved.suffix == ".md"
+            and fragment not in anchors(resolved)
+        ):
+            errors.append(f"{where}: broken anchor: {target}")
     return errors
 
 
