@@ -176,7 +176,7 @@ def _run_fleet(tmp: Path) -> float:
     service = MappingService(
         explorer,
         fleet=2,
-        ledger_path=tmp / "ledger.jsonl",
+        journal_path=tmp / "journal.jsonl",
         fleet_config=config,
     )
     service.start()

@@ -5,8 +5,8 @@ Jobs are scheduled in three **priority lanes** (``high``/``normal``/
 aging_interval`` and the lowest score runs next, so every 30 s (by
 default) of waiting promotes a job one full priority class.  A ``batch``
 job can be passed over by fresh ``high`` work for a while, but never
-forever.  :class:`~repro.service.ledger.JobLedger` applies the score at
-claim time.
+forever.  :meth:`~repro.service.jobs.JobRegistry.claim` applies the
+score at claim time.
 
 A :class:`CancelToken` is the one-way flag a submitter shares with the
 code running its job; it doubles as the ``should_cancel`` hook of

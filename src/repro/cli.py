@@ -303,7 +303,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         journal_path=args.journal,
         job_log_path=args.log_jobs,
         fleet=fleet,
-        ledger_path=args.ledger,
         max_queue_depth=max_queue,
         admission=admission,
         shed_after=args.shed_after,
@@ -336,7 +335,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.server_address[:2]
     print(f"repro service listening on http://{host}:{port}", flush=True)
     kind = f"{fleet} worker process(es)" if fleet else f"{args.workers} thread(s)"
-    print(f"{kind}; ledger {args.ledger or '(in-memory)'}", flush=True)
+    print(f"{kind}; job journal {args.journal or '(in-memory)'}", flush=True)
     if args.journal:
         replayed = len(service.registry.jobs())
         print(f"job journal {args.journal}: {replayed} job(s) replayed", flush=True)
@@ -760,10 +759,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-dir", default=None,
                        help="directory for the shared result cache "
                             "(default: in-memory)")
-    serve.add_argument("--journal", default=None,
-                       help="persistent job-registry journal (JSONL): job "
-                            "status/results survive daemon restarts, and "
-                            "jobs a restart interrupted run again")
+    serve.add_argument("--journal", "--ledger", dest="journal", default=None,
+                       help="persistent job journal (JSONL; default: in "
+                            "memory): job status, results and leases "
+                            "survive daemon and worker crashes, and jobs "
+                            "a restart interrupted run again")
     serve.add_argument("--log-jobs", default=None,
                        help="structured per-job log (JSONL): one line per "
                             "state transition and per scenario result")
@@ -773,10 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fleet", type=int, default=0,
                        help="run N supervised worker *processes* instead "
                             "of --workers threads (0 = threads)")
-    serve.add_argument("--ledger", default=None,
-                       help="durable job-lease ledger journal (JSONL; "
-                            "default: in memory): queued and leased jobs "
-                            "survive daemon and worker crashes")
     serve.add_argument("--max-queue", type=int, default=None,
                        help="bound on queued+running jobs; beyond it "
                             "submissions get HTTP 429 + Retry-After "

@@ -7,7 +7,9 @@ warm across HTTP job submissions; the wire format
 (:mod:`~repro.service.wire`) is the DSE scenario payload, so anything a
 sweep can evaluate a client can submit.  :mod:`~repro.service.client`
 is the matching stdlib HTTP client, and ``repro serve`` / ``repro
-submit`` expose both on the command line.
+submit`` expose both on the command line.  Every job lives in one
+table, :class:`~repro.service.jobs.JobRegistry` — the client view and
+the lease state of each job in one record, persisted to one journal.
 
 >>> from repro.service import MappingService, make_server, run_server
 >>> server = make_server(MappingService(), port=8100)     # doctest: +SKIP
@@ -29,19 +31,14 @@ from .jobs import (
     JOB_ERROR,
     JOB_QUEUED,
     JOB_RUNNING,
-    RESTART_REASON,
-    TERMINAL_STATES,
-    JobRegistry,
-    ServiceJob,
-)
-from .ledger import (
     LEASE_DEAD_LETTER,
     LEASE_FINISHED,
     LEASE_LEASED,
     LEASE_PENDING,
-    LEDGER_TERMINAL,
-    JobLedger,
-    LedgerJob,
+    RESTART_REASON,
+    TERMINAL_STATES,
+    JobRegistry,
+    ServiceJob,
 )
 from .metrics import JsonlWriter, LoopLatencyProbe, ServiceMetrics, read_jsonl
 from .wire import (
@@ -61,7 +58,6 @@ __all__ = [
     "JOB_QUEUED",
     "JOB_RUNNING",
     "FleetConfig",
-    "JobLedger",
     "JobRegistry",
     "JobSpec",
     "JsonlWriter",
@@ -69,8 +65,6 @@ __all__ = [
     "LEASE_FINISHED",
     "LEASE_LEASED",
     "LEASE_PENDING",
-    "LEDGER_TERMINAL",
-    "LedgerJob",
     "LoopLatencyProbe",
     "MappingService",
     "QueueFull",

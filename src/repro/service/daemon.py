@@ -7,9 +7,10 @@ BatchMapper`, one :class:`~repro.batch.cache.ResultCache` and one
 the same state: a job solved for one client is a zero-solve answer for
 every later client that asks the same question.
 
-Submissions flow ``HTTP -> JobRegistry -> JobLedger -> Supervisor ->
-worker (thread or process) -> Explorer``; progress flows back as
-registry events that ``GET /jobs/<id>/stream`` serves as NDJSON.
+Submissions flow ``HTTP -> JobRegistry -> Supervisor -> worker (thread
+or process) -> Explorer``; the registry is the one job table (client
+view and lease state) and keeps the one journal.  Progress flows back
+as registry events that ``GET /jobs/<id>/stream`` serves as NDJSON.
 Endpoints:
 
 ==========================  =============================================
@@ -67,10 +68,11 @@ from .jobs import (
     JOB_DONE,
     JOB_ERROR,
     JOB_SHED,
+    LEASE_DEAD_LETTER,
+    LEASE_PENDING,
     JobRegistry,
     ServiceJob,
 )
-from .ledger import LEASE_DEAD_LETTER, LEASE_PENDING, JobLedger
 from .metrics import JsonlWriter, LoopLatencyProbe, ServiceMetrics
 from .wire import (
     TERMINAL_STATUSES,
@@ -97,20 +99,22 @@ class PayloadTooLarge(ValueError):
 
 
 class MappingService:
-    """Registry, ledger and supervisor over one shared explorer.
+    """Job registry and supervisor over one shared explorer.
 
-    Every accepted job is enqueued in a :class:`~repro.service.ledger.
-    JobLedger` (in memory unless ``ledger_path`` is given) and dispatched
-    by one :class:`Supervisor`: to ``workers`` threads sharing this
-    service's explorer, or, with ``fleet`` > 0, to that many spawned
-    worker processes built from ``fleet_config``.
+    Every accepted job lands in one :class:`~repro.service.jobs.
+    JobRegistry` — the client view and the lease state of the job in one
+    record — and is dispatched by one :class:`Supervisor`: to ``workers``
+    threads sharing this service's explorer, or, with ``fleet`` > 0, to
+    that many spawned worker processes built from ``fleet_config``.
 
-    ``journal_path`` makes the job registry persistent: every state
-    transition is appended (write-behind) to a JSONL journal that the
-    next daemon pointed at the same path replays, so ``GET /jobs/<id>``
-    survives a restart.  ``job_log_path`` opts into structured per-job
-    logging: the same records (one JSON line per state transition and
-    per scenario result), but to an operator-owned log file.
+    ``journal_path`` makes the registry persistent: every transition is
+    appended to one JSONL journal (accept, claim, requeue and terminal
+    records durably, the rest write-behind) that the next daemon pointed
+    at the same path replays, so ``GET /jobs/<id>`` survives a restart
+    and unfinished jobs run again.  ``job_log_path`` opts into
+    structured per-job logging: the client-visible records (one JSON
+    line per state transition and per scenario result), but to an
+    operator-owned log file.
     """
 
     def __init__(
@@ -121,7 +125,6 @@ class MappingService:
         journal_path: str | Path | None = None,
         job_log_path: str | Path | None = None,
         fleet: int = 0,
-        ledger_path: str | Path | None = None,
         max_queue_depth: int | None = None,
         fleet_config: FleetConfig | None = None,
         admission: AdmissionController | None = None,
@@ -184,6 +187,11 @@ class MappingService:
             max_finished=max_finished_jobs,
             journal=self._journal,
             observers=tuple(observers),
+            max_attempts=self.fleet_config.max_attempts,
+            lease_ttl=self.fleet_config.lease_ttl,
+            backoff_base=self.fleet_config.backoff_base,
+            backoff_cap=self.fleet_config.backoff_cap,
+            aging_interval=aging_interval,
         )
         self.workers = workers
         # The shared engine reports solve progress into the same sink.
@@ -191,22 +199,10 @@ class MappingService:
         self._probe = LoopLatencyProbe(self.metrics)
         self._shed_stop = threading.Event()
         self._started = False
-        # Whether a later daemon will replay jobs this one leaves queued.
-        self._replayable = journal_path is not None or ledger_path is not None
-        self.ledger = JobLedger(
-            ledger_path,
-            max_attempts=self.fleet_config.max_attempts,
-            lease_ttl=self.fleet_config.lease_ttl,
-            backoff_base=self.fleet_config.backoff_base,
-            backoff_cap=self.fleet_config.backoff_cap,
-            aging_interval=aging_interval,
-            max_finished=max_finished_jobs,
-        )
         self.supervisor = Supervisor(
             self,
             fleet or workers,
             self.fleet_config,
-            self.ledger,
             explorer=None if fleet else self.explorer,
         )
         # Replayed-but-unfinished jobs were admitted by the previous
@@ -243,20 +239,17 @@ class MappingService:
 
         In-flight jobs get up to the configured ``drain_timeout`` to
         finish; the rest are re-queued without charging their retry
-        budget.  Queued jobs stay queued for the next daemon when a
-        journal or ledger file will replay them, and finish ``cancelled``
-        otherwise: a 202-accepted job must end terminal, not vanish with
-        the process.
+        budget.  Queued jobs stay queued for the next daemon when the
+        journal will replay them, and finish ``cancelled`` otherwise: a
+        202-accepted job must end terminal, not vanish with the process.
         """
         self._probe.stop()
         self._shed_stop.set()
         self.supervisor.stop(wait=wait)
-        if not self._replayable:
+        if self._journal is None:
             for job in self.registry.jobs():
                 if not job.finished:
                     self.registry.cancel(job.id)
-                    self.ledger.finish(job.id, JOB_CANCELLED)
-        self.ledger.close()
         for writer in (self._journal, self._job_log):
             if writer is not None:
                 writer.close()
@@ -293,10 +286,10 @@ class MappingService:
             if exc.retry_after is None:
                 # In-flight rejections clear when a job finishes; the
                 # backlog-based hint is the honest estimate of when.
-                exc.retry_after = self._retry_after_hint(self.ledger.depth())
+                exc.retry_after = self._retry_after_hint(self.registry.depth())
             raise
         if self.max_queue_depth is not None:
-            depth = self.ledger.depth()
+            depth = self.registry.depth()
             if depth >= self.max_queue_depth:
                 self.admission.release(spec.client)
                 self.metrics.inc("backpressure_rejections")
@@ -308,6 +301,8 @@ class MappingService:
         if self.trace_runtime is not None and spec.trace is None:
             # No inbound context: the accept point mints the trace root.
             spec = dataclass_replace(spec, trace=trace.mint_context().encode())
+        # From here the in-flight charge is released by the terminal-
+        # event observer — every path below ends terminal eventually.
         job = self.registry.create(spec)
         context = self._job_context(job)
         if context is not None:
@@ -319,22 +314,12 @@ class MappingService:
                 priority=spec.priority,
                 tier=spec.tier,
             )
-        # From here the in-flight charge is released by the terminal-
-        # event observer — every path below ends terminal eventually.
-        self.ledger.enqueue(
-            job.id,
-            spec.payload(),
-            priority=spec.priority,
-            deadline_at=job.deadline_at,
-        )
         self.supervisor.wake()
         return job
 
     def cancel(self, job_id: str) -> ServiceJob | None:
         job = self.registry.cancel(job_id)
         if job is not None:
-            if job.finished:
-                self.ledger.finish(job_id, job.status)  # frees its depth slot
             self.supervisor.wake()  # reaches a running worker now
         return job
 
@@ -348,12 +333,15 @@ class MappingService:
         except ValueError:
             return None
 
-    def _finish_trace(self, job: ServiceJob) -> None:
+    def _finish_trace(self, job: ServiceJob, status: str | None = None) -> None:
         """Seal a job's trace: root span, gauge cleanup, journal flush.
 
         The root span reuses the context's *own* span id, so every hop
         recorded against the context (queue, lease, solve) parents to it
-        and ``repro trace`` renders one tree per job.
+        and ``repro trace`` renders one tree per job.  Passing the
+        ``status`` a job is about to finish with seals the trace *before*
+        the terminal event, so a client whose stream just ended finds
+        the whole tree.
         """
         runtime = self.trace_runtime
         context = self._job_context(job)
@@ -368,7 +356,7 @@ class MappingService:
                 start=job.submitted_at,
                 duration=max(0.0, end - job.submitted_at),
                 process=runtime.process,
-                attrs={"job": job.id, "status": job.status},
+                attrs={"job": job.id, "status": status or job.status},
             )
         )
         runtime.clear_progress(job.id)
@@ -421,31 +409,28 @@ class MappingService:
         if self.shed_after is None:
             return 0
         now = time.time() if now is None else now
-        pending = self.ledger.pending_snapshot()
+        pending = self.registry.pending_snapshot()
         if not pending:
             return 0
-        if max(now - lease.enqueued_at for lease in pending) <= self.shed_after:
+        if max(now - job.submitted_at for job in pending) <= self.shed_after:
             return 0
         victims = sorted(
             pending,
-            key=lambda lease: effective_priority(
-                lease.priority, now - lease.enqueued_at, self.aging_interval
+            key=lambda job: effective_priority(
+                job.spec.priority, now - job.submitted_at, self.aging_interval
             ),
             reverse=True,  # worst effective priority sheds first
         )[: max(1, len(pending) // 2)]
-        for lease in victims:
-            self.ledger.finish(lease.id, JOB_SHED)
-            job = self.registry.get(lease.id)
-            if job is not None and not job.finished:
-                self.registry.finish(
-                    job,
-                    JOB_SHED,
-                    error=(
-                        "shed under overload after "
-                        f"{now - lease.enqueued_at:.1f}s queued; resubmit"
-                    ),
-                    extra={"spec": lease.spec},
-                )
+        for job in victims:
+            self.registry.finish(
+                job,
+                JOB_SHED,
+                error=(
+                    "shed under overload after "
+                    f"{now - job.submitted_at:.1f}s queued; resubmit"
+                ),
+                extra={"spec": job.spec.payload()},
+            )
         return len(victims)
 
     def stats(self) -> dict:
@@ -456,15 +441,15 @@ class MappingService:
             "status": "ok",
             "format": WIRE_FORMAT,
             "workers": self.fleet or self.workers,
-            "queued": self.ledger.depth(),
+            "queued": self.registry.depth(),
             "jobs": self.registry.counts(),
             "cache": cache.stats.snapshot() if cache is not None else None,
             "store_entries": len(store),
             "store_path": str(store.path) if store.path is not None else None,
             "admission": self.admission.snapshot(),
-            "lanes": self.ledger.lane_snapshot(),
+            "lanes": self.registry.lane_snapshot(),
             "fleet": self.supervisor.snapshot(),
-            "ledger": self.ledger.counts(),
+            "ledger": self.registry.lease_counts(),
         }
         if self.max_queue_depth is not None:
             body["max_queue_depth"] = self.max_queue_depth
@@ -493,11 +478,11 @@ class MappingService:
             "status": "ok",
             "uptime": snapshot["uptime"],
             "workers": self.fleet or self.workers,
-            "queue_depth": self.ledger.depth(),
+            "queue_depth": self.registry.depth(),
             "backpressure_rejections": counters.get("backpressure_rejections", 0),
             "admission": self.admission.snapshot(),
             "admission_throttled": counters.get("admission_throttled", 0),
-            "lanes": self.ledger.lane_snapshot(),
+            "lanes": self.registry.lane_snapshot(),
             "solves_in_flight": gauges.get("solves_in_flight", 0),
             "jobs": {
                 "by_state": self.registry.counts(),
@@ -534,7 +519,7 @@ class MappingService:
             "latency": snapshot["latency"],
             "solver_progress": snapshot["solver_progress"],
             "fleet": self.supervisor.snapshot(),
-            "ledger": self.ledger.counts(),
+            "ledger": self.registry.lease_counts(),
         }
         if self.trace_runtime is not None:
             body["trace"] = {
@@ -586,7 +571,7 @@ class Supervisor:
 
     One background thread runs the whole control loop: drain worker
     messages, reap dead workers (respawning them), expire silent
-    leases, propagate cancellations, dispatch claimable ledger jobs to
+    leases, propagate cancellations, dispatch claimable registry jobs to
     idle workers.  Every worker runs :func:`~repro.service.worker.
     worker_loop` and speaks the same message protocol.  With an
     ``explorer``, workers are threads sharing it; otherwise they are
@@ -611,14 +596,13 @@ class Supervisor:
         service: MappingService,
         size: int,
         config: FleetConfig,
-        ledger: JobLedger,
         explorer: Explorer | None = None,
     ) -> None:
         if size < 1:
             raise ValueError("size must be >= 1")
         self.service = service
+        self.registry = service.registry
         self.config = config
-        self.ledger = ledger
         self._explorer = explorer
         self._ctx = multiprocessing.get_context("spawn")
         self._result_queue = (
@@ -645,7 +629,6 @@ class Supervisor:
         if self._started:
             return
         self._started = True
-        self._reconcile()
         for handle in self._handles:
             self._spawn(handle)
         self._thread = threading.Thread(
@@ -683,10 +666,7 @@ class Supervisor:
             for handle in self._handles:
                 if handle.job is not None:
                     # The drain timed out on this one: hand the job back.
-                    self.ledger.requeue_for_restart(handle.job, "shutdown")
-                    job = self.service.registry.get(handle.job)
-                    if job is not None:
-                        self.service.registry.requeue(job, "shutdown")
+                    self.registry.requeue_for_restart(handle.job, "shutdown")
                     handle.job = None
                     handle.cancel_event.set()
                 if handle.task_queue is not None:
@@ -709,39 +689,6 @@ class Supervisor:
                     process.join(timeout=2.0)
                 self._merge_cache(handle.index)
             self._merge_trace()
-
-    # -- startup reconcile ---------------------------------------------
-    def _reconcile(self) -> None:
-        """Make the ledger and the registry agree before dispatching.
-
-        The two journals replay independently; after a crash either can
-        know jobs the other lost.  Ledger-only jobs are adopted into the
-        registry (so their ids answer over HTTP); registry-only queued
-        jobs are enqueued into the ledger (so they actually run);
-        registry-terminal jobs close their ledger record.
-        """
-        registry = self.service.registry
-        for lease in self.ledger.jobs():
-            if lease.terminal:
-                continue
-            job = registry.get(lease.id)
-            if job is None:
-                try:
-                    registry.adopt(lease.id, parse_job(lease.spec))
-                except WireError:
-                    # Unreplayable spec (schema drift): close it out
-                    # rather than dispatching garbage forever.
-                    self.ledger.finish(lease.id, "dropped: unparseable spec")
-            elif job.finished:
-                self.ledger.finish(lease.id, job.status)
-        for job in registry.jobs():
-            if not job.finished and self.ledger.get(job.id) is None:
-                self.ledger.enqueue(
-                    job.id,
-                    job.spec.payload(),
-                    priority=job.spec.priority,
-                    deadline_at=job.deadline_at,
-                )
 
     # -- workers -------------------------------------------------------
     def _spawn(self, handle: _WorkerHandle) -> None:
@@ -843,7 +790,7 @@ class Supervisor:
                     handle.pid = message.get("pid", handle.pid)
                 return
             if kind == "heartbeat":
-                self.ledger.heartbeat(job_id)
+                self.registry.heartbeat(job_id)
                 progress = message.get("progress")
                 if isinstance(progress, dict) and isinstance(job_id, str):
                     # The worker's live solver progress (incumbent/bound/
@@ -851,8 +798,8 @@ class Supervisor:
                     self.service.metrics.set_solver_progress(job_id, progress)
                 return
             if kind == "started":
-                job = self.service.registry.get(job_id)
-                if job is not None and not self.service.registry.start(job):
+                job = self.registry.get(job_id)
+                if job is not None and not self.registry.start(job):
                     # A cancel won the race: tell the worker to bail at
                     # the next solve boundary.
                     if handle is not None and handle.cancel_event is not None:
@@ -878,14 +825,12 @@ class Supervisor:
                 if handle is not None and handle.job == job_id:
                     self._observe_duration(handle)
                     handle.job = None
-                self.ledger.finish(job_id, JOB_DEADLINE)
-                job = self.service.registry.get(job_id)
+                job = self.registry.get(job_id)
                 if job is not None and not job.finished:
-                    self.service.registry.finish(
+                    self.service._finish_trace(job, JOB_DEADLINE)
+                    self.registry.finish(
                         job, JOB_DEADLINE, error="deadline exceeded before solve"
                     )
-                if job is not None:
-                    self.service._finish_trace(job)
                 return
             self.service.metrics.inc("fleet_bad_messages")
 
@@ -903,7 +848,7 @@ class Supervisor:
         results: list[dict],
         worker_cancelled: bool,
     ) -> None:
-        registry = self.service.registry
+        registry = self.registry
         lease_duration = None
         lease_worker = None
         if handle is not None and handle.job == job_id:
@@ -915,8 +860,8 @@ class Supervisor:
             self._merge_cache(handle.index)
             self._merge_trace()
         job = registry.get(job_id)
-        if job is None:  # evicted mid-flight; the answer is in the store
-            self.ledger.finish(job_id, JOB_DONE)
+        if job is None or job.finished:
+            # A cancel (or shed) landed while the result was in transit.
             return
         context = self.service._job_context(job)
         if context is not None and lease_duration is not None:
@@ -930,43 +875,28 @@ class Supervisor:
                 job=job_id,
                 worker=lease_worker,
             )
-        if job.finished:  # a cancel landed while the result was in transit
-            self.ledger.finish(job_id, job.status)
-            return
         for result in results:
             registry.add_result(job, result)
-        if worker_cancelled or job.token.cancelled:
-            registry.finish(job, JOB_CANCELLED)
-            self.ledger.finish(job_id, JOB_CANCELLED)
-            self.service._finish_trace(job)
-            return
         failed = [r for r in results if r.get("status") != "ok"]
-        if failed:
+        error = None
+        if worker_cancelled or job.token.cancelled:
+            status = JOB_CANCELLED
+        elif failed:
             # Deterministic per-scenario failures (construction errors,
             # infeasible instances) are answers, not crashes: they finish
             # the job instead of burning retries.
-            registry.finish(job, JOB_ERROR, error=f"{len(failed)} scenario(s) failed")
-            self.ledger.finish(job_id, JOB_ERROR)
+            status, error = JOB_ERROR, f"{len(failed)} scenario(s) failed"
         else:
-            registry.finish(job, JOB_DONE)
-            self.ledger.finish(job_id, JOB_DONE)
-        self.service._finish_trace(job)
+            status = JOB_DONE
+        self.service._finish_trace(job, status)
+        registry.finish(job, status, error=error)
 
     def _attempt_failed(self, job_id: str, error: str) -> None:
-        state = self.ledger.fail_attempt(job_id, error)
-        job = self.service.registry.get(job_id)
+        state = self.registry.fail_attempt(job_id, error)
+        job = self.registry.get(job_id)
         if state == LEASE_DEAD_LETTER:
-            lease = self.ledger.get(job_id)
-            attempts = lease.attempts if lease is not None else 0
-            if job is not None:
-                self.service.registry.finish(
-                    job,
-                    JOB_ERROR,
-                    error=f"dead-letter after {attempts} attempt(s): {error}",
-                )
-                self.service._finish_trace(job)
-        elif state == LEASE_PENDING and job is not None:
-            self.service.registry.requeue(job, reason=error)
+            self.service._finish_trace(job)
+        elif state == LEASE_PENDING:
             context = self.service._job_context(job)
             if context is not None:
                 trace.event("requeued", context, job=job_id, reason=error)
@@ -993,17 +923,17 @@ class Supervisor:
                 self._spawn(handle)
 
     def _expire_leases(self) -> None:
-        for lease in self.ledger.expired():
+        for job in self.registry.expired():
             holder = None
             for handle in self._handles:
-                if handle.job == lease.id:
+                if handle.job == job.id:
                     holder = handle
                     break
             if holder is not None and holder.is_thread:
                 # A live thread cannot fall silent: its heartbeats share
                 # this process, so a lapse is a stall here, not a lost
                 # worker (a dead thread is reaped like a dead process).
-                self.ledger.heartbeat(lease.id)
+                self.registry.heartbeat(job.id)
                 continue
             if holder is not None:
                 # Alive but silent: hung solver, stuck disk, whatever —
@@ -1012,23 +942,18 @@ class Supervisor:
                 holder.job = None
                 if holder.process is not None and holder.process.is_alive():
                     holder.process.terminate()
-            self._attempt_failed(lease.id, "lease expired (missed heartbeats)")
+            self._attempt_failed(job.id, "lease expired (missed heartbeats)")
 
-    def _sweep_deadlines(self) -> None:
+    def _sweep_deadlines(self, now: float | None = None) -> None:
         # Pending jobs past their deadline finish as JOB_DEADLINE without
         # ever being leased: zero mapper invocations, zero retry charge.
-        for lease in self.ledger.deadline_expired():
-            job = self.service.registry.get(lease.id)
-            if job is not None and not job.finished:
-                self.service.registry.finish(
-                    job, JOB_DEADLINE, error="deadline exceeded before start"
-                )
+        self.registry.deadline_expired(now)
 
     def _propagate_cancels(self) -> None:
         for handle in self._handles:
             if handle.job is None or handle.cancel_event is None:
                 continue
-            job = self.service.registry.get(handle.job)
+            job = self.registry.get(handle.job)
             if (
                 job is not None
                 and job.token.cancelled
@@ -1039,50 +964,36 @@ class Supervisor:
     def _dispatch(self) -> None:
         if self._draining:
             return
-        registry = self.service.registry
         for handle in self._handles:
             if not (handle.ready and handle.alive and handle.job is None):
                 continue
-            while True:
-                lease = self.ledger.claim(handle.name)
-                if lease is None:
-                    return
-                job = registry.get(lease.id)
-                if job is None:
-                    try:
-                        job = registry.adopt(lease.id, parse_job(lease.spec))
-                    except WireError:
-                        self.ledger.finish(lease.id, "dropped: unparseable spec")
-                        continue
-                if job.finished:  # cancelled while pending
-                    self.ledger.finish(lease.id, job.status)
-                    continue
-                break
+            job = self.registry.claim(handle.name)
+            if job is None:
+                return
             handle.cancel_event.clear()
-            handle.job = lease.id
+            handle.job = job.id
             handle.dispatched_at = time.monotonic()
             waited = max(0.0, time.time() - job.submitted_at)
             self.service.metrics.observe("queue_wait", waited)
-            self.service.metrics.observe(f"queue_wait_{lease.priority}", waited)
+            self.service.metrics.observe(f"queue_wait_{job.spec.priority}", waited)
             context = self.service._job_context(job)
             if context is not None:
-                # Queue wait: ledger enqueue (or submission) to claim.
-                enqueued = getattr(lease, "enqueued_at", None) or job.submitted_at
+                # Queue wait: submission to claim.
                 trace.record_span(
                     "queue",
                     context,
-                    start=enqueued,
-                    duration=max(0.0, time.time() - enqueued),
-                    job=lease.id,
-                    priority=lease.priority,
+                    start=job.submitted_at,
+                    duration=waited,
+                    job=job.id,
+                    priority=job.spec.priority,
                     worker=handle.name,
                 )
             try:
                 handle.task_queue.put(
                     {
-                        "job": lease.id,
-                        "spec": lease.spec,
-                        "deadline_at": lease.deadline_at,
+                        "job": job.id,
+                        "spec": job.spec.payload(),
+                        "deadline_at": job.deadline_at,
                         "trace": job.spec.trace,
                     }
                 )

@@ -1,26 +1,40 @@
-"""Service-side job registry: states, progress events, cancellation.
+"""The service's one job table: client view, lease state, one journal.
 
 A :class:`ServiceJob` is one accepted submission moving through
-``queued -> running -> done | error | cancelled``.  Every state change
-and per-scenario result is appended to the job's **event log**, which is
-simultaneously:
+``queued -> running -> done | error | cancelled | deadline | shed``.
+Every client-visible state change and per-scenario result is appended
+to the job's **event log**, which is simultaneously:
 
 - the NDJSON stream body of ``GET /jobs/<id>/stream`` (replay past
   events, then follow live ones), and
 - the audit trail embedded in ``GET /jobs/<id>``.
 
-The registry owns one :class:`threading.Condition`; stream readers block
-in :meth:`JobRegistry.events_since` and are woken by whichever worker
-thread appends the next event.
+The same record carries the job's **lease** — the workers' view.  A
+queued job is *pending* until a worker claims it under a TTL lease,
+renewed by heartbeat while it solves::
 
-With a ``journal`` (a :class:`~repro.service.metrics.JsonlWriter`), the
-registry is **persistent**: every event is also appended — write-behind,
-so request threads never block on disk — to a JSONL journal, and a new
-registry pointed at the same file replays it on construction.  Jobs that
-were terminal before a restart come back exactly as they finished
-(results, events, timestamps); jobs the old process accepted but never
-finished come back ``queued`` so the new daemon runs them, and a
-202-accepted id is *always* answerable.
+    PENDING --claim--> LEASED --finish--> FINISHED
+       ^                  |
+       |    fail/expiry   +--fail_attempt--> PENDING (backoff)
+       +------------------+                    |
+                                               v  after max_attempts
+                                          DEAD_LETTER
+
+If the worker dies, the lease expires and the job is re-queued with
+exponential backoff, bounded by ``max_attempts``; a daemon restart
+re-queues leased jobs immediately *without* charging the retry budget.
+
+The registry owns one :class:`threading.Condition`: every transition
+runs under it, and stream readers block in
+:meth:`JobRegistry.events_since` until the next event.  With a
+``journal`` (a :class:`~repro.service.metrics.JsonlWriter`), every
+transition also appends one JSONL record, and a new registry pointed at
+the same file replays it in one pass.  Accept, claim, requeue and
+terminal records are on disk before the call returns, so a
+202-accepted id is *always* answerable; ``running``, ``result`` and
+heartbeat records stay write-behind.  Jobs that were terminal before a
+restart come back exactly as they finished; jobs the old process
+accepted but never finished come back ``queued`` and run again.
 """
 
 from __future__ import annotations
@@ -30,9 +44,15 @@ import re
 import secrets
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
-from ..batch.queue import CancelToken
+from ..batch.queue import (
+    DEFAULT_AGING_INTERVAL,
+    PRIORITIES,
+    CancelToken,
+    effective_priority,
+)
 from .metrics import EventObserver, JsonlWriter, read_jsonl
 from .wire import TERMINAL_STATUSES, JobSpec, WireError, parse_job
 
@@ -49,11 +69,22 @@ JOB_SHED = "shed"
 #: States a job never leaves (the wire module's client-visible list).
 TERMINAL_STATES = TERMINAL_STATUSES
 
+#: Lease states (the ``/healthz`` ``ledger.by_state`` keys).
+LEASE_PENDING = "pending"
+LEASE_LEASED = "leased"
+LEASE_FINISHED = "finished"
+LEASE_DEAD_LETTER = "dead_letter"
+
 #: Bump when the journal record schema changes; stale lines are skipped.
-JOURNAL_FORMAT = 1
+JOURNAL_FORMAT = 2
 
 #: The ``requeued`` reason of a job a daemon restart interrupted mid-run.
 RESTART_REASON = "daemon restarted"
+
+#: Journal record keys that are not part of the client-visible event.
+_JOURNAL_ONLY = frozenset(
+    ("format", "job", "client", "attempt", "not_before", "last_error", "dead_letter")
+)
 
 _ID_PATTERN = re.compile(r"^job-(\d+)-[0-9a-f]+$")
 
@@ -72,10 +103,28 @@ class ServiceJob:
     results: list[dict] = field(default_factory=list)
     error: str | None = None
     events: list[dict] = field(default_factory=list)
+    # -- lease state ----------------------------------------------------
+    attempts: int = 0  # leases granted (claims), including the active one
+    not_before: float = 0.0  # backoff gate: claimable once now >= this
+    worker: str | None = None  # current lease holder
+    lease_expires: float | None = None
+    last_error: str | None = None  # the latest failed attempt's error
+    dead_letter: bool = False  # terminal because the retry budget ran out
 
     @property
     def finished(self) -> bool:
         return self.status in TERMINAL_STATES
+
+    @property
+    def pending(self) -> bool:
+        """Queued and unleased: a worker may claim it."""
+        return self.status == JOB_QUEUED and self.worker is None
+
+    @property
+    def lease_state(self) -> str:
+        if self.finished:
+            return LEASE_DEAD_LETTER if self.dead_letter else LEASE_FINISHED
+        return LEASE_PENDING if self.pending else LEASE_LEASED
 
     @property
     def deadline_at(self) -> float | None:
@@ -118,13 +167,16 @@ class ServiceJob:
 
 
 class JobRegistry:
-    """Thread-safe id -> :class:`ServiceJob` map with an event feed.
+    """Thread-safe id -> :class:`ServiceJob` table with an event feed.
 
-    ``max_finished`` bounds how many *terminal* jobs stay queryable: a
-    long-lived daemon would otherwise accumulate every result and event
-    log forever.  The oldest finished jobs are evicted first; running
-    and queued jobs are never evicted.  (Evaluation answers outlive the
-    eviction — they live in the shared run store/result cache.)
+    ``max_finished`` bounds how many *terminal* jobs stay queryable: the
+    oldest-finished are forgotten first (the journal keeps them), and
+    queued or running jobs never are, so the table stays bounded by the
+    backlog plus ``max_finished``.  (Evaluation answers outlive the
+    eviction — they live in the shared run store/result cache.)  The
+    lease settings — ``max_attempts``, ``lease_ttl``, the backoff and
+    ``aging_interval`` — govern :meth:`claim` and :meth:`fail_attempt`.
+    All public methods take the condition; callers never hold it.
     """
 
     def __init__(
@@ -132,28 +184,57 @@ class JobRegistry:
         max_finished: int = 512,
         journal: JsonlWriter | None = None,
         observers: tuple[EventObserver, ...] = (),
+        *,
+        max_attempts: int = 3,
+        lease_ttl: float = 15.0,
+        backoff_base: float = 0.5,
+        backoff_cap: float = 30.0,
+        aging_interval: float = DEFAULT_AGING_INTERVAL,
     ) -> None:
         if max_finished < 1:
             raise ValueError("max_finished must be >= 1")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if lease_ttl <= 0:
+            raise ValueError("lease_ttl must be > 0")
+        if aging_interval <= 0:
+            raise ValueError("aging_interval must be > 0")
+        self.max_attempts = max_attempts
+        self.lease_ttl = lease_ttl
+        self.backoff_base = backoff_base
+        self.backoff_cap = backoff_cap
+        self.aging_interval = aging_interval
         self._jobs: dict[str, ServiceJob] = {}
+        #: Unfinished jobs in submission order (the FIFO tie-break).
+        self._open: dict[str, ServiceJob] = {}
+        #: Terminal job ids, oldest-finished first (the retention queue).
+        self._retired: deque[str] = deque()
         self._cond = threading.Condition()
         self._counter = itertools.count(1)
         self._max_finished = max_finished
         self._observers = tuple(observers)
         self._replay_skipped = 0
+        self._lease_counters = {
+            "leases_granted": 0,
+            "leases_expired": 0,
+            "requeues": 0,
+            "dead_letters": 0,
+            "deadline_expired": 0,
+        }
         self.journal = journal
         if journal is not None:
             self._replay(journal.path)
 
-    # ------------------------------------------------------------------
+    # -- client transitions ---------------------------------------------
     def create(self, spec: JobSpec) -> ServiceJob:
         """Register a new queued job (ids are unguessable but ordered)."""
         with self._cond:
             job_id = f"job-{next(self._counter):06d}-{secrets.token_hex(3)}"
             job = ServiceJob(id=job_id, spec=spec)
-            self._jobs[job_id] = job
+            self._jobs[job_id] = self._open[job_id] = job
             self._append_event(job, {"event": JOB_QUEUED, "id": job_id})
-            return job
+        self._sync()
+        return job
 
     def get(self, job_id: str) -> ServiceJob | None:
         with self._cond:
@@ -171,13 +252,13 @@ class JobRegistry:
                 counts[job.status] = counts.get(job.status, 0) + 1
             return counts
 
-    # ------------------------------------------------------------------
     def start(self, job: ServiceJob) -> bool:
         """Move a queued job to running; false if a cancel won the race.
 
-        A ``POST /jobs/<id>/cancel`` landing between the worker's pop and
-        this call already moved the job to a terminal state — it must not
-        be resurrected (its streams saw a terminal event and closed).
+        A ``POST /jobs/<id>/cancel`` landing between the worker's claim
+        and this call already moved the job to a terminal state — it
+        must not be resurrected (its streams saw a terminal event and
+        closed).
         """
         with self._cond:
             if job.finished:
@@ -208,56 +289,8 @@ class JobRegistry:
         with self._cond:
             if job.finished:
                 return
-            job.status = status
-            job.error = error
-            job.finished_at = time.time()
-            event: dict = {"event": status, "results": len(job.results)}
-            if error is not None:
-                event["error"] = error
-            if extra:
-                event.update(extra)
-            self._append_event(job, event)
-            self._evict_finished()
-
-    def requeue(self, job: ServiceJob, reason: str) -> None:
-        """Send a job back to ``queued`` after a failed or drained attempt.
-
-        Not a terminal transition: streams stay open (they see the
-        ``requeued`` event) and the job will run again when the ledger
-        re-dispatches it.  No-op once the job is terminal — a cancel that
-        raced the failure wins.
-        """
-        with self._cond:
-            if job.finished:
-                return
-            job.status = JOB_QUEUED
-            # The retry starts from scratch: partial results of the dead
-            # attempt would double up against the re-run's.
-            job.results = []
-            job.started_at = None
-            self._append_event(job, {"event": "requeued", "reason": reason})
-
-    def adopt(self, job_id: str, spec: JobSpec) -> ServiceJob:
-        """Register a queued job under an *existing* id (ledger reconcile).
-
-        Used when the execution ledger knows a job the registry journal
-        lost (evicted, or the journals were split): the client-facing
-        view is rebuilt so ``GET /jobs/<id>`` answers again.  Idempotent
-        for known ids.
-        """
-        with self._cond:
-            existing = self._jobs.get(job_id)
-            if existing is not None:
-                return existing
-            job = ServiceJob(id=job_id, spec=spec)
-            self._jobs[job_id] = job
-            # Journaled (so the next replay knows the job) but not
-            # observed: the submission belongs to a previous process's
-            # counters, like replayed jobs do.
-            self._append_event(
-                job, {"event": JOB_QUEUED, "id": job_id}, notify_observers=False
-            )
-            return job
+            self._terminate(job, status, error, extra)
+        self._sync()
 
     def cancel(self, job_id: str) -> ServiceJob | None:
         """Flag a job for cancellation; queued jobs terminate right away.
@@ -271,46 +304,310 @@ class JobRegistry:
             if job is None:
                 return None
             job.token.cancel()
-            if job.status == JOB_QUEUED:
-                job.status = JOB_CANCELLED
-                job.finished_at = time.time()
-                self._append_event(job, {"event": JOB_CANCELLED, "results": 0})
-                self._evict_finished()
-            return job
+            if job.status != JOB_QUEUED:
+                return job
+            self._terminate(job, JOB_CANCELLED)
+        self._sync()
+        return job
 
-    # ------------------------------------------------------------------
-    def _evict_finished(self) -> None:
-        # Caller holds the condition.  The oldest-*finished* terminal
-        # jobs beyond the retention cap are dropped from the map (a
-        # long-running early submission that just finished outlives jobs
-        # that finished before it); live references (e.g. an open
-        # stream's job object) keep working off the object.
-        finished = sorted(
-            (job for job in self._jobs.values() if job.finished),
-            key=lambda job: job.finished_at or 0.0,
+    # -- lease transitions ----------------------------------------------
+    def claim(self, worker: str, now: float | None = None) -> ServiceJob | None:
+        """Lease the best claimable pending job to ``worker``.
+
+        Claimable pending jobs (backoff gate passed, deadline not blown)
+        are ranked by :func:`~repro.batch.queue.effective_priority` —
+        lane rank minus age credit — with submission order breaking
+        ties, so ``high`` work runs first but a starved ``batch`` job
+        ages its way to the front.  Deadline-expired pending jobs are
+        *skipped*, not claimed: :meth:`deadline_expired` sweeps them to a
+        terminal state without ever charging a lease against their retry
+        budget.  ``None`` when nothing is claimable.
+        """
+        now = time.time() if now is None else now
+        with self._cond:
+            best: ServiceJob | None = None
+            best_score = 0.0
+            for job in self._open.values():  # submission order == FIFO tie-break
+                if not job.pending or job.not_before > now:
+                    continue
+                deadline_at = job.deadline_at
+                if deadline_at is not None and deadline_at <= now:
+                    continue  # deadline sweep's business, not a lease
+                score = effective_priority(
+                    job.spec.priority, now - job.submitted_at, self.aging_interval
+                )
+                if best is None or score < best_score:
+                    best, best_score = job, score
+            if best is None:
+                return None
+            best.worker = worker
+            best.attempts += 1
+            best.lease_expires = now + self.lease_ttl
+            self._lease_counters["leases_granted"] += 1
+            self._append_lease(
+                best,
+                "leased",
+                worker=worker,
+                attempt=best.attempts,
+                expires=best.lease_expires,
+            )
+        self._sync()
+        return best
+
+    def heartbeat(self, job_id: str, now: float | None = None) -> bool:
+        """Renew a lease; false if the job is no longer leased (stale).
+
+        Write-behind: losing a heartbeat line costs at most a spurious
+        lease expiry after a crash.
+        """
+        now = time.time() if now is None else now
+        with self._cond:
+            job = self._jobs.get(job_id)
+            if job is None or job.lease_state != LEASE_LEASED:
+                return False
+            job.lease_expires = now + self.lease_ttl
+            self._append_lease(job, "heartbeat", expires=job.lease_expires)
+            return True
+
+    def fail_attempt(
+        self, job_id: str, error: str, now: float | None = None
+    ) -> str | None:
+        """One attempt failed (worker died, crashed, or its lease expired).
+
+        Returns the job's new lease state — re-queued with exponential
+        backoff (a client-visible ``requeued`` event), or ``dead_letter``
+        once the retry budget (``max_attempts``) is spent, which finishes
+        the job as ``error``.  ``None`` if the job is unknown or already
+        terminal: a cancel that raced the failure wins.
+        """
+        now = time.time() if now is None else now
+        with self._cond:
+            job = self._jobs.get(job_id)
+            if job is None or job.finished:
+                return None
+            job.last_error = error
+            if job.attempts >= self.max_attempts:
+                job.dead_letter = True
+                self._lease_counters["dead_letters"] += 1
+                self._terminate(
+                    job,
+                    JOB_ERROR,
+                    f"dead-letter after {job.attempts} attempt(s): {error}",
+                    lease={"dead_letter": True, "last_error": error},
+                )
+                state = LEASE_DEAD_LETTER
+            else:
+                backoff = min(
+                    self.backoff_cap,
+                    self.backoff_base * (2 ** max(0, job.attempts - 1)),
+                )
+                job.not_before = now + backoff
+                self._lease_counters["requeues"] += 1
+                self._requeue(job, error, last_error=error)
+                state = LEASE_PENDING
+        self._sync()
+        return state
+
+    def requeue_for_restart(self, job_id: str, reason: str = "shutdown") -> bool:
+        """Re-queue a leased job without charging its retry budget.
+
+        The drain path: the daemon is going away, not the job — the
+        in-flight attempt is refunded so the next process retries it
+        immediately.
+        """
+        with self._cond:
+            job = self._jobs.get(job_id)
+            if job is None or job.lease_state != LEASE_LEASED:
+                return False
+            job.not_before = 0.0
+            job.attempts = max(0, job.attempts - 1)
+            self._requeue(job, reason)
+        self._sync()
+        return True
+
+    def expired(self, now: float | None = None) -> list[ServiceJob]:
+        """Leased jobs whose TTL has lapsed (missed heartbeats).
+
+        Read-only: the supervisor decides what expiry means (kill the
+        worker, then :meth:`fail_attempt`).  Each expiry is counted once
+        here; the job's ``lease_expires`` is cleared so a slow
+        supervisor loop doesn't double-count it.
+        """
+        now = time.time() if now is None else now
+        with self._cond:
+            lapsed = []
+            for job in self._open.values():
+                if (
+                    job.worker is not None
+                    and job.lease_expires is not None
+                    and job.lease_expires < now
+                ):
+                    job.lease_expires = None
+                    self._lease_counters["leases_expired"] += 1
+                    lapsed.append(job)
+            return lapsed
+
+    def deadline_expired(self, now: float | None = None) -> list[ServiceJob]:
+        """Finish pending jobs whose end-to-end deadline has passed.
+
+        A job past its deadline when it *would* be claimed fails fast:
+        it finishes ``deadline`` — never leased, so zero mapper
+        invocations and zero retry-budget charge.  Returns the swept
+        jobs.
+        """
+        now = time.time() if now is None else now
+        with self._cond:
+            swept = []
+            for job in list(self._open.values()):
+                deadline_at = job.deadline_at
+                if job.pending and deadline_at is not None and deadline_at <= now:
+                    self._terminate(job, JOB_DEADLINE, "deadline exceeded before start")
+                    self._lease_counters["deadline_expired"] += 1
+                    swept.append(job)
+        if swept:
+            self._sync()
+        return swept
+
+    # -- inspection -----------------------------------------------------
+    def depth(self) -> int:
+        """Jobs still owed work (pending + leased)."""
+        with self._cond:
+            return len(self._open)
+
+    def pending_snapshot(self) -> list[ServiceJob]:
+        """Pending jobs (shed picker input); callers must not mutate."""
+        with self._cond:
+            return [job for job in self._open.values() if job.pending]
+
+    def dead_letters(self) -> list[ServiceJob]:
+        with self._cond:
+            return [job for job in self._jobs.values() if job.dead_letter]
+
+    def lane_snapshot(self, now: float | None = None) -> dict[str, dict]:
+        """Per-lane pending depth and oldest wait, for ``/metrics``."""
+        now = time.time() if now is None else now
+        with self._cond:
+            body: dict[str, dict] = {
+                lane: {"depth": 0, "oldest_wait": None} for lane in PRIORITIES
+            }
+            for job in self._open.values():
+                if not job.pending:
+                    continue
+                lane = body[job.spec.priority]
+                lane["depth"] += 1
+                waited = now - job.submitted_at
+                if lane["oldest_wait"] is None or waited > lane["oldest_wait"]:
+                    lane["oldest_wait"] = waited
+            return body
+
+    def lease_counts(self) -> dict:
+        """Per-lease-state totals plus this process's lease counters."""
+        with self._cond:
+            by_state: dict[str, int] = {}
+            for job in self._jobs.values():
+                state = job.lease_state
+                by_state[state] = by_state.get(state, 0) + 1
+            return {"by_state": by_state, **self._lease_counters}
+
+    def events_since(
+        self, job: ServiceJob, index: int, timeout: float = 1.0
+    ) -> tuple[list[dict], int, bool]:
+        """Events after ``index`` for a stream reader.
+
+        Blocks up to ``timeout`` for fresh events; returns
+        ``(new_events, next_index, drained)`` where ``drained`` means the
+        job is terminal *and* everything has been delivered — the
+        stream's end-of-body condition.
+        """
+        with self._cond:
+            if len(job.events) <= index and not job.finished:
+                self._cond.wait(timeout=timeout)
+            new_events = job.events[index:]
+            next_index = index + len(new_events)
+            drained = job.finished and next_index == len(job.events)
+            return new_events, next_index, drained
+
+    # -- internals (caller holds the condition) -------------------------
+    def _terminate(
+        self,
+        job: ServiceJob,
+        status: str,
+        error: str | None = None,
+        extra: dict | None = None,
+        lease: dict | None = None,
+    ) -> None:
+        job.status = status
+        job.error = error
+        job.finished_at = time.time()
+        job.worker = None
+        job.lease_expires = None
+        event: dict = {"event": status, "results": len(job.results)}
+        if error is not None:
+            event["error"] = error
+        if extra:
+            event.update(extra)
+        self._append_event(job, event, lease)
+        self._retire(job)
+
+    def _retire(self, job: ServiceJob) -> None:
+        # Terminal jobs leave the scan index and join the retention
+        # queue; the oldest-finished beyond the cap are dropped from the
+        # table (live references, e.g. an open stream's, keep working).
+        self._open.pop(job.id, None)
+        self._retired.append(job.id)
+        while len(self._retired) > self._max_finished:
+            self._jobs.pop(self._retired.popleft(), None)
+
+    def _requeue(
+        self,
+        job: ServiceJob,
+        reason: str,
+        last_error: str | None = None,
+        notify_observers: bool = True,
+    ) -> None:
+        # The retry starts from scratch: partial results of the dead
+        # attempt would double up against the re-run's.
+        job.status = JOB_QUEUED
+        job.results = []
+        job.started_at = None
+        job.worker = None
+        job.lease_expires = None
+        lease: dict = {"attempt": job.attempts, "not_before": job.not_before}
+        if last_error is not None:
+            lease["last_error"] = last_error
+        self._append_event(
+            job,
+            {"event": "requeued", "reason": reason},
+            lease,
+            notify_observers,
         )
-        for job in finished[: max(0, len(finished) - self._max_finished)]:
-            del self._jobs[job.id]
 
     def _append_event(
-        self, job: ServiceJob, event: dict, notify_observers: bool = True
+        self,
+        job: ServiceJob,
+        event: dict,
+        lease: dict | None = None,
+        notify_observers: bool = True,
     ) -> None:
-        # Caller holds the condition.  The journal append is write-behind
-        # (an O(1) enqueue) and observers are counter bumps / enqueues,
-        # so no disk I/O happens under the condition.
+        # The journal append is write-behind (an O(1) enqueue) and
+        # observers are counter bumps / enqueues, so no disk I/O happens
+        # under the condition; durable transitions call _sync after it.
         entry = {"ts": time.time(), **event}
         job.events.append(entry)
         self._cond.notify_all()
         # The record (journal + observers) carries the client id so the
         # admission controller can release quotas without re-entering
-        # the registry lock; the in-memory event stream stays unchanged.
+        # the registry lock, and the lease keys so replay restores the
+        # workers' view; the in-memory event stream stays client-shaped.
         record = {
             "format": JOURNAL_FORMAT,
             "job": job.id,
             "client": job.spec.client,
             **entry,
         }
-        if event.get("event") == JOB_QUEUED:
+        if lease:
+            record.update(lease)
+        if event["event"] == JOB_QUEUED:
             # The queued record carries everything needed to rebuild the
             # job on replay: the wire-format submission body.
             record["spec"] = job.spec.payload()
@@ -320,23 +617,45 @@ class JobRegistry:
             for observer in self._observers:
                 observer(record)
 
-    # ------------------------------------------------------------------
+    def _append_lease(self, job: ServiceJob, event: str, **fields) -> None:
+        # Lease bookkeeping no client sees (claims, heartbeats): journaled
+        # for replay, never put on the event stream or to observers.
+        if self.journal is not None:
+            self.journal.append(
+                {
+                    "format": JOURNAL_FORMAT,
+                    "ts": time.time(),
+                    "job": job.id,
+                    "event": event,
+                    **fields,
+                }
+            )
+
+    def _sync(self) -> None:
+        # Block until the journal holds every record queued so far; runs
+        # after the condition is released so readers never wait on disk.
+        if self.journal is not None:
+            self.journal.flush()
+
+    # -- replay ---------------------------------------------------------
     @property
     def replay_skipped(self) -> int:
         """Journal records dropped during replay (torn/stale/orphaned)."""
         return self._replay_skipped
 
     def _replay(self, path) -> None:
-        """Rebuild jobs from a journal left behind by an earlier process.
+        """Rebuild the table from a journal left behind by an earlier process.
 
-        Replayed state transitions do **not** fire observers — process
-        counters describe *this* process's work.  Jobs the old process
-        left mid-run replay as ``queued`` through a journaled
-        ``requeued`` event, so the supervisor re-runs them and a second
-        restart replays them queued without adding another event.
+        Replayed transitions do **not** fire observers — process
+        counters describe *this* process's work.  A job the old process
+        left leased comes back pending with its attempt refunded (the
+        process died, not the job); one it left mid-run also gets a
+        journaled ``requeued`` event, so a second restart replays it
+        queued without adding another record.
         """
         max_counter = 0
         replayed: dict[str, ServiceJob] = {}
+        retired: list[str] = []
         for record in read_jsonl(path):
             if record.get("format") != JOURNAL_FORMAT:
                 self._replay_skipped += 1
@@ -366,16 +685,26 @@ class JobRegistry:
                     max_counter = max(max_counter, int(match.group(1)))
                 continue
             if job is None or job.finished:
-                # Orphaned event (its queued line was dropped) or noise
+                # Orphaned record (its queued line was dropped) or noise
                 # after a terminal state: both are unreplayable.
                 self._replay_skipped += 1
                 continue
+            if event == "leased":
+                job.worker = str(record.get("worker") or "")
+                job.attempts = int(record.get("attempt") or job.attempts + 1)
+                job.lease_expires = float(record.get("expires") or 0.0)
+                continue
+            if event == "heartbeat":
+                job.lease_expires = float(record.get("expires") or 0.0)
+                continue
+            if event not in (JOB_RUNNING, "requeued", "result", *TERMINAL_STATES):
+                self._replay_skipped += 1
+                continue
             entry = {
-                key: value
-                for key, value in record.items()
-                if key not in ("format", "job", "client")
+                key: value for key, value in record.items() if key not in _JOURNAL_ONLY
             }
             job.events.append(entry)
+            job.last_error = record.get("last_error") or job.last_error
             if event == JOB_RUNNING:
                 job.status = JOB_RUNNING
                 job.started_at = ts
@@ -383,46 +712,41 @@ class JobRegistry:
                 job.status = JOB_QUEUED
                 job.results = []
                 job.started_at = None
+                job.worker = None
+                job.lease_expires = None
+                job.not_before = float(record.get("not_before") or 0.0)
+                # `or` would eat a legitimate 0 (a refunded attempt).
+                attempt = record.get("attempt")
+                if attempt is not None:
+                    job.attempts = int(attempt)
             elif event == "result":
                 job.results.append(
                     {k: v for k, v in entry.items() if k not in ("ts", "event")}
                 )
-            elif event in TERMINAL_STATES:
+            else:
                 job.status = event
                 job.error = record.get("error")
                 job.finished_at = ts
+                job.worker = None
+                job.lease_expires = None
+                job.dead_letter = bool(record.get("dead_letter"))
                 if event == JOB_CANCELLED:
                     job.token.cancel()
+                retired.append(job_id)
         with self._cond:
             self._jobs.update(replayed)
             self._counter = itertools.count(max_counter + 1)
             for job in replayed.values():
-                if job.finished or (job.status == JOB_QUEUED and not job.results):
+                if job.finished:
                     continue
-                job.status = JOB_QUEUED
-                job.results = []
-                job.started_at = None
-                self._append_event(
-                    job,
-                    {"event": "requeued", "reason": RESTART_REASON},
-                    notify_observers=False,
-                )
-            self._evict_finished()
-
-    def events_since(
-        self, job: ServiceJob, index: int, timeout: float = 1.0
-    ) -> tuple[list[dict], int, bool]:
-        """Events after ``index`` for a stream reader.
-
-        Blocks up to ``timeout`` for fresh events; returns
-        ``(new_events, next_index, drained)`` where ``drained`` means the
-        job is terminal *and* everything has been delivered — the
-        stream's end-of-body condition.
-        """
-        with self._cond:
-            if len(job.events) <= index and not job.finished:
-                self._cond.wait(timeout=timeout)
-            new_events = job.events[index:]
-            next_index = index + len(new_events)
-            drained = job.finished and next_index == len(job.events)
-            return new_events, next_index, drained
+                self._open[job.id] = job
+                if job.worker is not None:
+                    job.worker = None
+                    job.lease_expires = None
+                    job.not_before = 0.0
+                    job.attempts = max(0, job.attempts - 1)  # refund
+                if job.status != JOB_QUEUED or job.results:
+                    self._requeue(job, RESTART_REASON, notify_observers=False)
+            for job_id in retired:
+                self._retire(replayed[job_id])
+        self._sync()

@@ -160,7 +160,7 @@ def _task_context(task: dict, spec) -> "trace.TraceContext | None":
 
     The supervisor sends the encoded context both as a task key and
     inside the spec payload; the task key wins (it is what the live
-    dispatch saw), the spec copy covers ledger replays.
+    dispatch saw), the spec copy covers journal replays.
     """
     encoded = task.get("trace") or spec.trace
     if not encoded:

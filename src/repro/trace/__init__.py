@@ -2,7 +2,7 @@
 
 Threading model: a :class:`TraceContext` (``trace_id``/``span_id``) is
 minted at ``POST /jobs`` (or accepted from the ``X-Repro-Trace``
-header), rides the job spec through registry, queue and ledger, crosses
+header), rides the job spec through the registry and its lease, crosses
 to fleet workers in the task protocol, and is re-activated ambiently
 (:func:`activate`) wherever the job's work actually runs — so the batch
 engine, the solver portfolio and the ILP backends record spans and

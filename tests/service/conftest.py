@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -16,6 +17,37 @@ from repro.dse.scenario import (
 )
 from repro.service.client import ServiceClient
 from repro.service.daemon import MappingService, make_server, run_server
+from repro.service.jobs import ServiceJob
+
+
+def _wait_drained(
+    service: MappingService, job: ServiceJob | str, timeout: float = 90.0
+) -> ServiceJob:
+    """Block on the registry's event feed until ``job`` has drained.
+
+    Drained means terminal with every event delivered — the same
+    end-of-stream condition ``GET /jobs/<id>/stream`` uses — so the wait
+    wakes on the finishing event itself instead of polling.
+    """
+    registry = service.registry
+    if isinstance(job, str):
+        job_id, job = job, registry.get(job)
+        assert job is not None, f"no such job {job_id!r}"
+    deadline = time.monotonic() + timeout
+    index = 0
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            pytest.fail(f"job {job.id} still {job.status} after {timeout}s")
+        _, index, drained = registry.events_since(job, index, timeout=remaining)
+        if drained:
+            return job
+
+
+@pytest.fixture
+def wait_drained():
+    """The :func:`_wait_drained` helper: ``wait_drained(service, job)``."""
+    return _wait_drained
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ class TestParser:
     def test_serve_fleet_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.fleet == 0
-        assert args.ledger is None
+        assert args.journal is None
         assert args.max_queue is None
         assert args.lease_ttl == 15.0
         assert args.heartbeat_interval == 3.0
@@ -59,7 +59,7 @@ class TestParser:
             ]
         )
         assert args.fleet == 4
-        assert args.ledger == "/tmp/ledger.jsonl"
+        assert args.journal == "/tmp/ledger.jsonl"
         assert args.max_queue == 32
         assert args.lease_ttl == 8.0
         assert args.heartbeat_interval == 1.0
@@ -88,7 +88,8 @@ class TestServeWiring:
     def test_ledger_reaches_the_in_process_daemon(
         self, tmp_path, monkeypatch, tiny_scenario
     ):
-        """``--ledger`` without ``--fleet`` is honoured, not dropped."""
+        """``--ledger`` without ``--fleet`` is honoured, not dropped: it is
+        the second spelling of ``--journal``, the one job journal."""
         import signal
 
         from repro.service import daemon
@@ -109,6 +110,47 @@ class TestServeWiring:
         job = service.submit(JobSpec(scenarios=(tiny_scenario,)))
         service.stop(wait=True)
         assert [record["job"] for record in read_jsonl(ledger)] == [job.id]
+
+    def test_journal_and_ledger_spell_one_setting(self):
+        """Both flags set the one journal path; the last one wins."""
+        parse = build_parser().parse_args
+        assert parse(["serve", "--ledger", "l.jsonl"]).journal == "l.jsonl"
+        args = parse(["serve", "--journal", "j.jsonl", "--ledger", "l.jsonl"])
+        assert args.journal == "l.jsonl"
+        assert not hasattr(args, "ledger")
+
+    def test_restart_through_ledger_spelling_keeps_the_quota_charged(
+        self, tmp_path, monkeypatch, tiny_scenario
+    ):
+        """A job replayed after a restart still occupies its client's
+        in-flight slot, so its eventual terminal event releases a slot
+        that was really charged."""
+        import signal
+
+        from repro.service import daemon
+        from repro.service.wire import JobSpec
+
+        served = []
+
+        def fake_run_server(service, server) -> None:
+            served.append(service)
+            server.server_close()
+
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        monkeypatch.setattr(daemon, "run_server", fake_run_server)
+        argv = ["serve", "--port", "0", "--max-inflight-per-client", "1"]
+        argv += ["--ledger", str(tmp_path / "ledger.jsonl")]
+        assert main(argv) == 0
+        first = served.pop()
+        first.submit(JobSpec(scenarios=(tiny_scenario,), client="a"))
+        first.stop(wait=True)
+
+        assert main(argv) == 0
+        second = served.pop()
+        try:
+            assert second.admission.in_flight("a") == 1
+        finally:
+            second.stop(wait=True)
 
 
 class TestSubmitEndToEnd:

@@ -283,7 +283,7 @@ class TestCancellation:
             assert job.status == JOB_CANCELLED
             assert job.results == []
             assert job.events[-1]["event"] == JOB_CANCELLED
-        assert service.ledger.depth() == 0
+        assert service.registry.depth() == 0
 
         journal = tmp_path / "jobs.jsonl"
         kept = MappingService(journal_path=journal)
@@ -317,7 +317,7 @@ class TestCancellation:
             "event": "requeued",
             "reason": "shutdown",
         }
-        assert service.ledger.get(job.id).attempts == 0
+        assert job.attempts == 0
         assert explorer.cancelled.wait(timeout=30)  # told to stop solving
 
 
@@ -347,14 +347,12 @@ class _StubExplorer:
         return []
 
 
-def _wait_done(service: MappingService, job, timeout: float = 60.0):
-    with service.registry._cond:
-        service.registry._cond.wait_for(lambda: job.finished, timeout=timeout)
-    return job
 
 
 class TestOneExecutionPath:
-    def test_submit_wakes_an_idle_supervisor(self, monkeypatch, tiny_scenario):
+    def test_submit_wakes_an_idle_supervisor(
+        self, monkeypatch, tiny_scenario, wait_drained
+    ):
         """Dispatch is event-driven: an idle service never waits out a
         poll tick between accepting a job and running it."""
         monkeypatch.setattr(Supervisor, "POLL_INTERVAL", 5.0)
@@ -369,16 +367,18 @@ class TestOneExecutionPath:
                 time.sleep(0.01)
             started = time.monotonic()
             job = service.submit(JobSpec(scenarios=(tiny_scenario,), tier="greedy"))
-            _wait_done(service, job, timeout=10.0)
+            wait_drained(service, job, timeout=10.0)
             assert job.status == JOB_DONE
             assert time.monotonic() - started < 1.0
         finally:
             service.stop(wait=True)
 
-    def test_thread_workers_run_every_job_exactly_once(self, tiny_scenario):
+    def test_thread_workers_run_every_job_exactly_once(
+        self, tiny_scenario, wait_drained
+    ):
         """More worker threads than cores, a tiny switch interval and
         concurrent submitters: every job runs once, and the counters and
-        the ledger agree."""
+        the job table agree."""
         explorer = _StubExplorer()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -398,11 +398,11 @@ class TestOneExecutionPath:
                 thread.join(timeout=30)
                 assert not thread.is_alive()
             for job in jobs:
-                assert _wait_done(service, job, timeout=30).status == JOB_DONE
+                assert wait_drained(service, job, timeout=30).status == JOB_DONE
             assert len(jobs) == explorer.calls == 40
             counters = service.metrics.snapshot()["counters"]
             assert counters["jobs_started"] == counters["jobs_done"] == 40
-            assert service.ledger.depth() == 0
+            assert service.registry.depth() == 0
             assert service.admission.snapshot()["in_flight"] == 0
         finally:
             service.stop(wait=True)
@@ -418,7 +418,7 @@ class TestOneExecutionPath:
         with pytest.raises(QueueFull):
             service.submit(JobSpec(scenarios=(tiny_scenario,)))
         service.cancel(first.id)
-        assert service.ledger.depth() == 0
+        assert service.registry.depth() == 0
         second = service.submit(JobSpec(scenarios=(tiny_scenario,)))
         with pytest.raises(QueueFull):
             service.submit(JobSpec(scenarios=(tiny_scenario,)))
@@ -426,29 +426,52 @@ class TestOneExecutionPath:
         assert second.status == JOB_CANCELLED
 
     def test_in_process_daemon_journals_its_ledger_and_replays_it(
-        self, tmp_path, tiny_scenario
+        self, tmp_path, tiny_scenario, wait_drained
     ):
         """A job the first daemon accepted but never ran is re-run to
-        ``done`` by the next daemon on the same ledger and journal."""
-        ledger = tmp_path / "ledger.jsonl"
-        paths = {"ledger_path": ledger, "journal_path": tmp_path / "jobs.jsonl"}
-        first = MappingService(**paths)  # accepts, never starts
+        ``done`` by the next daemon on the same journal, which holds one
+        line per transition: accept, claim, start, result, finish."""
+        journal = tmp_path / "jobs.jsonl"
+        first = MappingService(journal_path=journal)  # accepts, never starts
         job_id = first.submit(JobSpec(scenarios=(tiny_scenario,))).id
         first.stop(wait=True)
         assert first.registry.get(job_id).status == JOB_QUEUED
 
-        second = MappingService(Explorer(cache=ResultCache(), time_limit=5.0), **paths)
+        second = MappingService(
+            Explorer(cache=ResultCache(), time_limit=5.0), journal_path=journal
+        )
         try:
             assert second.registry.get(job_id).status == JOB_QUEUED
             second.start()
-            job = _wait_done(second, second.registry.get(job_id))
+            job = wait_drained(second, second.registry.get(job_id))
             assert job.status == JOB_DONE
             assert job.results[0]["status"] == "ok"
         finally:
             second.stop(wait=True)
         events = [
             record["event"]
-            for record in read_jsonl(ledger)
+            for record in read_jsonl(journal)
             if record.get("job") == job_id and record["event"] != "heartbeat"
         ]
-        assert events == ["enqueued", "leased", "finished"]
+        assert events == ["queued", "leased", "running", "result", "done"]
+
+    def test_accepted_job_is_on_disk_before_submit_returns(
+        self, tmp_path, tiny_scenario
+    ):
+        """The 202 promise: once ``submit`` returns, the accept record is
+        in the journal file — no stop, close or flush needed — so a
+        SIGKILL right after the reply cannot lose the id."""
+        journal = tmp_path / "jobs.jsonl"
+        service = MappingService(journal_path=journal)  # never started
+        try:
+            for _ in range(20):
+                job = service.submit(JobSpec(scenarios=(tiny_scenario,)))
+                queued = [
+                    record
+                    for record in read_jsonl(journal)
+                    if record.get("job") == job.id
+                ]
+                assert [record["event"] for record in queued] == ["queued"]
+                assert queued[0]["spec"] == job.spec.payload()
+        finally:
+            service.stop(wait=True)

@@ -1,6 +1,6 @@
 """Fairness, deadlines and overload shedding, proved deterministically.
 
-The starvation/fairness story is ``JobLedger.claim`` (every worker,
+The starvation/fairness story is ``JobRegistry.claim`` (every worker,
 thread or process, is fed from it; proved here with injected clocks)
 plus the service-level behavior that ties it to clients: a flooding
 client must not starve a quiet one, ``batch`` work must always
@@ -25,8 +25,14 @@ from repro.dse.scenario import (
     WorkloadSpec,
 )
 from repro.service.daemon import MappingService
-from repro.service.jobs import JOB_DEADLINE, JOB_DONE, JOB_SHED
-from repro.service.ledger import LEASE_FINISHED, JobLedger
+from repro.service.jobs import (
+    JOB_DEADLINE,
+    JOB_DONE,
+    JOB_SHED,
+    LEASE_FINISHED,
+    JobRegistry,
+)
+from repro.service.metrics import JsonlWriter
 from repro.service.wire import JobSpec, parse_job
 from repro.service.worker import (
     MIN_DEADLINE_BUDGET,
@@ -112,19 +118,9 @@ class StubExplorer:
         return [_StubResult(s) for s in scenarios]
 
 
-def _wait_status(service: MappingService, job_id: str, timeout: float = 30.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        job = service.registry.get(job_id)
-        if job is not None and job.finished:
-            return job
-        time.sleep(0.01)
-    pytest.fail(f"job {job_id} still unfinished after {timeout}s")
-
-
 # ----------------------------------------------------------------------
 class TestServiceFairness:
-    def test_flooding_client_does_not_starve_the_quiet_one(self):
+    def test_flooding_client_does_not_starve_the_quiet_one(self, wait_drained):
         """One client floods ``batch`` jobs; the quiet client's ``normal``
         jobs jump the backlog via priority lanes, and every batch job
         still completes (no starvation either way)."""
@@ -145,13 +141,13 @@ class TestServiceFairness:
             ]
             quiet_waits = []
             for job in quiet:
-                _wait_status(service, job.id)
+                wait_drained(service, job, timeout=30)
                 quiet_waits.append(time.monotonic() - quiet_submitted)
             # 12 batch jobs * 50ms over 2 workers is ~300ms of backlog;
             # lanes let the quiet normal jobs overtake nearly all of it.
             assert max(quiet_waits) < 0.45
             for job in flood:  # aged batch work still completes
-                assert _wait_status(service, job.id).status == JOB_DONE
+                assert wait_drained(service, job, timeout=30).status == JOB_DONE
             snapshot = service.metrics.snapshot()
             assert snapshot["latency"]["queue_wait_normal"]["count"] == 3
             assert snapshot["latency"]["queue_wait_batch"]["count"] == 12
@@ -173,7 +169,7 @@ class TestServiceFairness:
 
 # ----------------------------------------------------------------------
 class TestDeadlinePropagation:
-    def test_expired_job_terminates_without_invoking_the_mapper(self):
+    def test_expired_job_terminates_without_invoking_the_mapper(self, wait_drained):
         """A job whose deadline lapses while queued finishes as
         ``deadline`` with zero evaluate calls charged to it."""
         explorer = StubExplorer(delay=0.4)
@@ -182,8 +178,8 @@ class TestDeadlinePropagation:
         try:
             slow = service.submit(_spec(time_limit=1.0))
             doomed = service.submit(_spec(time_limit=1.0, deadline_ms=100))
-            assert _wait_status(service, slow.id).status == JOB_DONE
-            finished = _wait_status(service, doomed.id)
+            assert wait_drained(service, slow, timeout=30).status == JOB_DONE
+            finished = wait_drained(service, doomed, timeout=30)
             assert finished.status == JOB_DEADLINE
             assert "deadline" in (finished.error or "")
             assert explorer.calls == 1  # the slow job; never the doomed one
@@ -193,13 +189,13 @@ class TestDeadlinePropagation:
         finally:
             service.stop()
 
-    def test_remaining_deadline_caps_the_solver_budget(self):
+    def test_remaining_deadline_caps_the_solver_budget(self, wait_drained):
         explorer = StubExplorer(time_limit=5.0)
         service = MappingService(explorer, workers=1)
         service.start()
         try:
             job = service.submit(_spec(deadline_ms=2000))
-            assert _wait_status(service, job.id).status == JOB_DONE
+            assert wait_drained(service, job, timeout=30).status == JOB_DONE
             assert len(explorer.limits) == 1
             # Capped at the ~2s remaining, not the explorer's 5s default.
             assert explorer.limits[0] is not None
@@ -257,72 +253,74 @@ class TestDeadlinePropagation:
 # ----------------------------------------------------------------------
 class TestLedgerPriorityClaims:
     def test_claim_order_is_effective_priority(self):
-        ledger = JobLedger(aging_interval=30.0)
-        batch = ledger.enqueue("batch-job", {"spec": 1}, priority="batch")
-        high = ledger.enqueue("high-job", {"spec": 2}, priority="high")
-        batch.enqueued_at = 100.0
-        high.enqueued_at = 100.0
+        registry = JobRegistry(aging_interval=30.0)
+        batch = registry.create(_spec(priority="batch"))
+        high = registry.create(_spec(priority="high"))
+        batch.submitted_at = 100.0
+        high.submitted_at = 100.0
         now = 110.0  # batch: 2 - 10/30 = 1.67 > high: 0 - 10/30 = -0.33
-        assert ledger.claim("w", now=now).id == "high-job"
+        assert registry.claim("w", now=now) is high
 
     def test_starved_batch_ages_past_fresh_high(self):
-        ledger = JobLedger(aging_interval=30.0)
-        batch = ledger.enqueue("starved", {"spec": 1}, priority="batch")
-        high = ledger.enqueue("fresh", {"spec": 2}, priority="high")
-        batch.enqueued_at = 100.0
-        high.enqueued_at = 190.0
+        registry = JobRegistry(aging_interval=30.0)
+        batch = registry.create(_spec(priority="batch"))
+        high = registry.create(_spec(priority="high"))
+        batch.submitted_at = 100.0
+        high.submitted_at = 190.0
         now = 200.0  # batch: 2 - 100/30 = -1.3; high: 0 - 10/30 = -0.3
-        assert ledger.claim("w", now=now).id == "starved"
-        assert ledger.claim("w", now=now).id == "fresh"
+        assert registry.claim("w", now=now) is batch
+        assert registry.claim("w", now=now) is high
 
     def test_deadline_expired_pending_is_never_claimed(self):
-        ledger = JobLedger()
-        ledger.enqueue("expired", {"spec": 1}, deadline_at=150.0)
-        ledger.enqueue("alive", {"spec": 2}, deadline_at=10_000.0)
-        lease = ledger.claim("w", now=200.0)
-        assert lease.id == "alive"
-        assert ledger.claim("w", now=200.0) is None  # expired never leased
+        registry = JobRegistry()
+        expired = registry.create(_spec(deadline_ms=50_000))  # due at 150
+        alive = registry.create(_spec(deadline_ms=9_900_000))
+        expired.submitted_at = alive.submitted_at = 100.0
+        assert registry.claim("w", now=200.0) is alive
+        assert registry.claim("w", now=200.0) is None  # expired never leased
 
     def test_deadline_sweep_finishes_without_attempt_charge(self):
-        ledger = JobLedger()
-        ledger.enqueue("expired", {"spec": 1}, deadline_at=150.0)
-        swept = ledger.deadline_expired(now=200.0)
-        assert [job.id for job in swept] == ["expired"]
-        job = ledger.get("expired")
-        assert job.state == LEASE_FINISHED
-        assert job.outcome == "deadline"
+        registry = JobRegistry()
+        job = registry.create(_spec(deadline_ms=50_000))
+        job.submitted_at = 100.0
+        assert registry.deadline_expired(now=200.0) == [job]
+        assert job.lease_state == LEASE_FINISHED
+        assert job.status == JOB_DEADLINE
+        assert job.error == "deadline exceeded before start"
         assert job.attempts == 0  # zero retry budget charged
-        assert ledger.counts()["deadline_expired"] == 1
-        assert ledger.deadline_expired(now=300.0) == []  # idempotent
+        assert registry.lease_counts()["deadline_expired"] == 1
+        assert registry.deadline_expired(now=300.0) == []  # idempotent
 
     def test_replay_preserves_priority_and_deadline(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        first = JobLedger(path)
-        first.enqueue("lane-job", {"spec": 1}, priority="batch", deadline_at=500.0)
-        first.enqueue("plain-job", {"spec": 2})
-        first.close()
+        path = tmp_path / "jobs.jsonl"
+        first_journal = JsonlWriter(path)
+        first = JobRegistry(journal=first_journal)
+        lane_job = first.create(_spec(priority="batch", deadline_ms=500_000))
+        plain = first.create(_spec())
+        first_journal.close()
 
-        replayed = JobLedger(path)
-        lane_job = replayed.get("lane-job")
-        assert lane_job.priority == "batch"
-        assert lane_job.deadline_at == 500.0
-        plain = replayed.get("plain-job")
-        assert plain.priority == "normal"
+        journal = JsonlWriter(path)
+        replayed = JobRegistry(journal=journal)
+        lane_job = replayed.get(lane_job.id)
+        assert lane_job.spec.priority == "batch"
+        assert lane_job.deadline_at == pytest.approx(lane_job.submitted_at + 500.0)
+        plain = replayed.get(plain.id)
+        assert plain.spec.priority == "normal"
         assert plain.deadline_at is None
         # Lane ordering survives the restart: the batch job is passed
         # over while fresh, aged in front once starved.
-        lane_job.enqueued_at = 100.0
-        plain.enqueued_at = 100.0
-        assert replayed.claim("w", now=101.0).id == "plain-job"
-        replayed.close()
+        lane_job.submitted_at = 100.0
+        plain.submitted_at = 100.0
+        assert replayed.claim("w", now=101.0) is plain
+        journal.close()
 
     def test_lane_snapshot_counts_pending_by_lane(self):
-        ledger = JobLedger()
-        ledger.enqueue("a", {"s": 1}, priority="batch")
-        ledger.enqueue("b", {"s": 2}, priority="batch")
-        ledger.enqueue("c", {"s": 3}, priority="high")
-        ledger.claim("w")  # leases the high job
-        lanes = ledger.lane_snapshot()
+        registry = JobRegistry()
+        registry.create(_spec(priority="batch"))
+        registry.create(_spec(priority="batch"))
+        registry.create(_spec(priority="high"))
+        registry.claim("w")  # leases the high job
+        lanes = registry.lane_snapshot()
         assert lanes["batch"]["depth"] == 2
         assert lanes["high"]["depth"] == 0
         assert lanes["normal"]["depth"] == 0
@@ -339,8 +337,8 @@ class TestOverloadShedding:
         high = service.submit(_spec(priority="high", client="a"))
         normal = service.submit(_spec(client="a"))
         doomed = [service.submit(_spec(priority="batch", client="b")) for _ in range(2)]
-        for lease in service.ledger.jobs():
-            lease.enqueued_at = 100.0
+        for job in service.registry.jobs():
+            job.submitted_at = 100.0
         assert service.shed_overload(now=105.0) == 0  # nothing old enough yet
         assert service.shed_overload(now=111.0) == 2  # half of 4, batch lane first
 
@@ -350,38 +348,38 @@ class TestOverloadShedding:
             assert event["event"] == "shed"
             respec = parse_job(event["spec"])  # resubmittable as-is
             assert respec.priority == "batch"
-            assert service.ledger.get(job.id).outcome == JOB_SHED
+            assert job.lease_state == LEASE_FINISHED
         assert high.status != JOB_SHED
         assert normal.status != JOB_SHED
-        assert service.ledger.get(high.id).state != LEASE_FINISHED
+        assert high.lease_state != LEASE_FINISHED
         assert service.metrics.counter("jobs_shed") == 2
         # Shed jobs release their client's in-flight quota.
         assert service.admission.in_flight("b") == 0
         service.stop()
 
     def test_ledger_mode_sheds_pending_jobs(self):
-        """Process workers shed from the same ledger as thread workers."""
+        """Process workers shed from the same job table as thread workers."""
         service = MappingService(StubExplorer(), fleet=1, shed_after=10.0)
         kept = service.submit(_spec(priority="high", client="a"))
         doomed = service.submit(_spec(priority="batch", client="b"))
-        for lease in service.ledger.jobs():
-            lease.enqueued_at = 100.0
+        for job in service.registry.jobs():
+            job.submitted_at = 100.0
         assert service.shed_overload(now=105.0) == 0
         assert service.shed_overload(now=120.0) == 1
         assert doomed.status == JOB_SHED
         assert parse_job(doomed.events[-1]["spec"])  # resubmittable
         assert kept.status != JOB_SHED
-        assert service.ledger.get(doomed.id).outcome == JOB_SHED
-        assert service.ledger.get(kept.id).state != LEASE_FINISHED
+        assert doomed.lease_state == LEASE_FINISHED
+        assert kept.lease_state != LEASE_FINISHED
         service.stop()
 
     def test_supervisor_sweep_mirrors_deadline_into_registry(self):
         service = MappingService(StubExplorer(), fleet=1)
         job = service.submit(_spec(deadline_ms=1))
-        time.sleep(0.05)  # let the 1ms deadline lapse
-        service.supervisor._sweep_deadlines()
+        service.supervisor._sweep_deadlines(now=job.submitted_at)
+        assert job.status != JOB_DEADLINE  # due, not yet lapsed
+        service.supervisor._sweep_deadlines(now=job.submitted_at + 0.002)
         assert job.status == JOB_DEADLINE
-        lease = service.ledger.get(job.id)
-        assert lease.outcome == "deadline"
-        assert lease.attempts == 0
+        assert job.lease_state == LEASE_FINISHED
+        assert job.attempts == 0
         service.stop()

@@ -2,7 +2,7 @@
 
 The contract being tested, end to end: a submitted job is *owed* a
 terminal answer.  Workers may raise, stall, or be SIGKILLed mid-solve;
-the daemon may stop and a new one may adopt the same ledger — the job
+the daemon may stop and a new one may replay the same journal — the job
 still finishes (or dead-letters with a diagnosable error), and the
 results match what a direct single-process run produces.
 """
@@ -31,13 +31,16 @@ from repro.dse.scenario import (
 from repro.dse.store import RunStore
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import MappingService, make_server
-from repro.service.jobs import JOB_DONE, JOB_ERROR, JOB_QUEUED
-from repro.service.ledger import (
+from repro.service.jobs import (
+    JOB_DONE,
+    JOB_ERROR,
+    JOB_QUEUED,
     LEASE_DEAD_LETTER,
     LEASE_FINISHED,
     LEASE_PENDING,
-    JobLedger,
+    JobRegistry,
 )
+from repro.service.metrics import JsonlWriter
 from repro.service.wire import JobSpec, result_payload
 from repro.service.worker import FleetConfig, worker_main
 
@@ -95,21 +98,12 @@ def _service(tmp_path: Path, fleet: int, config: FleetConfig, **kwargs):
     return MappingService(
         explorer,
         fleet=fleet,
-        ledger_path=tmp_path / "ledger.jsonl",
         journal_path=tmp_path / "journal.jsonl",
         fleet_config=config,
         **kwargs,
     )
 
 
-def _wait_finished(service: MappingService, job_id: str, timeout: float = 90.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        job = service.registry.get(job_id)
-        if job is not None and job.finished:
-            return job
-        time.sleep(0.05)
-    pytest.fail(f"job {job_id} still unfinished after {timeout}s")
 
 
 def _direct_payloads(*scenarios: Scenario) -> list[dict]:
@@ -183,15 +177,15 @@ class TestWorkerMain:
 
 # ----------------------------------------------------------------------
 class TestFleetEndToEnd:
-    def test_fleet_results_match_direct_run(self, tmp_path):
+    def test_fleet_results_match_direct_run(self, tmp_path, wait_drained):
         first, second = _scenario(dimension=12), _scenario(dimension=10)
         service = _service(tmp_path, fleet=2, config=_fleet_config(tmp_path))
         try:
             service.start()
             job_a = service.submit(_spec(first))
             job_b = service.submit(_spec(second))
-            done_a = _wait_finished(service, job_a.id)
-            done_b = _wait_finished(service, job_b.id)
+            done_a = wait_drained(service, job_a.id)
+            done_b = wait_drained(service, job_b.id)
             assert done_a.status == JOB_DONE
             assert done_b.status == JOB_DONE
 
@@ -212,13 +206,13 @@ class TestFleetEndToEnd:
         finally:
             service.stop(wait=True)
 
-    def test_shared_store_resumes_across_workers(self, tmp_path):
+    def test_shared_store_resumes_across_workers(self, tmp_path, wait_drained):
         scenario = _scenario()
         service = _service(tmp_path, fleet=1, config=_fleet_config(tmp_path))
         try:
             service.start()
-            first = _wait_finished(service, service.submit(_spec(scenario)).id)
-            second = _wait_finished(service, service.submit(_spec(scenario)).id)
+            first = wait_drained(service, service.submit(_spec(scenario)).id)
+            second = wait_drained(service, service.submit(_spec(scenario)).id)
             assert first.status == JOB_DONE
             assert second.status == JOB_DONE
             # The repeat is a zero-solve store hit inside the worker.
@@ -232,7 +226,7 @@ class TestFleetEndToEnd:
 
 # ----------------------------------------------------------------------
 class TestFaultInjection:
-    def test_transient_fault_retries_then_succeeds(self, tmp_path):
+    def test_transient_fault_retries_then_succeeds(self, tmp_path, wait_drained):
         config = _fleet_config(
             tmp_path,
             mapper_factory=f"{CHAOS}:flaky_mapper",
@@ -245,18 +239,17 @@ class TestFaultInjection:
         service = _service(tmp_path, fleet=1, config=config)
         try:
             service.start()
-            job = _wait_finished(service, service.submit(_spec(_scenario())).id)
+            job = wait_drained(service, service.submit(_spec(_scenario())).id)
             assert job.status == JOB_DONE
             assert job.results[0]["status"] == "ok"
-            lease = service.ledger.get(job.id)
-            assert lease.attempts == 2
-            counts = service.ledger.counts()
+            assert job.attempts == 2
+            counts = service.registry.lease_counts()
             assert counts["requeues"] >= 1
             assert service.metrics.snapshot()["counters"]["jobs_requeued"] >= 1
         finally:
             service.stop(wait=True)
 
-    def test_dead_letter_after_exhausted_attempts(self, tmp_path):
+    def test_dead_letter_after_exhausted_attempts(self, tmp_path, wait_drained):
         config = _fleet_config(
             tmp_path,
             max_attempts=2,
@@ -270,15 +263,15 @@ class TestFaultInjection:
         service = _service(tmp_path, fleet=1, config=config)
         try:
             service.start()
-            job = _wait_finished(service, service.submit(_spec(_scenario())).id)
+            job = wait_drained(service, service.submit(_spec(_scenario())).id)
             assert job.status == JOB_ERROR
             assert "dead-letter after 2 attempt(s)" in job.error
-            assert service.ledger.get(job.id).state == LEASE_DEAD_LETTER
-            assert service.ledger.counts()["dead_letters"] == 1
+            assert job.lease_state == LEASE_DEAD_LETTER
+            assert service.registry.lease_counts()["dead_letters"] == 1
         finally:
             service.stop(wait=True)
 
-    def test_sigkill_mid_solve_requeues_and_finishes(self, tmp_path):
+    def test_sigkill_mid_solve_requeues_and_finishes(self, tmp_path, wait_drained):
         config = _fleet_config(
             tmp_path,
             mapper_factory=f"{CHAOS}:stalling_mapper",
@@ -313,11 +306,10 @@ class TestFaultInjection:
                 time.sleep(0.05)
             os.kill(pid, signal.SIGKILL)
 
-            job = _wait_finished(service, job_id)
+            job = wait_drained(service, job_id)
             assert job.status == JOB_DONE
             assert service.supervisor.snapshot()["worker_restarts"] >= 1
-            lease = service.ledger.get(job_id)
-            assert lease.attempts == 2  # the killed attempt burned one
+            assert job.attempts == 2  # the killed attempt burned one
             # The answer survived the murder of its first solver.
             assert _deterministic(job.results[0]) == _deterministic(
                 _direct_payloads(scenario)[0]
@@ -328,10 +320,12 @@ class TestFaultInjection:
 
 # ----------------------------------------------------------------------
 class TestRestartAndDrain:
-    def test_restart_on_same_ledger_resolves_pre_crash_jobs(self, tmp_path):
+    def test_restart_on_same_ledger_resolves_pre_crash_jobs(
+        self, tmp_path, wait_drained
+    ):
         scenario = _scenario()
         before = _service(tmp_path, fleet=1, config=_fleet_config(tmp_path))
-        # Never started: the job is journaled and ledgered but unserved —
+        # Never started: the job is journaled but unserved —
         # exactly the state a crash leaves behind.
         job_id = before.submit(_spec(scenario)).id
         before.stop(wait=True)
@@ -342,7 +336,7 @@ class TestRestartAndDrain:
             assert replayed is not None
             assert replayed.status == JOB_QUEUED
             after.start()
-            job = _wait_finished(after, job_id)
+            job = wait_drained(after, job_id)
             assert job.status == JOB_DONE
             assert job.results[0]["status"] == "ok"
             # Replayed work belongs to the old process: the new daemon's
@@ -380,10 +374,10 @@ class TestRestartAndDrain:
 
         # The in-flight job was handed back, not lost and not charged.
         assert service.registry.get(job_id).status == JOB_QUEUED
-        with JobLedger(tmp_path / "ledger.jsonl") as ledger:
-            lease = ledger.get(job_id)
-            assert lease.state == LEASE_PENDING
-            assert lease.attempts == 0
+        with JsonlWriter(tmp_path / "journal.jsonl") as journal:
+            replayed = JobRegistry(journal=journal).get(job_id)
+            assert replayed.lease_state == LEASE_PENDING
+            assert replayed.attempts == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Lease state machine + journal replay tests for the fleet ledger."""
+"""Lease state machine + journal replay tests for the job table.
+
+The lease is part of each registry record: these tests drive the
+workers' side of :class:`~repro.service.jobs.JobRegistry` (claim,
+heartbeat, retry, dead-letter, restart) and its one journal.
+"""
 
 from __future__ import annotations
 
@@ -7,232 +12,305 @@ import multiprocessing as mp
 
 import pytest
 
-from repro.service.ledger import (
+from repro.dse.scenario import (
+    ArchitectureSpec,
+    FormulationSpec,
+    Scenario,
+    WorkloadSpec,
+)
+from repro.service.jobs import (
+    JOB_DONE,
+    JOB_ERROR,
+    JOB_QUEUED,
+    JOURNAL_FORMAT,
     LEASE_DEAD_LETTER,
     LEASE_FINISHED,
     LEASE_LEASED,
     LEASE_PENDING,
-    LEDGER_FORMAT,
-    JobLedger,
+    JobRegistry,
 )
+from repro.service.metrics import JsonlWriter
+from repro.service.wire import JobSpec
 
 pytestmark = pytest.mark.service
 
-SPEC = {"format": 1, "scenarios": [], "tier": "ilp", "time_limit": 5.0}
+SPEC = JobSpec(
+    scenarios=(
+        Scenario(
+            architecture=ArchitectureSpec(kind="homogeneous", dimension=12),
+            workload=WorkloadSpec(network="C", scale=0.1, profile="uniform"),
+            formulation=FormulationSpec(stages=("area",)),
+        ),
+    ),
+    time_limit=5.0,
+)
+
+
+class _Journaled:
+    """A registry over one journal file, closed on exit like a daemon."""
+
+    def __init__(self, path, **kwargs) -> None:
+        self.writer = JsonlWriter(path)
+        self.registry = JobRegistry(journal=self.writer, **kwargs)
+
+    def __enter__(self) -> JobRegistry:
+        return self.registry
+
+    def __exit__(self, *exc_info) -> None:
+        self.writer.close()
+
+
+def _replay(path, **kwargs) -> JobRegistry:
+    with _Journaled(path, **kwargs) as registry:
+        return registry
 
 
 class TestLeaseStateMachine:
     def test_claim_is_fifo_and_leases_with_ttl(self):
-        ledger = JobLedger(lease_ttl=10.0)
-        ledger.enqueue("job-a", SPEC)
-        ledger.enqueue("job-b", SPEC)
-        first = ledger.claim("w0", now=100.0)
-        assert first.id == "job-a"
-        assert first.state == LEASE_LEASED
+        registry = JobRegistry(lease_ttl=10.0)
+        job_a = registry.create(SPEC)
+        job_b = registry.create(SPEC)
+        for job in (job_a, job_b):
+            job.submitted_at = 100.0
+        first = registry.claim("w0", now=100.0)
+        assert first is job_a
+        assert first.lease_state == LEASE_LEASED
         assert first.worker == "w0"
         assert first.attempts == 1
         assert first.lease_expires == 110.0
-        assert ledger.claim("w1", now=100.0).id == "job-b"
-        assert ledger.claim("w2", now=100.0) is None  # drained
+        assert first.status == JOB_QUEUED  # running only once a worker starts
+        assert registry.claim("w1", now=100.0) is job_b
+        assert registry.claim("w2", now=100.0) is None  # drained
 
-    def test_enqueue_is_idempotent(self):
-        ledger = JobLedger()
-        job = ledger.enqueue("job-a", SPEC)
-        assert ledger.enqueue("job-a", SPEC) is job
+    def test_enqueue_is_idempotent(self, tmp_path):
+        """A duplicated accept record replays as one job, not two."""
+        path = tmp_path / "jobs.jsonl"
+        with _Journaled(path) as registry:
+            job = registry.create(SPEC)
+        (queued,) = path.read_text().splitlines()
+        with path.open("a") as fh:
+            fh.write(queued + "\n")
+        replayed = _replay(path)
+        assert [j.id for j in replayed.jobs()] == [job.id]
+        assert [e["event"] for e in replayed.get(job.id).events] == ["queued"]
+        assert replayed.depth() == 1
+        assert replayed.replay_skipped == 0
 
     def test_heartbeat_renews_only_active_leases(self):
-        ledger = JobLedger(lease_ttl=10.0)
-        ledger.enqueue("job-a", SPEC)
-        ledger.claim("w0", now=100.0)
-        assert ledger.heartbeat("job-a", now=105.0)
-        assert ledger.get("job-a").lease_expires == 115.0
-        ledger.finish("job-a", "done")
-        assert not ledger.heartbeat("job-a", now=106.0)  # stale worker
-        assert not ledger.heartbeat("nope", now=106.0)
+        registry = JobRegistry(lease_ttl=10.0)
+        job = registry.create(SPEC)
+        registry.claim("w0", now=100.0)
+        assert registry.heartbeat(job.id, now=105.0)
+        assert job.lease_expires == 115.0
+        registry.finish(job, JOB_DONE)
+        assert not registry.heartbeat(job.id, now=106.0)  # stale worker
+        assert not registry.heartbeat("nope", now=106.0)
 
     def test_expired_reports_lapsed_leases_once(self):
-        ledger = JobLedger(lease_ttl=10.0)
-        ledger.enqueue("job-a", SPEC)
-        ledger.claim("w0", now=100.0)
-        assert ledger.expired(now=105.0) == []  # still alive
-        lapsed = ledger.expired(now=111.0)
-        assert [job.id for job in lapsed] == ["job-a"]
-        assert ledger.expired(now=112.0) == []  # not double-counted
-        assert ledger.counts()["leases_expired"] == 1
+        registry = JobRegistry(lease_ttl=10.0)
+        job = registry.create(SPEC)
+        registry.claim("w0", now=100.0)
+        assert registry.expired(now=105.0) == []  # still alive
+        assert registry.expired(now=111.0) == [job]
+        assert registry.expired(now=112.0) == []  # not double-counted
+        assert registry.lease_counts()["leases_expired"] == 1
 
     def test_fail_attempt_backs_off_exponentially(self):
-        ledger = JobLedger(max_attempts=5, backoff_base=1.0, backoff_cap=30.0)
-        ledger.enqueue("job-a", SPEC)
+        registry = JobRegistry(max_attempts=5, backoff_base=1.0, backoff_cap=30.0)
+        job = registry.create(SPEC)
         gates = []
         for _ in range(4):
-            ledger.claim("w0", now=1000.0)
-            assert ledger.fail_attempt("job-a", "boom", now=1000.0) == LEASE_PENDING
-            gates.append(ledger.get("job-a").not_before - 1000.0)
-            ledger.get("job-a").not_before = 0.0  # reopen the gate for the test
+            registry.claim("w0", now=job.submitted_at)
+            state = registry.fail_attempt(job.id, "boom", now=1000.0)
+            assert state == LEASE_PENDING
+            gates.append(job.not_before - 1000.0)
+            job.not_before = 0.0  # reopen the gate for the test
         assert gates == [1.0, 2.0, 4.0, 8.0]
+        # Each retry is a client-visible requeue, reason = the failure.
+        assert [e["event"] for e in job.events] == ["queued"] + ["requeued"] * 4
+        assert job.events[-1]["reason"] == "boom"
+        assert registry.lease_counts()["requeues"] == 4
 
     def test_backoff_gate_blocks_claims_until_not_before(self):
-        ledger = JobLedger(backoff_base=5.0)
-        ledger.enqueue("job-a", SPEC)
-        ledger.claim("w0", now=100.0)
-        ledger.fail_attempt("job-a", "boom", now=100.0)
-        assert ledger.claim("w0", now=102.0) is None  # inside backoff
-        assert ledger.claim("w0", now=106.0).id == "job-a"
+        registry = JobRegistry(backoff_base=5.0)
+        job = registry.create(SPEC)
+        job.submitted_at = 100.0
+        registry.claim("w0", now=100.0)
+        registry.fail_attempt(job.id, "boom", now=100.0)
+        assert registry.claim("w0", now=102.0) is None  # inside backoff
+        assert registry.claim("w0", now=106.0) is job
 
     def test_dead_letter_after_max_attempts(self):
-        ledger = JobLedger(max_attempts=2, backoff_base=0.0)
-        ledger.enqueue("job-a", SPEC)
-        ledger.claim("w0", now=100.0)
-        assert ledger.fail_attempt("job-a", "boom 1", now=100.0) == LEASE_PENDING
-        ledger.claim("w0", now=200.0)
-        assert ledger.fail_attempt("job-a", "boom 2", now=200.0) == LEASE_DEAD_LETTER
-        job = ledger.get("job-a")
-        assert job.state == LEASE_DEAD_LETTER
+        registry = JobRegistry(max_attempts=2, backoff_base=0.0)
+        job = registry.create(SPEC)
+        job.submitted_at = 100.0
+        registry.claim("w0", now=100.0)
+        assert registry.fail_attempt(job.id, "boom 1", now=100.0) == LEASE_PENDING
+        registry.claim("w0", now=200.0)
+        assert registry.fail_attempt(job.id, "boom 2", now=200.0) == LEASE_DEAD_LETTER
+        assert job.lease_state == LEASE_DEAD_LETTER
         assert job.last_error == "boom 2"
-        assert [j.id for j in ledger.dead_letters()] == ["job-a"]
-        assert ledger.claim("w0", now=300.0) is None  # never retried again
-        assert ledger.fail_attempt("job-a", "late", now=300.0) is None  # terminal
-        counts = ledger.counts()
+        assert job.status == JOB_ERROR
+        assert job.error == "dead-letter after 2 attempt(s): boom 2"
+        assert registry.dead_letters() == [job]
+        assert registry.claim("w0", now=300.0) is None  # never retried again
+        assert registry.fail_attempt(job.id, "late", now=300.0) is None  # terminal
+        counts = registry.lease_counts()
         assert counts["dead_letters"] == 1
         assert counts["by_state"] == {LEASE_DEAD_LETTER: 1}
 
     def test_requeue_for_restart_refunds_the_attempt(self):
-        ledger = JobLedger(max_attempts=1)
-        ledger.enqueue("job-a", SPEC)
-        ledger.claim("w0", now=100.0)
-        assert ledger.requeue_for_restart("job-a", "shutdown")
-        job = ledger.get("job-a")
-        assert job.state == LEASE_PENDING
+        registry = JobRegistry(max_attempts=1)
+        job = registry.create(SPEC)
+        job.submitted_at = 100.0
+        registry.claim("w0", now=100.0)
+        registry.start(job)
+        assert registry.requeue_for_restart(job.id, "shutdown")
+        assert job.lease_state == LEASE_PENDING
+        assert job.status == JOB_QUEUED
         assert job.attempts == 0  # the drain did not burn the only attempt
+        assert job.events[-1]["reason"] == "shutdown"
+        assert not registry.requeue_for_restart(job.id)  # no longer leased
         # The refunded attempt is immediately claimable and still has its
         # full budget: a real failure now dead-letters (max_attempts=1).
-        ledger.claim("w0", now=101.0)
-        assert ledger.fail_attempt("job-a", "boom", now=101.0) == LEASE_DEAD_LETTER
+        registry.claim("w0", now=101.0)
+        assert registry.fail_attempt(job.id, "boom", now=101.0) == LEASE_DEAD_LETTER
 
     def test_depth_counts_unfinished_only(self):
-        ledger = JobLedger()
-        ledger.enqueue("job-a", SPEC)
-        ledger.enqueue("job-b", SPEC)
-        ledger.claim("w0")
-        assert ledger.depth() == 2
-        ledger.finish("job-a", "done")
-        assert ledger.depth() == 1
-        assert ledger.get("job-a").state == LEASE_FINISHED
-        assert ledger.get("job-a").outcome == "done"
+        registry = JobRegistry()
+        job_a = registry.create(SPEC)
+        registry.create(SPEC)
+        registry.claim("w0")
+        assert registry.depth() == 2
+        registry.finish(job_a, JOB_DONE)
+        assert registry.depth() == 1
+        assert job_a.lease_state == LEASE_FINISHED
+        assert job_a.status == JOB_DONE
+        assert job_a.worker is None
 
     def test_terminal_records_beyond_the_cap_are_forgotten(self):
-        ledger = JobLedger(max_finished=2)
-        for job_id in ("job-a", "job-b", "job-c"):
-            ledger.enqueue(job_id, SPEC)
-            ledger.finish(job_id, "done")
-        ledger.enqueue("job-d", SPEC)
-        assert ledger.get("job-a") is None  # the oldest terminal record
-        assert [job.id for job in ledger.jobs()] == ["job-b", "job-c", "job-d"]
-        assert ledger.depth() == 1
+        registry = JobRegistry(max_finished=2)
+        old = [registry.create(SPEC) for _ in range(3)]
+        # Retention follows finish order, not submission order.
+        for job in (old[1], old[0], old[2]):
+            registry.finish(job, JOB_DONE)
+        fresh = registry.create(SPEC)
+        assert registry.get(old[1].id) is None  # the oldest-finished record
+        assert [job.id for job in registry.jobs()] == [
+            old[0].id,
+            old[2].id,
+            fresh.id,
+        ]
+        assert registry.depth() == 1
 
 
 class TestJournalReplay:
     def test_restart_replays_pending_and_finished(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        with JobLedger(path) as ledger:
-            ledger.enqueue("job-a", SPEC)
-            ledger.enqueue("job-b", SPEC)
-            ledger.claim("w0", now=100.0)
-            ledger.finish("job-a", "done")
-        replayed = JobLedger(path)
-        assert replayed.get("job-a").state == LEASE_FINISHED
-        assert replayed.get("job-a").outcome == "done"
-        assert replayed.get("job-b").state == LEASE_PENDING
-        assert replayed.get("job-b").spec == SPEC
+        path = tmp_path / "jobs.jsonl"
+        with _Journaled(path) as registry:
+            job_a = registry.create(SPEC)
+            job_b = registry.create(SPEC)
+            registry.claim("w0")
+            registry.finish(job_a, JOB_DONE)
+        replayed = _replay(path)
+        assert replayed.get(job_a.id).lease_state == LEASE_FINISHED
+        assert replayed.get(job_a.id).status == JOB_DONE
+        assert replayed.get(job_b.id).lease_state == LEASE_PENDING
+        assert replayed.get(job_b.id).spec.payload() == SPEC.payload()
         assert replayed.replay_skipped == 0
-        replayed.close()
 
     def test_leased_jobs_requeue_on_restart_without_burning_budget(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        with JobLedger(path, max_attempts=1) as ledger:
-            ledger.enqueue("job-a", SPEC)
-            ledger.claim("w0", now=100.0)
-        replayed = JobLedger(path, max_attempts=1)
-        job = replayed.get("job-a")
-        assert job.state == LEASE_PENDING
-        assert job.attempts == 0  # refunded: the process died, not the job
-        assert replayed.claim("w1") is not None  # immediately claimable
-        replayed.close()
+        path = tmp_path / "jobs.jsonl"
+        with _Journaled(path, max_attempts=1) as registry:
+            job_id = registry.create(SPEC).id
+            registry.claim("w0")
+        with _Journaled(path, max_attempts=1) as replayed:
+            job = replayed.get(job_id)
+            assert job.lease_state == LEASE_PENDING
+            assert job.attempts == 0  # refunded: the process died, not the job
+            # Claimed but never started: nothing client-visible to undo.
+            assert [e["event"] for e in job.events] == ["queued"]
+            assert replayed.claim("w1") is job  # immediately claimable
         # A third restart replays w1's claim and requeues it in turn —
         # restarts are idempotent, the budget refund never goes negative.
-        third = JobLedger(path, max_attempts=1)
-        assert third.get("job-a").state == LEASE_PENDING
-        assert third.get("job-a").attempts == 0
-        third.close()
+        third = _replay(path, max_attempts=1)
+        assert third.get(job_id).lease_state == LEASE_PENDING
+        assert third.get(job_id).attempts == 0
 
     def test_dead_letters_survive_restart(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        with JobLedger(path, max_attempts=1) as ledger:
-            ledger.enqueue("job-a", SPEC)
-            ledger.claim("w0", now=100.0)
-            ledger.fail_attempt("job-a", "boom", now=100.0)
-        replayed = JobLedger(path)
-        job = replayed.get("job-a")
-        assert job.state == LEASE_DEAD_LETTER
-        assert job.last_error == "boom"
-        replayed.close()
+        path = tmp_path / "jobs.jsonl"
+        with _Journaled(path, max_attempts=1) as registry:
+            job = registry.create(SPEC)
+            registry.claim("w0")
+            registry.fail_attempt(job.id, "boom")
+        replayed = _replay(path)
+        revived = replayed.get(job.id)
+        assert revived.lease_state == LEASE_DEAD_LETTER
+        assert revived.last_error == "boom"
+        assert revived.error == job.error
+        assert revived.events == job.events  # the client view is verbatim
+        assert replayed.dead_letters() == [revived]
 
     def test_backoff_gate_survives_restart(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        with JobLedger(path, max_attempts=3, backoff_base=1000.0) as ledger:
-            ledger.enqueue("job-a", SPEC)
-            ledger.claim("w0")
-            ledger.fail_attempt("job-a", "boom")
-        replayed = JobLedger(path)
-        job = replayed.get("job-a")
-        assert job.state == LEASE_PENDING
-        assert job.attempts == 1  # a *failed* attempt is not refunded
+        path = tmp_path / "jobs.jsonl"
+        with _Journaled(path, max_attempts=3, backoff_base=1000.0) as registry:
+            job = registry.create(SPEC)
+            registry.claim("w0")
+            registry.fail_attempt(job.id, "boom")
+        replayed = _replay(path)
+        revived = replayed.get(job.id)
+        assert revived.lease_state == LEASE_PENDING
+        assert revived.attempts == 1  # a *failed* attempt is not refunded
+        assert revived.not_before == job.not_before
+        assert revived.last_error == "boom"
         assert replayed.claim("w0") is None  # still backing off
-        replayed.close()
 
     def test_torn_and_stale_lines_are_skipped_not_fatal(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        with JobLedger(path) as ledger:
-            ledger.enqueue("job-a", SPEC)
+        path = tmp_path / "jobs.jsonl"
+        with _Journaled(path) as registry:
+            job = registry.create(SPEC)
+        # A pre-merge journal line: the old format is skipped, counted.
+        stale = {"format": 1, "job": job.id, "event": "enqueued"}
+        orphan = {"format": JOURNAL_FORMAT, "job": "ghost", "event": "leased"}
         with path.open("a") as fh:
-            fh.write(json.dumps({"format": 999, "event": "enqueued"}) + "\n")
-            fh.write(json.dumps({"format": LEDGER_FORMAT, "job": "ghost",
-                                 "event": "leased"}) + "\n")
+            for record in (stale, orphan):
+                fh.write(json.dumps(record) + "\n")
             fh.write('{"torn')  # no newline: crashed writer
-        replayed = JobLedger(path)
-        assert replayed.get("job-a").state == LEASE_PENDING
+        replayed = _replay(path)
+        assert replayed.get(job.id).lease_state == LEASE_PENDING
         assert replayed.replay_skipped == 2  # stale format + orphan lease
-        replayed.close()
 
     def test_heartbeats_are_journaled_lazily_but_replayed(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        with JobLedger(path, lease_ttl=10.0) as ledger:
-            ledger.enqueue("job-a", SPEC)
-            ledger.claim("w0", now=100.0)
-            ledger.heartbeat("job-a", now=500.0)
+        path = tmp_path / "jobs.jsonl"
+        with _Journaled(path, lease_ttl=10.0) as registry:
+            job = registry.create(SPEC)
+            registry.claim("w0", now=job.submitted_at)
+            registry.heartbeat(job.id, now=job.submitted_at + 500.0)
+        events = [json.loads(line)["event"] for line in path.read_text().splitlines()]
+        assert events == ["queued", "leased", "heartbeat"]
         # Replay sees the renewed expiry before deciding the job was
         # leased (then requeues it, because this process owns no worker).
-        replayed = JobLedger(path)
-        assert replayed.get("job-a").state == LEASE_PENDING
-        replayed.close()
+        replayed = _replay(path)
+        assert replayed.get(job.id).lease_state == LEASE_PENDING
+        assert replayed.get(job.id).lease_expires is None
 
 
 def _ledger_hammer(path: str, worker: int, jobs: int) -> None:
-    ledger = JobLedger(path)
-    for i in range(jobs):
-        job_id = f"job-{worker:02d}-{i:03d}"
-        ledger.enqueue(job_id, dict(SPEC, meta_pad="x" * 256))
-        claimed = ledger.claim(f"w{worker}")
-        if claimed is not None:
-            ledger.heartbeat(claimed.id)
-            ledger.finish(claimed.id, "done")
-    ledger.close()
+    padded = JobSpec(scenarios=SPEC.scenarios, client=f"{'x' * 60}-{worker:02d}")
+    with _Journaled(path) as registry:
+        for _ in range(jobs):
+            registry.create(padded)
+            claimed = registry.claim(f"w{worker}")
+            if claimed is not None:
+                registry.heartbeat(claimed.id)
+                registry.start(claimed)
+                registry.finish(claimed, JOB_DONE)
 
 
 class TestMultiprocessHammer:
     def test_zero_torn_or_duplicate_lines(self, tmp_path):
-        """N processes share one journal: every line whole, no dup enqueues."""
-        path = tmp_path / "ledger.jsonl"
+        """N processes share one journal: every line whole, no dup accepts."""
+        path = tmp_path / "jobs.jsonl"
         writers, jobs = 4, 20
         ctx = mp.get_context("spawn")
         procs = [
@@ -245,11 +323,11 @@ class TestMultiprocessHammer:
             proc.join(timeout=120)
             assert proc.exitcode == 0
 
-        enqueued = []
+        queued = []
         for line in path.read_text().splitlines():
             record = json.loads(line)  # every line parses — zero torn
-            assert record["format"] == LEDGER_FORMAT
-            if record["event"] == "enqueued":
-                enqueued.append(record["job"])
-        assert len(enqueued) == writers * jobs
-        assert len(set(enqueued)) == len(enqueued)  # zero duplicates
+            assert record["format"] == JOURNAL_FORMAT
+            if record["event"] == "queued":
+                queued.append((record["client"], record["job"]))
+        assert len(queued) == writers * jobs
+        assert len(set(queued)) == len(queued)  # zero duplicates

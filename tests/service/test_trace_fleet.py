@@ -81,21 +81,12 @@ def _service(tmp_path: Path, fleet: int, config: FleetConfig, **kwargs):
     return MappingService(
         explorer,
         fleet=fleet,
-        ledger_path=tmp_path / "ledger.jsonl",
         journal_path=tmp_path / "journal.jsonl",
         fleet_config=config,
         **kwargs,
     )
 
 
-def _wait_finished(service: MappingService, job_id: str, timeout: float = 90.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        job = service.registry.get(job_id)
-        if job is not None and job.finished:
-            return job
-        time.sleep(0.05)
-    pytest.fail(f"job {job_id} still unfinished after {timeout}s")
 
 
 def _spans_by_name(records: list[dict]) -> dict[str, dict]:
@@ -104,7 +95,9 @@ def _spans_by_name(records: list[dict]) -> dict[str, dict]:
 
 # ----------------------------------------------------------------------
 class TestFleetTraceEndToEnd:
-    def test_traced_job_yields_single_cross_process_span_tree(self, tmp_path):
+    def test_traced_job_yields_single_cross_process_span_tree(
+        self, tmp_path, wait_drained
+    ):
         """The acceptance walk: accept -> queue -> lease -> worker solve,
         one trace id, per-arm phase spans, live BnB progress events."""
         config = _fleet_config(
@@ -118,7 +111,7 @@ class TestFleetTraceEndToEnd:
             assert job.spec.trace is not None
             trace_id = job.spec.trace.partition(":")[0]
 
-            finished = _wait_finished(service, job.id)
+            finished = wait_drained(service, job.id)
             assert finished.status == JOB_DONE
 
             payload = service.trace_payload(job.id)
@@ -165,7 +158,7 @@ class TestFleetTraceEndToEnd:
         assert (tmp_path / "trace" / MERGED_NAME).exists()
 
     def test_sigkilled_workers_spans_survive_and_trace_id_sticks(
-        self, tmp_path
+        self, tmp_path, wait_drained
     ):
         """Salvage: spans journaled before a kill -9 outlive their worker,
         and the retried attempt continues the SAME trace."""
@@ -201,7 +194,7 @@ class TestFleetTraceEndToEnd:
                 time.sleep(0.05)
             os.kill(pid, signal.SIGKILL)
 
-            finished = _wait_finished(service, job.id)
+            finished = wait_drained(service, job.id)
             assert finished.status == JOB_DONE
             # The retry rode the original context, not a fresh one.
             assert finished.spec.trace == job.spec.trace
@@ -224,7 +217,7 @@ class TestFleetTraceEndToEnd:
             service.stop(wait=True)
 
     def test_restarted_daemon_resumes_job_under_original_trace_id(
-        self, tmp_path
+        self, tmp_path, wait_drained
     ):
         """A journal-replayed job keeps its trace id, and the new daemon's
         spans land in the same tree as the old daemon's accept event."""
@@ -240,7 +233,7 @@ class TestFleetTraceEndToEnd:
         try:
             assert after.registry.get(job_id).spec.trace == original
             after.start()
-            job = _wait_finished(after, job_id)
+            job = wait_drained(after, job_id)
             assert job.status == JOB_DONE
             records = after.trace_payload(job_id)["records"]
             trace_id = original.partition(":")[0]
@@ -309,13 +302,13 @@ class TestTraceHTTP:
             service.stop(wait=True)
 
     def test_metrics_exposes_trace_section_and_gap_gauge_lifecycle(
-        self, tmp_path
+        self, tmp_path, wait_drained
     ):
         service = _service(tmp_path, fleet=1, config=_fleet_config(tmp_path))
         try:
             service.start()
             job = service.submit(_spec(_scenario()))
-            _wait_finished(service, job.id)
+            wait_drained(service, job.id)
             body = service.metrics_payload()
             assert body["trace"]["enabled"] is True
             assert body["trace"]["dir"] == str(tmp_path / "trace")
@@ -347,7 +340,7 @@ class TestTraceWire:
 # ----------------------------------------------------------------------
 class TestPhaseTimingsWithoutTracing:
     def test_classic_untraced_service_still_records_phase_histograms(
-        self, tmp_path
+        self, tmp_path, wait_drained
     ):
         """Satellite: per-phase timings feed /metrics even with tracing off."""
         explorer = Explorer(
@@ -357,7 +350,7 @@ class TestPhaseTimingsWithoutTracing:
         try:
             service.start()
             job = service.submit(_spec(_scenario()))
-            _wait_finished(service, job.id)
+            wait_drained(service, job.id)
             body = service.metrics_payload()
             assert "trace" not in body
             latency = body["latency"]
