@@ -12,23 +12,25 @@ deterministic problem fingerprint (:mod:`~repro.batch.cache`).
 >>> result = BatchMapper(jobs=4, portfolio=True).map_all(jobs)  # doctest: +SKIP
 """
 
-from .cache import CacheStats, ResultCache
-from .engine import (
-    JOB_ERROR,
-    JOB_OK,
-    BatchJob,
-    BatchMapper,
-    BatchResult,
-    JobRecord,
-    parallel_map,
-)
-from .portfolio import (
-    DEFAULT_SPECS,
-    PortfolioOptions,
-    PortfolioSolver,
-    portfolio_solver_factory,
-)
-from .queue import CancelToken
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "CacheStats": ".cache",
+    "ResultCache": ".cache",
+    "JOB_ERROR": ".engine",
+    "JOB_OK": ".engine",
+    "BatchJob": ".engine",
+    "BatchMapper": ".engine",
+    "BatchResult": ".engine",
+    "JobRecord": ".engine",
+    "parallel_map": ".engine",
+    "DEFAULT_SPECS": ".portfolio",
+    "PortfolioOptions": ".portfolio",
+    "PortfolioSolver": ".portfolio",
+    "portfolio_solver_factory": ".portfolio",
+    "CancelToken": ".queue",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "BatchJob",

@@ -367,6 +367,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             from pathlib import Path
 
             payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+            if not isinstance(payload, dict):
+                raise ValueError(
+                    f"spec {args.spec} must hold a JSON object, "
+                    f"got {type(payload).__name__}"
+                )
         else:
             scenario = Scenario(
                 architecture=(
@@ -430,20 +435,20 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             trace_id = submitted["trace"].partition(":")[0]
             print(f"trace {trace_id} (repro trace {job_id} --url {args.url})")
         if args.stream:
-            try:
-                for event in client.stream(job_id, timeout=args.timeout):
-                    print(json.dumps(event, sort_keys=True))
-            except StreamInterrupted as exc:
-                # Exit 3, not 2: the job was accepted and is probably
-                # still running — only the watch broke.
-                print(f"stream interrupted: {exc}", file=sys.stderr)
-                print(
-                    f"job {job_id} may still finish; "
-                    f"poll with GET /jobs/{job_id}",
-                    file=sys.stderr,
-                )
-                return 3
-        detail = client.wait(job_id, timeout=args.timeout)
+            for event in client.stream(job_id, timeout=args.timeout):
+                print(json.dumps(event, sort_keys=True))
+            detail = client.job(job_id)
+        else:
+            detail = client.wait(job_id, timeout=args.timeout)
+    except StreamInterrupted as exc:
+        # Exit 3, not 2: the job was accepted and is probably still
+        # running — only the watch broke.
+        print(f"stream interrupted: {exc}", file=sys.stderr)
+        print(
+            f"job {job_id} may still finish; poll with GET /jobs/{job_id}",
+            file=sys.stderr,
+        )
+        return 3
     except ServiceError as exc:
         print(f"service error: {exc}", file=sys.stderr)
         if exc.status == 429:
@@ -866,8 +871,9 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--timeout", type=float, default=300.0,
                         help="client-side wait timeout in seconds")
     submit.add_argument("--retries", type=int, default=0,
-                        help="retry transient GET failures and 429 "
-                             "backpressure this many times")
+                        help="retry transient GET failures (a dropped "
+                             "wait stream included) and 429 backpressure "
+                             "this many times")
     submit.add_argument("--json", default=None,
                         help="write the final job detail JSON here")
     submit.set_defaults(func=_cmd_submit)

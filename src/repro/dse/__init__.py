@@ -15,30 +15,41 @@ store that makes every sweep resumable (:mod:`~repro.dse.store`).
 >>> print(result.report())  # doctest: +SKIP
 """
 
-from .drivers import DRIVERS, explore_adaptive, explore_grid
-from .explorer import ExplorationResult, Explorer, ScenarioResult
-from .objectives import OBJECTIVE_NAMES, ObjectivePoint, evaluate_objectives, objective_matrix
-from .pareto import (
-    FrontierDiff,
-    crowding_distance,
-    frontier_diff,
-    hypervolume,
-    nondominated_mask,
-    pareto_rank,
-    reference_point,
-)
-from .scenario import (
-    ArchitectureSpec,
-    DesignSpace,
-    FormulationSpec,
-    Scenario,
-    ScenarioRegistry,
-    WorkloadSpec,
-    default_space,
-    formulation_from_payload,
-    scenario_from_payload,
-)
-from .store import TIER_GREEDY, TIER_ILP, RunEntry, RunStore
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "DRIVERS": ".drivers",
+    "explore_adaptive": ".drivers",
+    "explore_grid": ".drivers",
+    "ExplorationResult": ".explorer",
+    "Explorer": ".explorer",
+    "ScenarioResult": ".explorer",
+    "OBJECTIVE_NAMES": ".objectives",
+    "ObjectivePoint": ".objectives",
+    "evaluate_objectives": ".objectives",
+    "objective_matrix": ".objectives",
+    "FrontierDiff": ".pareto",
+    "crowding_distance": ".pareto",
+    "frontier_diff": ".pareto",
+    "hypervolume": ".pareto",
+    "nondominated_mask": ".pareto",
+    "pareto_rank": ".pareto",
+    "reference_point": ".pareto",
+    "ArchitectureSpec": ".scenario",
+    "DesignSpace": ".scenario",
+    "FormulationSpec": ".scenario",
+    "Scenario": ".scenario",
+    "ScenarioRegistry": ".scenario",
+    "WorkloadSpec": ".scenario",
+    "default_space": ".scenario",
+    "formulation_from_payload": ".scenario",
+    "scenario_from_payload": ".scenario",
+    "TIER_GREEDY": ".store",
+    "TIER_ILP": ".store",
+    "RunEntry": ".store",
+    "RunStore": ".store",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "ArchitectureSpec",

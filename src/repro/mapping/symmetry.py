@@ -40,20 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from ..ilp.model import Model, Sense
+from .options import SYMMETRY_LEVELS, check_level
 from .solution import Mapping
-
-#: Accepted ``symmetry=`` levels, weakest first.
-SYMMETRY_LEVELS = ("off", "order", "lex")
-
-
-def check_level(level: str) -> str:
-    """Validate a symmetry level string (returns it for chaining)."""
-    if level not in SYMMETRY_LEVELS:
-        raise ValueError(
-            f"unknown symmetry level {level!r}; choose from {SYMMETRY_LEVELS}"
-        )
-    return level
-
 
 def slot_orbits(architecture, slots: Sequence[int]) -> list[list[int]]:
     """Orbits of interchangeable slots as *positions* into ``slots``.

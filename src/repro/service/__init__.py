@@ -16,40 +16,45 @@ the lease state of each job in one record, persisted to one journal.
 >>> run_server(server.service, server)                    # doctest: +SKIP
 """
 
-from ..batch.queue import QueueFull
-from .client import ServiceClient, ServiceError, StreamInterrupted
-from .daemon import (
-    MappingService,
-    ServiceHTTPServer,
-    Supervisor,
-    make_server,
-    run_server,
-)
-from .jobs import (
-    JOB_CANCELLED,
-    JOB_DONE,
-    JOB_ERROR,
-    JOB_QUEUED,
-    JOB_RUNNING,
-    LEASE_DEAD_LETTER,
-    LEASE_FINISHED,
-    LEASE_LEASED,
-    LEASE_PENDING,
-    RESTART_REASON,
-    TERMINAL_STATES,
-    JobRegistry,
-    ServiceJob,
-)
-from .metrics import JsonlWriter, LoopLatencyProbe, ServiceMetrics, read_jsonl
-from .wire import (
-    TIERS,
-    WIRE_FORMAT,
-    JobSpec,
-    WireError,
-    parse_job,
-    result_payload,
-)
-from .worker import FleetConfig, worker_main
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "QueueFull": "..batch.queue",
+    "ServiceClient": ".client",
+    "ServiceError": ".client",
+    "StreamInterrupted": ".client",
+    "MappingService": ".daemon",
+    "ServiceHTTPServer": ".daemon",
+    "Supervisor": ".daemon",
+    "make_server": ".daemon",
+    "run_server": ".daemon",
+    "JOB_CANCELLED": ".jobs",
+    "JOB_DONE": ".jobs",
+    "JOB_ERROR": ".jobs",
+    "JOB_QUEUED": ".jobs",
+    "JOB_RUNNING": ".jobs",
+    "LEASE_DEAD_LETTER": ".jobs",
+    "LEASE_FINISHED": ".jobs",
+    "LEASE_LEASED": ".jobs",
+    "LEASE_PENDING": ".jobs",
+    "RESTART_REASON": ".jobs",
+    "TERMINAL_STATES": ".jobs",
+    "JobRegistry": ".jobs",
+    "ServiceJob": ".jobs",
+    "JsonlWriter": ".metrics",
+    "LoopLatencyProbe": ".metrics",
+    "ServiceMetrics": ".metrics",
+    "read_jsonl": ".metrics",
+    "TIERS": ".wire",
+    "WIRE_FORMAT": ".wire",
+    "JobSpec": ".wire",
+    "WireError": ".wire",
+    "parse_job": ".wire",
+    "result_payload": ".wire",
+    "FleetConfig": ".worker",
+    "worker_main": ".worker",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "JOB_CANCELLED",

@@ -20,12 +20,15 @@ import time
 import urllib.error
 import urllib.request
 from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from ..batch.queue import PRIORITY_NORMAL
-from ..dse.scenario import Scenario
 from ..dse.store import TIER_ILP
 from ..trace import TRACE_HEADER
 from .wire import DEFAULT_CLIENT, TERMINAL_STATUSES, WIRE_FORMAT, JobSpec
+
+if TYPE_CHECKING:
+    from ..dse.scenario import Scenario
 
 
 class ServiceError(RuntimeError):
@@ -229,23 +232,37 @@ class ServiceClient:
         return self._request("POST", "/shutdown")
 
     # ------------------------------------------------------------------
-    def wait(
-        self,
-        job_id: str,
-        timeout: float | None = None,
-        poll_interval: float = 0.2,
-    ) -> dict:
-        """Poll ``GET /jobs/<id>`` until the job reaches a terminal state."""
+    def wait(self, job_id: str, timeout: float | None = None) -> dict:
+        """Block until the job reaches a terminal state; return its detail.
+
+        Follows ``GET /jobs/<id>/stream`` to the terminal event, then
+        makes one ``GET /jobs/<id>`` — the answer arrives as soon as the
+        daemon publishes it, with no polling interval to wait out.  A
+        watch that breaks (the stream drops, or its connection is
+        refused) is reopened under the ``max_retries``/backoff rule;
+        once retries run out the last error is raised, a drop as
+        :class:`StreamInterrupted`.  ``timeout`` bounds the whole wait:
+        past it, :class:`ServiceError`.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
+        attempt = 0
         while True:
-            detail = self.job(job_id)
-            if detail["status"] in TERMINAL_STATUSES:
-                return detail
-            if deadline is not None and time.monotonic() > deadline:
-                raise ServiceError(
-                    f"job {job_id} still {detail['status']} after {timeout}s"
-                )
-            time.sleep(poll_interval)
+            remaining = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+            try:
+                for _ in self.stream(job_id, timeout=remaining):
+                    pass
+            except ServiceError as exc:
+                # Only a broken watch retries: an HTTP status is the
+                # server's answer, and an expired deadline is final.
+                expired = deadline is not None and time.monotonic() > deadline
+                if exc.status is not None or expired or attempt >= self.max_retries:
+                    raise
+                time.sleep(self._backoff(attempt))
+                attempt += 1
+                continue
+            return self.job(job_id)
 
     def stream(
         self,

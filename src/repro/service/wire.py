@@ -36,12 +36,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..batch.queue import PRIORITIES, PRIORITY_NORMAL
-from ..dse.explorer import ScenarioResult
-from ..dse.scenario import Scenario, scenario_from_payload
 from ..dse.store import TIER_GREEDY, TIER_ILP
 from ..trace import valid_encoded as _valid_trace
+
+if TYPE_CHECKING:
+    from ..dse.explorer import ScenarioResult
+    from ..dse.scenario import Scenario
 
 #: Bump when the request/response schema changes incompatibly.
 WIRE_FORMAT = 1
@@ -163,6 +166,8 @@ class JobSpec:
 
 def parse_job(payload: object) -> JobSpec:
     """Parse one ``POST /jobs`` body into a :class:`JobSpec`."""
+    from ..dse.scenario import scenario_from_payload
+
     if not isinstance(payload, dict):
         raise WireError(f"job submission must be a JSON object, got {payload!r}")
     unknown = set(payload) - _JOB_KEYS

@@ -268,7 +268,8 @@ class TestSubmitEndToEnd:
 
     def test_stream_drop_exits_3(self, live_service, monkeypatch, capsys):
         """A dropped stream is exit 3 — the job was accepted, only the
-        watch broke — distinct from exit 2 (service/spec errors)."""
+        watch broke — distinct from exit 2 (service/spec errors).  The
+        plain mode waits on the same stream, so it exits 3 too."""
         from repro.service.client import ServiceClient, StreamInterrupted
 
         def dropped_stream(self, job_id, keepalives=False, timeout=None):
@@ -276,17 +277,42 @@ class TestSubmitEndToEnd:
             yield  # pragma: no cover - makes this a generator
 
         monkeypatch.setattr(ServiceClient, "stream", dropped_stream)
+        for mode in (["--stream"], []):
+            status = main(
+                [
+                    "submit",
+                    "--url",
+                    self._url(live_service),
+                    "--tier",
+                    "greedy",
+                    *mode,
+                ]
+            )
+            err = capsys.readouterr().err
+            assert status == 3, mode
+            assert "stream interrupted" in err
+            assert "may still finish" in err
+
+    @pytest.mark.parametrize(
+        "spec", [[], [{"scenario": {"kind": "scenario"}}], 3, "C", None]
+    )
+    @pytest.mark.parametrize("priority", [[], ["--priority", "high"]])
+    def test_non_object_spec_exits_2(self, tmp_path, capsys, spec, priority):
+        """A spec file must hold a JSON object; anything else is a bad
+        submission (exit 2), not a crash or a failed job (exit 1)."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
         status = main(
             [
                 "submit",
                 "--url",
-                self._url(live_service),
-                "--tier",
-                "greedy",
-                "--stream",
+                "http://127.0.0.1:9",
+                "--spec",
+                str(spec_path),
+                *priority,
             ]
         )
         err = capsys.readouterr().err
-        assert status == 3
-        assert "stream interrupted" in err
-        assert "may still finish" in err
+        assert status == 2
+        assert "invalid submission" in err
+        assert "must hold a JSON object" in err

@@ -192,3 +192,86 @@ class TestStreamInterruption:
     def test_stream_interrupted_is_a_service_error(self):
         # So existing `except ServiceError` callers keep catching drops.
         assert issubclass(StreamInterrupted, ServiceError)
+
+
+class TestStreamDrivenWait:
+    """``wait`` follows the job stream, then reads the detail once."""
+
+    DETAIL = {"id": "j1", "status": "done", "results": []}
+
+    @staticmethod
+    def _dropped():
+        return _Response(
+            lines=[{"event": "queued"}, {"event": "running"}], explode_after=1
+        )
+
+    def test_terminal_stream_then_one_detail_get(self, monkeypatch):
+        script = [
+            _Response(lines=[{"event": "queued"}, {"event": "done"}]),
+            _Response(self.DETAIL),
+        ]
+        client, calls, sleeps = _client(monkeypatch, script, max_retries=3)
+        assert client.wait("j1") == self.DETAIL
+        assert calls == [("GET", "/jobs/j1/stream"), ("GET", "/jobs/j1")]
+        assert sleeps == []
+
+    def test_dropped_stream_is_reopened(self, monkeypatch):
+        script = [
+            self._dropped(),
+            _Response(lines=[{"event": "running"}, {"event": "done"}]),
+            _Response(self.DETAIL),
+        ]
+        client, calls, sleeps = _client(monkeypatch, script, max_retries=1)
+        assert client.wait("j1") == self.DETAIL
+        assert calls == [("GET", "/jobs/j1/stream")] * 2 + [("GET", "/jobs/j1")]
+        assert len(sleeps) == 1
+
+    def test_drops_beyond_max_retries_raise_stream_interrupted(self, monkeypatch):
+        script = [self._dropped() for _ in range(3)]
+        client, calls, sleeps = _client(monkeypatch, script, max_retries=2)
+        with pytest.raises(StreamInterrupted):
+            client.wait("j1")
+        assert calls == [("GET", "/jobs/j1/stream")] * 3
+        assert len(sleeps) == 2
+
+    def test_no_retries_raises_at_once(self, monkeypatch):
+        script = [self._dropped()]
+        client, calls, sleeps = _client(monkeypatch, script)
+        with pytest.raises(StreamInterrupted):
+            client.wait("j1")
+        assert len(calls) == 1
+        assert sleeps == []
+
+    def test_refused_stream_retries_like_a_get(self, monkeypatch):
+        script = [
+            ServiceError("GET /jobs/j1/stream failed: refused"),
+            _Response(lines=[{"event": "done"}]),
+            _Response(self.DETAIL),
+        ]
+        client, calls, sleeps = _client(monkeypatch, script, max_retries=1)
+        assert client.wait("j1") == self.DETAIL
+        assert len(calls) == 3
+        assert len(sleeps) == 1
+
+    def test_http_error_on_stream_does_not_retry(self, monkeypatch):
+        script = [ServiceError("unknown job", status=404)]
+        client, calls, _ = _client(monkeypatch, script, max_retries=3)
+        with pytest.raises(ServiceError) as excinfo:
+            client.wait("j1")
+        assert excinfo.value.status == 404
+        assert len(calls) == 1
+
+    def test_stream_past_timeout_raises_service_error(self, monkeypatch):
+        # Every clock read advances one second: the 2.5 s budget runs
+        # out on the second streamed line, and no retry follows.
+        ticks = iter(range(1000))
+        script = [_Response(lines=[{"event": "ping"}] * 10)]
+        client, calls, sleeps = _client(monkeypatch, script, max_retries=3)
+        monkeypatch.setattr(
+            "repro.service.client.time.monotonic", lambda: float(next(ticks))
+        )
+        with pytest.raises(ServiceError, match="exceeded") as excinfo:
+            client.wait("j1", timeout=2.5)
+        assert not isinstance(excinfo.value, StreamInterrupted)
+        assert len(calls) == 1
+        assert sleeps == []

@@ -6,7 +6,9 @@ seeds are every module under ``repro.cli``, ``repro.service``,
 resolves through ``pkg/__init__``'s re-export to the submodule that
 defines ``name``; only ``import pkg``, ``from parent import pkg`` or a
 name the ``__init__`` defines itself follows a whole package
-``__init__``.  So a package re-export alone does not keep a module
+``__init__``.  A lazy package's ``_EXPORTS`` table (see
+:mod:`repro._lazy`) counts as the ``from .x import name`` statement each
+entry stands for.  So a package re-export alone does not keep a module
 alive: one that only tests, examples or benchmarks import fails this
 test.
 """
@@ -35,6 +37,28 @@ def _is_package(name: str) -> bool:
     return MODULES[name].name == "__init__.py"
 
 
+def _nodes(module: str) -> list[ast.AST]:
+    """Every AST node of ``module``, plus one ``from .x import name`` per
+    entry of a lazy ``_EXPORTS`` table."""
+    tree = ast.parse(MODULES[module].read_text())
+    nodes = list(ast.walk(tree))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "_EXPORTS"
+            for target in node.targets
+        ):
+            for name, path in ast.literal_eval(node.value).items():
+                relative = path.lstrip(".")
+                nodes.append(
+                    ast.ImportFrom(
+                        module=relative or None,
+                        names=[ast.alias(name)],
+                        level=len(path) - len(relative),
+                    )
+                )
+    return nodes
+
+
 def _base(module: str, node: ast.ImportFrom) -> str:
     if not node.level:
         return node.module or ""
@@ -46,7 +70,7 @@ def _base(module: str, node: ast.ImportFrom) -> str:
 
 def _defining(package: str, name: str) -> str:
     """Follow ``package/__init__``'s re-export of ``name`` to its module."""
-    for node in ast.walk(ast.parse(MODULES[package].read_text())):
+    for node in _nodes(package):
         if isinstance(node, ast.ImportFrom) and any(
             (alias.asname or alias.name) == name for alias in node.names
         ):
@@ -66,7 +90,7 @@ def _target(module: str, node: ast.ImportFrom, name: str) -> str | None:
 
 
 def _imports(module: str):
-    for node in ast.walk(ast.parse(MODULES[module].read_text())):
+    for node in _nodes(module):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
