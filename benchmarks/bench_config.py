@@ -15,7 +15,6 @@ SMALL = ExperimentConfig(
     scale=0.12,
     area_time_limit=5.0,
     route_time_limit=4.0,
-    trace_slices=4,
     num_samples=200,
 )
 

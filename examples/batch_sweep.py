@@ -7,7 +7,7 @@ Walks the sweep-scale API end to end:
 2. build one area+SNU mapping job per network,
 3. run them serially, then across a process pool (same results, less wall
    clock on multi-core machines),
-4. race HiGHS against the branch-and-bound backend per stage (portfolio),
+4. race HiGHS and the lp_round heuristic per stage (portfolio),
 5. re-run the sweep against a result cache and watch every job hit.
 
 Run:  python examples/batch_sweep.py
@@ -67,7 +67,7 @@ def main() -> None:
     print(f"pooled == serial: {identical}; "
           f"speedup {serial_wall / max(pooled_wall, 1e-9):.2f}x")
 
-    # 3. Portfolio: each stage races HiGHS vs branch-and-bound.
+    # 3. Portfolio: each stage races HiGHS and lp_round.
     portfolio, _ = timed(
         "portfolio", BatchMapper(jobs=4, portfolio=True), jobs[:4]
     )

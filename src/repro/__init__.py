@@ -6,8 +6,8 @@ Public API tour
 ---------------
 - :mod:`repro.snn` — networks, statistics, simulation, generators.
 - :mod:`repro.mca` — crossbar types/pools (Table II), NoC, processor model.
-- :mod:`repro.ilp` — ILP modeling layer with HiGHS and branch-and-bound
-  backends (the CP-SAT stand-in), plus picklable
+- :mod:`repro.ilp` — ILP modeling layer with the HiGHS backend (the
+  CP-SAT stand-in) and the ``lp_round`` heuristic, plus picklable
   :class:`~repro.ilp.solve.SolverSpec` solve entries for worker processes.
 - :mod:`repro.mapping` — the paper's formulations (area / SNU / PGO), the
   SpikeHard baseline, approximate baselines, the staged pipeline, and
@@ -89,7 +89,7 @@ __all__ = [
 ]
 
 #: Backends :func:`quick_map` understands.
-QUICK_MAP_BACKENDS = ("highs", "bnb", "portfolio")
+QUICK_MAP_BACKENDS = ("highs", "portfolio")
 
 
 def quick_map(
@@ -105,11 +105,11 @@ def quick_map(
     returns the best mapping found within ``time_limit`` seconds, warm-
     started by greedy first-fit so a valid mapping is always returned.
 
-    ``backend`` picks the solver: ``"highs"`` (default), ``"bnb"`` (the
-    pure-Python branch and bound), or ``"portfolio"`` (race both, keep the
-    best incumbent).  ``seed`` — when given — shuffles the greedy
-    warm-start's placement order reproducibly, which diversifies the
-    starting incumbent across calls.
+    ``backend`` picks the solver: ``"highs"`` (default) or
+    ``"portfolio"`` (HiGHS, then the ``lp_round`` heuristic; the best
+    incumbent is kept).  ``seed`` — when given — shuffles the
+    greedy warm-start's placement order reproducibly, which diversifies
+    the starting incumbent across calls.
     """
     # Imported here, not at module level: the package resolves its
     # exports lazily, and a module ``__getattr__`` is not consulted for
@@ -146,10 +146,6 @@ def quick_map(
         # members, so the documented time_limit holds as a total.
         solver = portfolio_solver_factory()(time_limit)
     else:
-        solver = SolverSpec(
-            backend,
-            time_limit=time_limit,
-            node_limit=20_000 if backend == "bnb" else None,
-        ).build()
+        solver = SolverSpec(backend, time_limit=time_limit).build()
     result = solver.solve(handle.model, warm_start=warm)
     return handle.extract_mapping(result)

@@ -249,8 +249,8 @@ class BatchMapper:
         Worker-process count.  ``1`` (default) runs in-process, in
         submission order, matching a plain serial loop bit-for-bit.
     portfolio:
-        Race HiGHS against the branch-and-bound backend per stage and keep
-        the best incumbent (see :mod:`repro.batch.portfolio`).  May also
+        Race HiGHS and the ``lp_round`` heuristic per stage and keep the
+        best incumbent (see :mod:`repro.batch.portfolio`).  May also
         be a :data:`~repro.mapping.pipeline.SolverFactory` for a custom
         per-stage solver (e.g. a different portfolio composition) —
         callable factories are serial-only (``jobs=1``): closures do not

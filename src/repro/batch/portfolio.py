@@ -1,11 +1,10 @@
 """Solver portfolio: race several backends on one model, keep the best.
 
 MILP solvers have wildly instance-dependent performance; a portfolio that
-runs HiGHS and the pure-Python branch and bound on the same model and
-keeps the best incumbent is more robust than betting on either alone
-(HiGHS usually wins on raw speed; the B&B occasionally lands a better
-incumbent inside a tight budget because its warm-started primal heuristics
-fire immediately).
+runs a fast heuristic (``lp_round``) and exact HiGHS on the same model and
+keeps the best incumbent is more robust than betting on either alone (the
+heuristic lands a strong incumbent in O(LP) time; HiGHS improves on it and
+proves).
 
 Two race modes:
 
@@ -42,10 +41,10 @@ from ..ilp.model import Model, ObjectiveSense
 from ..ilp.result import SolveResult, SolveStatus
 from ..ilp.solve import SolverSpec, solve_model
 
-#: The default portfolio: full-budget HiGHS plus a node-capped B&B.
+#: The default portfolio: full-budget HiGHS, then the LP-rounding racer.
 DEFAULT_SPECS = (
     SolverSpec("highs"),
-    SolverSpec("bnb", node_limit=20_000),
+    SolverSpec("lp_round", time_limit=5.0),
 )
 
 #: The structure-exploiting portfolio: the LP-rounding racer produces a

@@ -663,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1 = serial)")
     batch.add_argument("--portfolio", action="store_true",
-                       help="race HiGHS vs branch-and-bound per solve")
+                       help="race HiGHS and lp_round per solve")
     batch.add_argument("--snu", action="store_true",
                        help="run SNU route minimization after area")
     batch.add_argument("--homogeneous", action="store_true",
@@ -706,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--jobs", type=int, default=1,
                      help="worker processes (1 = serial)")
     dse.add_argument("--portfolio", action="store_true",
-                     help="race HiGHS vs branch-and-bound per solve")
+                     help="race HiGHS and lp_round per solve")
     dse.add_argument("--time-limit", type=float, default=10.0,
                      help="per-stage solver budget in seconds")
     dse.add_argument("--cache-dir", default=None,
@@ -758,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=int, default=1,
                        help="solver worker processes per batch (1 = in-process)")
     serve.add_argument("--portfolio", action="store_true",
-                       help="race HiGHS vs branch-and-bound per solve")
+                       help="race HiGHS and lp_round per solve")
     serve.add_argument("--time-limit", type=float, default=10.0,
                        help="default per-stage solver budget in seconds")
     serve.add_argument("--cache-dir", default=None,

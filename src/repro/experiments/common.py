@@ -84,9 +84,8 @@ def stage_backend(config: ExperimentConfig, time_limit: float | None):
     """The solver an exhibit stage should use under ``config``.
 
     Plain HiGHS by default; a racing portfolio when ``config.portfolio``
-    is set.  (The evolution-trace exhibits are the exception — time-sliced
-    re-solves are HiGHS-specific, see :func:`repro.ilp.highs_backend.
-    solve_with_trace`.)
+    is set.  (The evolution-trace exhibits are the exception: they read
+    the incumbent stream of one plain HiGHS solve.)
     """
     if config.portfolio:
         from ..batch.portfolio import portfolio_solver_factory

@@ -19,10 +19,10 @@ def run_fig8(config: ExperimentConfig) -> ExhibitResult:
     points = evolution_frontier(problem, config)
     bound_area, bound_routes = hypothetical_bound(problem)
     rows = [
-        (round(p.det_time, 1), p.area, p.routes_area_opt, p.routes_snu_opt)
+        (round(p.seconds, 2), p.area, p.routes_area_opt, p.routes_snu_opt)
         for p in points
     ]
-    headers = ["det_time", "area", "routes(area-opt)", "routes(SNU)"]
+    headers = ["seconds", "area", "routes(area-opt)", "routes(SNU)"]
     note = (
         f"hypothetical one-neuron-per-minimal-crossbar bound: "
         f"area={bound_area:g}, routes={bound_routes} "

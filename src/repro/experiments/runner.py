@@ -29,13 +29,12 @@ class ExperimentConfig:
     het_slots_per_type: int = 12
     area_time_limit: float = 15.0  # seconds of HiGHS wall time
     route_time_limit: float = 8.0
-    trace_slices: int = 6  # time-sliced re-solves for evolution traces
     profile_fraction: float = 0.01  # §V-H: 1% PGO sample
     sim_window: int = 24
     num_samples: int = 400
     encoding: str = "ttfs"  # detector hits are single spikes per pixel
     jobs: int = 1  # worker processes for multi-network sweeps
-    portfolio: bool = False  # race HiGHS vs B&B per solve
+    portfolio: bool = False  # race HiGHS and lp_round per solve
 
     def full_scale(self) -> "ExperimentConfig":
         """Paper-scale variant (hours of solver time)."""
@@ -149,8 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--portfolio", action="store_true",
-        help="race HiGHS against branch-and-bound per ILP solve and keep "
-             "the best (evolution traces always use HiGHS time slicing)",
+        help="race HiGHS and lp_round per ILP solve and keep the best "
+             "(evolution traces always read one plain HiGHS solve)",
     )
     args = parser.parse_args(argv)
 

@@ -1,16 +1,14 @@
 """Integer-linear-programming substrate.
 
-A small modeling layer (:class:`Model`, :func:`lin_sum`) plus two exact
-backends: :class:`HighsBackend` (SciPy/HiGHS) and :class:`BnBBackend`
-(pure-Python branch and bound with incumbent-stream recording).  Stands in
-for the OR-Tools CP-SAT stack used by the paper.
+A small modeling layer (:class:`Model`, :func:`lin_sum`) plus one exact
+backend, :class:`HighsBackend` (HiGHS through SciPy's bundled binding,
+with incumbent-stream recording), and the ``lp_round`` heuristic.  Stands
+in for the OR-Tools CP-SAT stack used by the paper.
 """
 
-from .bnb_backend import BnBBackend, BnBOptions, BranchAndBoundBackend
-from .dettime import DeterministicClock
 from .expr import Constraint, LinExpr, Sense, Variable, VarType, lin_sum
 from .greedy_rounding import lp_rounding_warm_start
-from .highs_backend import HighsBackend, HighsOptions, solve_with_trace
+from .highs_backend import HighsBackend, HighsOptions
 from .model import CODE_SENSES, SENSE_CODES, MatrixForm, Model, ObjectiveSense, RowSystem
 from .result import Incumbent, SolveResult, SolveStatus
 from .solve import BACKEND_NAMES, SolverSpec, solve_model
@@ -20,11 +18,7 @@ __all__ = [
     "CODE_SENSES",
     "SENSE_CODES",
     "RowSystem",
-    "BnBBackend",
-    "BnBOptions",
-    "BranchAndBoundBackend",
     "Constraint",
-    "DeterministicClock",
     "HighsBackend",
     "HighsOptions",
     "Incumbent",
@@ -41,5 +35,4 @@ __all__ = [
     "VarType",
     "lin_sum",
     "lp_rounding_warm_start",
-    "solve_with_trace",
 ]

@@ -1,18 +1,84 @@
-"""LP-rounding warm-start generator.
+"""LP relaxation helper and the LP-rounding warm-start generator.
 
-Solves the LP relaxation of a model once, then greedily repairs the rounded
-point into feasibility by re-solving with progressively more variables
-fixed.  Used to seed both backends; a feasible warm start lets HiGHS prune
-with a cutoff and gives branch and bound an immediate incumbent.
+:class:`_LpRelaxation` solves a lowered model's LP relaxation under
+mutable variable bounds; :mod:`repro.ilp.lp_round` races on it.
+:func:`lp_rounding_warm_start` solves the relaxation, then greedily
+repairs the rounded point into feasibility by re-solving with
+progressively more variables fixed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
-from .bnb_backend import _LpRelaxation
-from .model import Model
+from .model import MatrixForm, Model
+
+INT_TOL = 1e-6
+FEAS_TOL = 1e-6
+
+
+class _LpRelaxation:
+    """LP relaxation of a lowered model with mutable variable bounds."""
+
+    def __init__(self, form: MatrixForm) -> None:
+        self.form = form
+        a = form.a_matrix.tocsr()
+        eq_rows = np.isfinite(form.row_lb) & (form.row_lb == form.row_ub)
+        ub_rows = np.isfinite(form.row_ub) & ~eq_rows
+        lb_rows = np.isfinite(form.row_lb) & ~eq_rows
+
+        self.a_eq = a[eq_rows] if eq_rows.any() else None
+        self.b_eq = form.row_ub[eq_rows] if eq_rows.any() else None
+        blocks = []
+        rhs = []
+        if ub_rows.any():
+            blocks.append(a[ub_rows])
+            rhs.append(form.row_ub[ub_rows])
+        if lb_rows.any():
+            blocks.append(-a[lb_rows])
+            rhs.append(-form.row_lb[lb_rows])
+        self.a_ub = sparse.vstack(blocks).tocsr() if blocks else None
+        self.b_ub = np.concatenate(rhs) if rhs else None
+        self.nnz = a.nnz
+
+    def solve(self, lb: np.ndarray, ub: np.ndarray):
+        """Solve the relaxation under the given variable bounds.
+
+        Returns ``(status, objective, x, iterations)`` where status is one
+        of 'optimal', 'infeasible', 'unbounded', 'error'.
+        """
+        res = linprog(
+            c=self.form.c,
+            A_ub=self.a_ub,
+            b_ub=self.b_ub,
+            A_eq=self.a_eq,
+            b_eq=self.b_eq,
+            bounds=np.column_stack([lb, ub]),
+            method="highs",
+        )
+        iterations = int(getattr(res, "nit", 0) or 0)
+        if res.status == 0:
+            return "optimal", float(res.fun), np.asarray(res.x), iterations
+        if res.status == 2:
+            return "infeasible", None, None, iterations
+        if res.status == 3:
+            return "unbounded", None, None, iterations
+        return "error", None, None, iterations
+
+    def is_feasible(self, x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> bool:
+        """Feasibility check in matrix form (bounds, rows, integrality)."""
+        if np.any(x < lb - FEAS_TOL) or np.any(x > ub + FEAS_TOL):
+            return False
+        int_mask = self.form.integrality > 0
+        if np.any(np.abs(x[int_mask] - np.round(x[int_mask])) > INT_TOL):
+            return False
+        ax = self.form.a_matrix @ x
+        return bool(
+            np.all(ax <= self.form.row_ub + FEAS_TOL)
+            and np.all(ax >= self.form.row_lb - FEAS_TOL)
+        )
 
 
 def lp_rounding_warm_start(

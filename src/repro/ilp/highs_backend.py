@@ -1,10 +1,14 @@
-"""MILP backend on top of :func:`scipy.optimize.milp` (HiGHS).
+"""The exact MILP backend: HiGHS, driven through SciPy's bundled binding.
 
-This is the primary exact solver, standing in for the paper's OR-Tools
-CP-SAT.  HiGHS does not expose an incumbent callback through SciPy, so
-:func:`solve_with_trace` emulates the paper's intermediate-solution plots
-(Figs. 3/7/8) with geometrically growing time-sliced re-solves; the
-pure-Python branch-and-bound backend records true incumbent streams.
+SciPy (>= 1.17) ships HiGHS together with its pybind11 binding as the
+private class ``scipy.optimize._highspy._core._Highs``.  Driving it
+directly, instead of through :func:`scipy.optimize.milp`, exposes the
+solver's callbacks: every improving solution becomes an
+:class:`~repro.ilp.result.Incumbent` and a live ``trace.progress`` event.
+That incumbent stream stands in for the CP-SAT solution callbacks the
+paper reads its area/SNU evolution figures (Figs. 3, 7, 8) from.  Because
+the binding is private, ``tests/ilp/test_highs_binding.py`` probes every
+member used here.
 """
 
 from __future__ import annotations
@@ -13,21 +17,30 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy import sparse
+from scipy.optimize._highspy import _core as _highs
 
-from .model import Model
+from .. import trace
+from .model import MatrixForm, Model
 from .result import Incumbent, SolveResult, SolveStatus
 
 #: Deterministic work units charged per HiGHS branch-and-bound node plus a
-#: per-nonzero setup charge.  The scale is a convention (see
-#: repro.ilp.dettime); mip_node_count is the only deterministic effort
-#: figure SciPy exposes, so model size supplies the second-order term —
-#: together they reproduce CP-SAT's "number, type and complexity of solver
-#: operations" spirit.
+#: per-nonzero setup charge.  The scale is a convention: only ratios
+#: between runs mean anything.  The node count is the one deterministic
+#: effort figure HiGHS reports (its improving-solution callback reads
+#: ``simplex_iteration_count`` as -1), so model size supplies the
+#: second-order term.
 DET_UNITS_PER_NODE = 25.0
 DET_UNITS_PER_NNZ = 0.01
 #: HiGHS's own ``mip_rel_gap`` default: a stop at or below it is a proof.
 HIGHS_DEFAULT_GAP = 1e-4
+
+_CALLBACK = _highs.cb.HighsCallbackType
+_STATUS = _highs.HighsModelStatus
+
+
+class HighsError(RuntimeError):
+    """HiGHS could not take the model or options, or its solve failed."""
 
 
 @dataclass(frozen=True)
@@ -37,17 +50,18 @@ class HighsOptions:
     time_limit: float | None = None  # seconds of wall time
     mip_rel_gap: float | None = None  # stop at this relative gap
     node_limit: int | None = None
-    presolve: bool = True
 
-    def to_scipy(self) -> dict:
-        options: dict = {"disp": False, "presolve": self.presolve}
-        if self.time_limit is not None:
-            options["time_limit"] = float(self.time_limit)
-        if self.mip_rel_gap is not None:
-            options["mip_rel_gap"] = float(self.mip_rel_gap)
-        if self.node_limit is not None:
-            options["node_limit"] = int(self.node_limit)
-        return options
+
+def highs_option_values(options: HighsOptions) -> dict[str, bool | int | float]:
+    """The HiGHS option names and values ``options`` translates to."""
+    values: dict[str, bool | int | float] = {"output_flag": False}
+    if options.time_limit is not None:
+        values["time_limit"] = float(options.time_limit)
+    if options.mip_rel_gap is not None:
+        values["mip_rel_gap"] = float(options.mip_rel_gap)
+    if options.node_limit is not None:
+        values["mip_max_nodes"] = int(options.node_limit)
+    return values
 
 
 class HighsBackend:
@@ -64,18 +78,19 @@ class HighsBackend:
         warm_start: dict[str, float] | np.ndarray | None = None,
         keep_values: bool = True,
     ) -> SolveResult:
-        """Solve ``model``.
+        """Solve ``model``, recording every improving solution.
 
-        ``warm_start`` (name-keyed dict or dense index-ordered vector)
-        cannot seed HiGHS through SciPy, but a feasible warm start still
-        helps: its objective is added as a cutoff constraint
-        (``objective <= warm_obj``), which prunes the tree, and it is
-        returned as the solution whenever HiGHS itself finds nothing better
-        within its limits.
+        A feasible ``warm_start`` (name-keyed dict or dense index-ordered
+        vector) is the time-zero incumbent.  It enters HiGHS as a cutoff
+        row (``objective <= warm_obj``), which prunes the tree, and it is
+        returned whenever HiGHS finds nothing better within its limits.
+        An exception raised inside a HiGHS callback (a ``KeyboardInterrupt``
+        included) stops the search and is re-raised once ``run()`` returns.
         """
         entry = time.perf_counter()
         form = model.lower()
         lower_wall = time.perf_counter() - entry
+        incumbents: list[Incumbent] = []
         warm_x: np.ndarray | None = None
         warm_obj: float | None = None
         if warm_start is not None:
@@ -87,40 +102,71 @@ class HighsBackend:
                     + ("..." if len(violations) > 3 else "")
                 )
             warm_obj = form.objective_value(warm_x)
+            values = model.values_dict(warm_x) if keep_values else None
+            incumbents.append(Incumbent(warm_obj, 0.0, 0.0, values))
 
         start = time.perf_counter()
-        constraints = []
-        if form.num_rows:
-            constraints.append(
-                LinearConstraint(form.a_matrix, form.row_lb, form.row_ub)
-            )
-        if warm_obj is not None:
-            # Cutoff: sign-folded minimized objective must not exceed the
-            # warm start's (also sign-folded) value.
-            row = form.c.reshape(1, -1)
-            cutoff = form.sign * warm_obj - form.offset
-            constraints.append(LinearConstraint(row, -np.inf, cutoff + 1e-9))
+        highs = _load(form, warm_obj, self.options)
+        setup_units = DET_UNITS_PER_NNZ * form.a_matrix.nnz
+        # Improving solutions as (objective, det_time, seconds, x), kept
+        # strictly better than the previous one (and than the warm start).
+        found: list[tuple[float, float, float, np.ndarray | None]] = []
+        best = np.inf if warm_obj is None else form.sign * warm_obj - form.offset
+        failures: list[BaseException] = []
 
-        res = milp(
-            c=form.c,
-            constraints=constraints,
-            integrality=form.integrality,
-            bounds=Bounds(form.var_lb, form.var_ub),
-            options=self.options.to_scipy(),
-        )
+        def callback(kind, _message, out, data_in, _user_data) -> None:
+            nonlocal best
+            try:
+                if failures:
+                    data_in.user_interrupt = True
+                    return
+                if kind == _CALLBACK.kCallbackMipInterrupt:
+                    return
+                if out.objective_function_value >= best - 1e-9:
+                    return
+                best = out.objective_function_value
+                objective = form.sign * (best + form.offset)
+                det_time = DET_UNITS_PER_NODE * max(out.mip_node_count, 1) + setup_units
+                x = np.array(out.mip_solution) if keep_values else None
+                found.append((objective, det_time, out.running_time, x))
+                trace.progress(
+                    "incumbent",
+                    objective=objective,
+                    bound=_user_bound(form, out.mip_dual_bound),
+                    nodes=out.mip_node_count,
+                    det_time=det_time,
+                )
+            except BaseException as exc:  # noqa: BLE001 - re-raised after run()
+                # Raised through HiGHS it would unwind run() mid-search and
+                # leave the model status unset; stop the search instead.
+                failures.append(exc)
+                data_in.user_interrupt = True
+
+        highs.setCallback(callback, None)
+        highs.startCallback(_CALLBACK.kCallbackMipImprovingSolution)
+        highs.startCallback(_CALLBACK.kCallbackMipInterrupt)
+        run_status = highs.run()
         wall = time.perf_counter() - start
-        nodes = int(getattr(res, "mip_node_count", 0) or 0)
-        det_time = (
-            DET_UNITS_PER_NODE * max(nodes, 1)
-            + DET_UNITS_PER_NNZ * form.a_matrix.nnz
+        if failures:
+            raise failures[0]
+        model_status = highs.getModelStatus()
+        if run_status == _highs.HighsStatus.kError:
+            raise HighsError(
+                f"HiGHS solve failed: {highs.modelStatusToString(model_status)}"
+            )
+        info = highs.getInfo()
+        nodes = max(int(info.mip_node_count), 0)
+        det_time = DET_UNITS_PER_NODE * max(nodes, 1) + setup_units
+        is_mip = bool(np.any(form.integrality > 0))
+        status = _translate_status(
+            model_status, info, self.options.mip_rel_gap if is_mip else None
         )
 
-        status = _translate_status(res, self.options.mip_rel_gap)
         best_x: np.ndarray | None = None
-        values: dict[str, float] | None = None
         objective: float | None = None
-        if status.has_solution() and res.x is not None:
-            best_x = _snap_integers(np.asarray(res.x), form.integrality)
+        if status.has_solution():
+            x = np.asarray(highs.getSolution().col_value)
+            best_x = _snap_integers(x, form.integrality)
             objective = form.objective_value(best_x)
         elif warm_x is not None:
             # HiGHS hit a limit (or pruned everything past the cutoff)
@@ -128,17 +174,22 @@ class HighsBackend:
             status = SolveStatus.FEASIBLE
             best_x = warm_x
             objective = warm_obj
-        if best_x is not None and keep_values:
-            values = model.values_dict(best_x)
+        values = model.values_dict(best_x) if best_x is not None and keep_values else None
+        bound = _user_bound(form, info.mip_dual_bound) if is_mip else None
 
-        bound = None
-        dual = getattr(res, "mip_dual_bound", None)
-        if dual is not None and np.isfinite(dual):
-            bound = form.sign * (float(dual) + form.offset)
-
-        incumbents = []
-        if objective is not None:
+        for inc_objective, inc_det, seconds, x in found:
+            inc_values = None
+            if x is not None:
+                inc_values = model.values_dict(_snap_integers(x, form.integrality))
+            incumbents.append(Incumbent(inc_objective, inc_det, seconds, inc_values))
+        if objective is not None and (
+            not incumbents
+            or form.sign * objective < form.sign * incumbents[-1].objective - 1e-9
+        ):
             incumbents.append(Incumbent(objective, det_time, wall, values))
+        trace.progress(
+            "bound", objective=objective, bound=bound, nodes=nodes, det_time=det_time
+        )
         return SolveResult(
             status=status,
             objective=objective,
@@ -154,72 +205,71 @@ class HighsBackend:
         )
 
 
-def solve_with_trace(
-    model: Model,
-    total_time: float,
-    num_slices: int = 8,
-    warm_start: dict[str, float] | np.ndarray | None = None,
-) -> SolveResult:
-    """Emulate an incumbent trajectory with geometric time-sliced re-solves.
-
-    Runs HiGHS with time limits ``total_time / 2**(num_slices-1) ...
-    total_time`` and records each improvement, approximating the
-    intermediate-solution stream CP-SAT callbacks gave the paper.  The
-    returned result is the final (largest-budget) solve with the merged
-    incumbent trace attached.
-    """
-    if total_time <= 0:
-        raise ValueError("total_time must be positive")
-    limits = [total_time / (2 ** k) for k in reversed(range(num_slices))]
-    best: SolveResult | None = None
-    trace: list[Incumbent] = []
-    seen_best = float("inf")
-    det_accum = 0.0
-    if warm_start is not None:
-        # The warm start is the time-zero incumbent (as CP-SAT reports it).
-        x0 = model.dense_values(warm_start)
-        seen_best = model.objective_of(x0)
-        trace.append(Incumbent(seen_best, 0.0, 0.0, model.values_dict(x0)))
-    for limit in limits:
-        backend = HighsBackend(HighsOptions(time_limit=limit))
-        res = backend.solve(model, warm_start=warm_start)
-        det_accum += res.det_time
-        if res.status.has_solution() and res.objective is not None:
-            if res.objective < seen_best - 1e-9:
-                seen_best = res.objective
-                trace.append(
-                    Incumbent(res.objective, det_accum, res.wall_time, res.values)
-                )
-            if warm_start is None or res.objective < model.objective_of(warm_start):
-                warm_start = res.values
-        best = res
-        if res.status is SolveStatus.OPTIMAL:
-            break
-    assert best is not None
-    best.incumbents = trace
-    best.det_time = det_accum
-    return best
+def _load(form: MatrixForm, cutoff: float | None, options: HighsOptions):
+    """A fresh ``_Highs`` set up per ``options`` holding ``form``, plus
+    the warm-start cutoff row."""
+    blocks = [sparse.csc_array(form.a_matrix)]
+    row_lb, row_ub = form.row_lb, form.row_ub
+    if cutoff is not None:
+        # Cutoff: sign-folded minimized objective must not exceed the
+        # warm start's (also sign-folded) value.
+        blocks.append(sparse.csc_array(form.c.reshape(1, -1)))
+        row_lb = np.append(row_lb, -np.inf)
+        row_ub = np.append(row_ub, form.sign * cutoff - form.offset + 1e-9)
+    a = sparse.vstack(blocks, format="csc") if len(blocks) > 1 else blocks[0]
+    highs = _highs._Highs()
+    # Options first: loading a model with output on prints a banner.
+    for option, value in highs_option_values(options).items():
+        if highs.setOptionValue(option, value) == _highs.HighsStatus.kError:
+            raise HighsError(f"HiGHS rejected option {option}={value!r}")
+    status = highs.passModel(
+        form.num_vars,
+        a.shape[0],
+        a.nnz,
+        int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize),
+        0.0,
+        np.asarray(form.c, dtype=np.float64),
+        np.asarray(form.var_lb, dtype=np.float64),
+        np.asarray(form.var_ub, dtype=np.float64),
+        np.asarray(row_lb, dtype=np.float64),
+        np.asarray(row_ub, dtype=np.float64),
+        a.indptr.astype(np.int32),
+        a.indices.astype(np.int32),
+        a.data.astype(np.float64),
+        np.asarray(form.integrality, dtype=np.int32),
+    )
+    if status == _highs.HighsStatus.kError:
+        raise HighsError("HiGHS rejected the model")
+    return highs
 
 
-def _translate_status(res, mip_rel_gap: float | None) -> SolveStatus:
-    # scipy.optimize.milp status codes: 0 optimal, 1 iteration/time limit,
-    # 2 infeasible, 3 unbounded, 4 other.  Status 0 also covers a stop at
-    # a caller-loosened mip_rel_gap, which proves nothing beyond the gap.
-    if res.status == 0:
-        gap = getattr(res, "mip_gap", None)
+def _user_bound(form: MatrixForm, dual_bound: float) -> float | None:
+    """A HiGHS dual bound in the model's own objective sense, if finite."""
+    if not np.isfinite(dual_bound):
+        return None
+    return form.sign * (float(dual_bound) + form.offset)
+
+
+def _translate_status(model_status, info, mip_rel_gap: float | None) -> SolveStatus:
+    # A HiGHS "optimal" also covers a stop at a caller-loosened
+    # mip_rel_gap, which proves nothing beyond the gap.
+    if model_status == _STATUS.kOptimal:
         if (
             mip_rel_gap is not None
             and mip_rel_gap > HIGHS_DEFAULT_GAP
-            and gap is not None
-            and gap > HIGHS_DEFAULT_GAP
+            and info.mip_gap > HIGHS_DEFAULT_GAP
         ):
             return SolveStatus.FEASIBLE
         return SolveStatus.OPTIMAL
-    if res.status == 2:
+    if model_status == _STATUS.kInfeasible:
         return SolveStatus.INFEASIBLE
-    if res.status == 3:
+    if model_status == _STATUS.kUnbounded:
         return SolveStatus.UNBOUNDED
-    if res.x is not None:
+    if (
+        model_status != _STATUS.kUnboundedOrInfeasible
+        and info.primal_solution_status == _highs.kSolutionStatusFeasible
+    ):
         return SolveStatus.FEASIBLE
     return SolveStatus.NO_SOLUTION
 

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnb_backend import _LpRelaxation
-from .greedy_rounding import lp_rounding_warm_start
+from .greedy_rounding import _LpRelaxation, lp_rounding_warm_start
 from .model import Model, ObjectiveSense
 from .result import Incumbent, SolveResult, SolveStatus
 

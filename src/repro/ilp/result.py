@@ -27,8 +27,9 @@ class Incumbent:
     """One improving solution found during the search.
 
     ``det_time`` is the backend's deterministic work measure at the moment
-    the incumbent was found (see :mod:`repro.ilp.dettime`); ``wall_time``
-    is elapsed seconds.  ``values`` maps variable *name* to value and may be
+    the incumbent was found (HiGHS: node-based units, see
+    :data:`repro.ilp.highs_backend.DET_UNITS_PER_NODE`); ``wall_time`` is
+    elapsed solver seconds (0 for a warm start).  ``values`` maps variable *name* to value and may be
     ``None`` when the backend was asked not to retain full assignments.
     """
 

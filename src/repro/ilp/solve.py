@@ -9,7 +9,7 @@ things the backend classes alone don't give it:
    turns a ``KeyboardInterrupt`` (pool shutdown, Ctrl-C) into a best-effort
    result instead of a poisoned worker.
 
-Both backends' option objects are plain frozen dataclasses and every
+Every backend's option object is a plain frozen dataclass and every
 :class:`~repro.ilp.result.SolveResult` contains only plain data, so the
 full request/response cycle pickles without custom reducers.
 """
@@ -20,14 +20,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bnb_backend import BnBBackend, BnBOptions
 from .highs_backend import HighsBackend, HighsOptions
 from .lp_round import LpRoundBackend, LpRoundOptions
 from .model import Model
 from .result import Incumbent, SolveResult, SolveStatus
 
 #: Names accepted by :attr:`SolverSpec.backend`.
-BACKEND_NAMES = ("highs", "bnb", "lp_round")
+BACKEND_NAMES = ("highs", "lp_round")
 
 #: Values accepted by :attr:`SolverSpec.emphasis` (``None`` = balanced).
 EMPHASIS_MODES = ("speed", "quality")
@@ -43,8 +42,8 @@ class SolverSpec:
 
     ``build()`` instantiates the concrete backend; the spec itself is what
     travels between processes.  Fields that a backend does not understand
-    are simply ignored by it (e.g. ``det_limit`` for HiGHS, ``node_limit``
-    for ``lp_round``).
+    are simply ignored by it (e.g. ``node_limit`` and ``mip_rel_gap`` for
+    ``lp_round``).
 
     Tuning knobs (all optional, all picklable):
 
@@ -53,8 +52,6 @@ class SolverSpec:
       this (``0.05`` = accept 5%-from-proven);
     - ``node_limit`` — branch-and-bound node cap (anytime behavior: the
       best incumbent at the cap is returned as ``FEASIBLE``);
-    - ``det_limit`` — deterministic-work cap (``bnb`` only; reproducible
-      across machines, unlike wall time);
     - ``emphasis`` — coarse intent: ``"speed"`` loosens the gap to
       :data:`SPEED_EMPHASIS_GAP` when no explicit gap is set (cheap DSE
       fidelity rungs), ``"quality"`` forces the gap to 0 even if a looser
@@ -62,17 +59,16 @@ class SolverSpec:
       backend's balanced defaults.  Explicit ``mip_rel_gap`` always wins
       over ``"speed"``.
 
-    Backends: ``"highs"`` (exact, SciPy HiGHS), ``"bnb"`` (exact,
-    pure-Python branch and bound), ``"lp_round"`` (heuristic LP-relaxation
-    rounding — returns a feasible incumbent and a true LP dual bound fast,
-    never a proof; see :mod:`repro.ilp.lp_round`).
+    Backends: ``"highs"`` (exact, HiGHS through SciPy's bundled binding)
+    and ``"lp_round"`` (heuristic LP-relaxation rounding — returns a
+    feasible incumbent and a true LP dual bound fast, never a proof; see
+    :mod:`repro.ilp.lp_round`).
     """
 
     backend: str = "highs"
     time_limit: float | None = None  # wall seconds
     mip_rel_gap: float | None = None  # relative-gap stop
     node_limit: int | None = None  # branch-and-bound node cap
-    det_limit: float | None = None  # deterministic work cap (bnb only)
     emphasis: str | None = None  # "speed" | "quality" | None (balanced)
 
     def __post_init__(self) -> None:
@@ -111,20 +107,11 @@ class SolverSpec:
                     node_limit=self.node_limit,
                 )
             )
-        if self.backend == "lp_round":
-            return LpRoundBackend(
-                LpRoundOptions(
-                    time_limit=self.time_limit if self.time_limit is not None else 5.0
-                )
+        return LpRoundBackend(
+            LpRoundOptions(
+                time_limit=self.time_limit if self.time_limit is not None else 5.0
             )
-        gap = self.effective_gap(1e-6)
-        options = BnBOptions(
-            max_nodes=self.node_limit if self.node_limit is not None else 100_000,
-            time_limit=self.time_limit,
-            det_limit=self.det_limit,
-            gap_tol=gap if gap is not None else 1e-6,
         )
-        return BnBBackend(options)
 
 
 def solve_model(

@@ -40,7 +40,7 @@ from .solution import Mapping
 
 
 class SolverBackend(Protocol):
-    """Anything that can solve a lowered model (HiGHS, B&B, a portfolio)."""
+    """Anything that can solve a lowered model (HiGHS, lp_round, a portfolio)."""
 
     def solve(
         self,

@@ -33,7 +33,7 @@ class SpanJournal:
     ``flush_every`` bounds the buffer; the default of 1 makes every
     record durable immediately — span volume is a few dozen per job, so
     a flock+write per record is noise next to the solves being traced.
-    Hot emitters (BnB progress) may batch by passing a larger value.
+    Hot emitters (solver progress) may batch by passing a larger value.
     """
 
     def __init__(self, path: str | Path, flush_every: int = 1) -> None:

@@ -249,7 +249,7 @@ def progress(
 ) -> None:
     """Live solver progress: journal an event + refresh the gap gauge.
 
-    Called from solver hot paths (BnB incumbent/bound updates), so it
+    Called from solver hot paths (HiGHS incumbent callbacks), so it
     bails in two loads when tracing is inactive.  The relative gap is
     derived here once so every surface (heartbeats, ``/metrics``,
     ``repro trace``) reports the same number.

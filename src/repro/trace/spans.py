@@ -8,7 +8,7 @@ One JSONL line per record, two kinds:
     wall-clock epoch seconds (so records from different processes line
     up), ``dur`` is seconds.
 ``event``
-    A point-in-time observation (BnB incumbents, bound updates):
+    A point-in-time observation (solver incumbents, bound updates):
     ``{"format", "kind": "event", "trace", "span", "name", "ts",
     "proc", "attrs"}``.
 

@@ -38,12 +38,12 @@ def _area_instance():
 
 class TestWinnerSelection:
     def test_picks_the_better_incumbent(self):
-        """A crippled B&B (0 nodes = warm start only) must lose to HiGHS."""
+        """A crippled arm (0 nodes = warm start only) must lose to HiGHS."""
         handle, warm = _area_instance()
         crippled = PortfolioSolver(
             PortfolioOptions(
                 specs=(
-                    SolverSpec("bnb", node_limit=0),
+                    SolverSpec("highs", node_limit=0),
                     SolverSpec("highs", time_limit=5.0),
                 ),
                 stop_on_optimal=False,
@@ -63,7 +63,7 @@ class TestWinnerSelection:
             PortfolioOptions(
                 specs=(
                     SolverSpec("highs", time_limit=5.0),
-                    SolverSpec("bnb", node_limit=50),
+                    SolverSpec("highs", node_limit=0),
                 ),
                 stop_on_optimal=False,
             )
@@ -80,7 +80,7 @@ class TestWinnerSelection:
             PortfolioOptions(
                 specs=(
                     SolverSpec("highs", time_limit=5.0),
-                    SolverSpec("bnb", node_limit=50),
+                    SolverSpec("highs", node_limit=0),
                 ),
                 stop_on_optimal=True,
             )
@@ -90,7 +90,7 @@ class TestWinnerSelection:
             handle.model, warm_start=warm
         )
         if alone.status is SolveStatus.OPTIMAL:
-            # B&B never ran, so no extra deterministic effort was charged.
+            # The second arm never ran, so no extra effort was charged.
             assert result.det_time == pytest.approx(alone.det_time)
 
     def test_sequential_solve_is_deterministic(self):
@@ -103,24 +103,29 @@ class TestWinnerSelection:
 
     def test_maximize_models_pick_the_larger_objective(self):
         """Winner selection must honor the objective sense."""
+        # A 0/1 knapsack HiGHS presolve cannot close, so the 0-node arm
+        # below really is stuck at its warm start.
         model = Model("maximize")
-        x = model.add_binary("x")
-        y = model.add_binary("y")
-        model.add(lin_sum([x, y]) <= 2, name="cap")
-        model.maximize(lin_sum([x, y]))
-        warm = {"x": 1.0, "y": 0.0}  # objective 1; the optimum is 2
+        weights = [3, 4, 5, 8, 9, 2, 7]
+        values = [4, 5, 6, 10, 12, 1, 9]
+        xs = [model.add_binary(f"x{i}") for i in range(len(weights))]
+        model.add(lin_sum(w * x for w, x in zip(weights, xs)) <= 15, name="cap")
+        model.maximize(lin_sum(v * x for v, x in zip(values, xs)))
+        warm = {"x0": 1.0}  # objective 4; the optimum is 19
         solver = PortfolioSolver(
             PortfolioOptions(
                 specs=(
-                    SolverSpec("bnb", node_limit=0),  # stuck at the warm start
+                    SolverSpec("highs", node_limit=0),  # stuck at the warm start
                     SolverSpec("highs", time_limit=5.0),
                 ),
                 stop_on_optimal=False,
             )
         )
+        races: list = []
+        solver.on_race = lambda winner, results: races.append(results)
         result = solver.solve(model, warm_start=warm)
-        assert result.objective == pytest.approx(2.0)
-        assert "highs" in result.backend
+        assert [r.objective for r in races[0]] == pytest.approx([4.0, 19.0])
+        assert result.objective == pytest.approx(19.0)
 
     def test_infeasible_model_reports_conclusively(self):
         model = Model("infeasible")
@@ -164,7 +169,7 @@ class TestProofSharing:
         assert result.bound == exact.bound
 
     def test_no_proof_to_borrow_keeps_the_winners_own(self):
-        result, members, alone = self._race(SolverSpec("bnb", node_limit=0))
+        result, members, alone = self._race(SolverSpec("highs", node_limit=0))
         assert members[1].status is not SolveStatus.OPTIMAL
         assert result.backend == "portfolio[lp_round]"
         assert result.status is SolveStatus.FEASIBLE
@@ -227,7 +232,7 @@ class TestIncumbentSharing:
                 specs=(
                     SolverSpec("highs", time_limit=5.0),
                     # Crippled arm: 0 nodes = it can only echo its seed.
-                    SolverSpec("bnb", node_limit=0),
+                    SolverSpec("highs", node_limit=0),
                 ),
                 stop_on_optimal=False,
                 share_incumbents=share,

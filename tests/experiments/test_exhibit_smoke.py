@@ -13,7 +13,6 @@ TINY = ExperimentConfig(
     scale=0.08,
     area_time_limit=2.0,
     route_time_limit=2.0,
-    trace_slices=3,
     num_samples=40,
     het_slots_per_type=10,
 )

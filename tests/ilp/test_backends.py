@@ -1,14 +1,13 @@
-"""Backend correctness: HiGHS and branch-and-bound agree and behave."""
+"""Backend correctness: the exact HiGHS backend solves and streams."""
 
 import pytest
 
-from repro.ilp.bnb_backend import BnBBackend, BnBOptions
 from repro.ilp.expr import lin_sum
-from repro.ilp.highs_backend import HighsBackend, HighsOptions, solve_with_trace
+from repro.ilp.highs_backend import HighsBackend, HighsOptions
 from repro.ilp.model import Model
 from repro.ilp.result import SolveStatus
 
-BACKENDS = [HighsBackend, BnBBackend]
+BACKENDS = [HighsBackend]
 
 
 def knapsack_model():
@@ -104,23 +103,38 @@ class TestBothBackends:
         res = backend_cls().solve(knapsack_model(), keep_values=False)
         assert res.values is None
         assert res.objective == pytest.approx(19.0)
+        assert res.incumbents
+        assert all(inc.values is None for inc in res.incumbents)
 
 
 class TestBnBSpecifics:
+    """The branch-and-bound side of one HiGHS solve: its incumbent
+    stream, its node limit and its dual bound."""
+
     def test_incumbent_stream_monotone(self):
-        res = BnBBackend().solve(set_cover_model(), warm_start={"a": 1, "b": 1, "c": 1, "d": 1})
+        res = HighsBackend().solve(
+            set_cover_model(), warm_start={"a": 1, "b": 1, "c": 1, "d": 1}
+        )
         objectives = [inc.objective for inc in res.incumbents]
-        assert objectives, "warm start must appear as the first incumbent"
+        # The warm start (cost 13) is the first, time-zero incumbent.
+        assert objectives[0] == pytest.approx(13.0)
+        assert res.incumbents[0].wall_time == 0.0
         assert objectives == sorted(objectives, reverse=True)
         assert objectives[-1] == pytest.approx(5.0)
 
     def test_incumbent_det_times_nondecreasing(self):
-        res = BnBBackend().solve(knapsack_model())
-        times = [inc.det_time for inc in res.incumbents]
-        assert times == sorted(times)
+        res = HighsBackend().solve(knapsack_model(), warm_start={"x5": 1.0})
+        assert len(res.incumbents) >= 2
+        det_times = [inc.det_time for inc in res.incumbents]
+        wall_times = [inc.wall_time for inc in res.incumbents]
+        assert det_times == sorted(det_times)
+        assert wall_times == sorted(wall_times)
+        # Maximize: a later incumbent never has a lower objective.
+        objectives = [inc.objective for inc in res.incumbents]
+        assert objectives == sorted(objectives)
 
     def test_node_limit_respected(self):
-        res = BnBBackend(BnBOptions(max_nodes=1)).solve(knapsack_model())
+        res = HighsBackend(HighsOptions(node_limit=1)).solve(knapsack_model())
         assert res.node_count <= 1
         # A limit-hit without proof may still return a heuristic solution.
         assert res.status in (
@@ -130,7 +144,7 @@ class TestBnBSpecifics:
         )
 
     def test_bound_is_valid(self):
-        res = BnBBackend().solve(set_cover_model())
+        res = HighsBackend().solve(set_cover_model())
         assert res.bound is not None
         assert res.bound <= res.objective + 1e-6
 
@@ -146,16 +160,12 @@ class TestHighsSpecifics:
         assert res.objective == pytest.approx(5.0)
 
     def test_trace_returns_incumbents(self):
-        res = solve_with_trace(set_cover_model(), total_time=2.0, num_slices=3)
+        res = HighsBackend().solve(set_cover_model())
         assert res.status.has_solution()
         assert res.incumbents
         objs = [inc.objective for inc in res.incumbents]
         assert objs == sorted(objs, reverse=True)
         assert objs[-1] == pytest.approx(5.0)
-
-    def test_trace_rejects_nonpositive_time(self):
-        with pytest.raises(ValueError):
-            solve_with_trace(set_cover_model(), total_time=0.0)
 
     def test_unbounded_detected(self):
         m = Model()

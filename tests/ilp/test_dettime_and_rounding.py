@@ -1,42 +1,8 @@
-"""Tests for the deterministic clock and the LP-rounding warm start."""
+"""Tests for the LP-rounding warm start."""
 
-import pytest
-
-from repro.ilp.dettime import DeterministicClock
 from repro.ilp.expr import lin_sum
 from repro.ilp.greedy_rounding import lp_rounding_warm_start
 from repro.ilp.model import Model
-
-
-class TestDeterministicClock:
-    def test_accumulates(self):
-        clock = DeterministicClock()
-        clock.charge("a", 2.0)
-        clock.charge("b", 3.0)
-        assert clock.now() == pytest.approx(5.0)
-
-    def test_breakdown_by_kind(self):
-        clock = DeterministicClock()
-        clock.charge("lp", 1.0)
-        clock.charge("lp", 2.0)
-        assert clock.breakdown() == {"lp": 3.0}
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            DeterministicClock().charge("a", -1.0)
-
-    def test_lp_charge_includes_setup(self):
-        clock = DeterministicClock()
-        clock.charge_lp(iterations=10, nnz=1000)
-        parts = clock.breakdown()
-        assert parts["lp_iterations"] == pytest.approx(10.0)
-        assert parts["lp_setup"] == pytest.approx(1.0)
-
-    def test_node_and_heuristic_charges(self):
-        clock = DeterministicClock()
-        clock.charge_node()
-        clock.charge_heuristic(num_vars=4)
-        assert clock.now() == pytest.approx(5.0 + 2.0)
 
 
 class TestLpRoundingWarmStart:

@@ -1,18 +1,20 @@
-"""Property-based cross-checks between the two MILP backends.
+"""Property-based cross-checks of the HiGHS backend against enumeration.
 
-Random small integer programs must (a) agree on optimal objective value
-between HiGHS and branch-and-bound, and (b) only ever return feasible
-assignments.  This is the substrate-level guarantee every mapping result
-in the reproduction rests on.
+Random small binary programs (2-6 binaries, at most 64 assignments) must
+(a) get the status and optimal objective exhaustive enumeration finds,
+and (b) only ever return feasible assignments.  This is the
+substrate-level guarantee every mapping result in the reproduction rests
+on.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ilp.bnb_backend import BnBBackend
 from repro.ilp.expr import lin_sum
 from repro.ilp.highs_backend import HighsBackend
 from repro.ilp.model import Model
@@ -40,33 +42,46 @@ def random_ilp(draw):
     return model
 
 
+def enumerated_optimum(model: Model) -> float | None:
+    """The minimum over every feasible 0/1 assignment (``None``: infeasible)."""
+    feasible = [
+        model.objective_of(x)
+        for x in map(np.array, itertools.product((0.0, 1.0), repeat=model.num_vars))
+        if not model.check_feasible(x)
+    ]
+    return min(feasible, default=None)
+
+
 @settings(max_examples=40, deadline=None)
 @given(model=random_ilp())
 def test_backends_agree_on_optimum(model):
     highs = HighsBackend().solve(model)
-    bnb = BnBBackend().solve(model)
-    assert highs.status == bnb.status
-    if highs.status is SolveStatus.OPTIMAL:
-        assert highs.objective == pytest.approx(bnb.objective, abs=1e-6)
+    optimum = enumerated_optimum(model)
+    if optimum is None:
+        assert highs.status is SolveStatus.INFEASIBLE
+    else:
+        assert highs.status is SolveStatus.OPTIMAL
+        assert highs.objective == pytest.approx(optimum, abs=1e-6)
 
 
 @settings(max_examples=40, deadline=None)
 @given(model=random_ilp())
 def test_returned_solutions_are_feasible(model):
-    for backend in (HighsBackend(), BnBBackend()):
-        res = backend.solve(model)
-        if res.status.has_solution():
-            assert model.check_feasible(res.values) == []
-            # Reported objective matches the assignment it came with.
-            assert model.objective_of(res.values) == pytest.approx(
-                res.objective, abs=1e-6
-            )
+    res = HighsBackend().solve(model)
+    if res.status.has_solution():
+        assert model.check_feasible(res.values) == []
+        # Reported objective matches the assignment it came with.
+        assert model.objective_of(res.values) == pytest.approx(
+            res.objective, abs=1e-6
+        )
 
 
 @settings(max_examples=25, deadline=None)
 @given(model=random_ilp())
 def test_bnb_incumbents_never_beat_optimum_claim(model):
-    res = BnBBackend().solve(model)
+    """No incumbent of HiGHS's branch-and-bound search beats the optimum
+    it claims."""
+    res = HighsBackend().solve(model)
     if res.status is SolveStatus.OPTIMAL:
         for inc in res.incumbents:
             assert inc.objective >= res.objective - 1e-9

@@ -1,12 +1,16 @@
-"""Tests for solve_with_trace details and HighsOptions plumbing."""
+"""Tests for the HiGHS incumbent stream and HighsOptions plumbing."""
 
 import numpy as np
 import pytest
 
+from repro import trace
+from repro.ilp import highs_backend
 from repro.ilp.expr import lin_sum
-from repro.ilp.highs_backend import HighsBackend, HighsOptions, solve_with_trace
+from repro.ilp.highs_backend import HighsBackend, HighsOptions, highs_option_values
 from repro.ilp.model import Model
 from repro.ilp.result import SolveStatus
+from repro.ilp.solve import SolverSpec, solve_model
+from repro.trace import TraceRuntime, mint_context, read_trace_dir
 
 
 def cover_model():
@@ -33,18 +37,18 @@ def knapsack_model():
 
 
 class TestHighsOptions:
-    def test_to_scipy_passes_limits(self):
+    def test_option_values_pass_limits(self):
         opts = HighsOptions(time_limit=3.5, mip_rel_gap=0.01, node_limit=7)
-        scipy_opts = opts.to_scipy()
-        assert scipy_opts["time_limit"] == 3.5
-        assert scipy_opts["mip_rel_gap"] == 0.01
-        assert scipy_opts["node_limit"] == 7
-        assert scipy_opts["disp"] is False
+        values = highs_option_values(opts)
+        assert values == {
+            "output_flag": False,
+            "time_limit": 3.5,
+            "mip_rel_gap": 0.01,
+            "mip_max_nodes": 7,
+        }
 
     def test_defaults_omit_limits(self):
-        scipy_opts = HighsOptions().to_scipy()
-        assert "time_limit" not in scipy_opts
-        assert "node_limit" not in scipy_opts
+        assert highs_option_values(HighsOptions()) == {"output_flag": False}
 
     def test_gap_option_accepts_suboptimal_stop(self):
         # A generous gap still returns a solution with status optimal-or-
@@ -71,30 +75,105 @@ class TestHighsOptions:
 
 
 class TestSolveWithTrace:
+    """One HiGHS solve carries its own incumbent stream."""
+
     def test_warm_start_is_time_zero_incumbent(self):
         warm = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}  # cost 13
-        res = solve_with_trace(cover_model(), total_time=2.0, num_slices=3,
-                               warm_start=warm)
+        res = HighsBackend().solve(cover_model(), warm_start=warm)
         assert res.incumbents[0].det_time == 0.0
+        assert res.incumbents[0].wall_time == 0.0
         assert res.incumbents[0].objective == pytest.approx(13.0)
         assert res.incumbents[-1].objective == pytest.approx(5.0)
 
     def test_trace_det_times_nondecreasing(self):
-        res = solve_with_trace(cover_model(), total_time=1.0, num_slices=3)
+        res = HighsBackend().solve(knapsack_model())
         stamps = [inc.det_time for inc in res.incumbents]
         assert stamps == sorted(stamps)
 
     def test_stops_early_on_optimal(self):
-        res = solve_with_trace(cover_model(), total_time=60.0, num_slices=4)
+        res = HighsBackend(HighsOptions(time_limit=60.0)).solve(cover_model())
         assert res.status is SolveStatus.OPTIMAL
         assert res.wall_time < 30.0  # nowhere near the nominal budget
 
     def test_incumbent_values_usable(self):
-        model = cover_model()
-        res = solve_with_trace(model, total_time=1.0, num_slices=2)
+        model = knapsack_model()
+        res = HighsBackend().solve(model)
+        assert res.incumbents
         for inc in res.incumbents:
             assert inc.values is not None
             assert model.check_feasible(dict(inc.values)) == []
+            assert model.objective_of(dict(inc.values)) == pytest.approx(inc.objective)
+
+
+class TestCallbacks:
+    """What the HiGHS callbacks report, and what happens when they raise."""
+
+    def _raise_on_first_incumbent(self, monkeypatch, exc):
+        calls = []
+
+        def progress(name="progress", **attrs):
+            calls.append(name)
+            if name == "incumbent":
+                raise exc
+
+        monkeypatch.setattr(trace, "progress", progress)
+        return calls
+
+    def test_traced_solve_reports_objective_bound_and_gap(self, tmp_path):
+        trace.install(TraceRuntime(tmp_path, "test-proc"))
+        try:
+            context = mint_context()
+            with trace.activate(context, "job-1"):
+                res = HighsBackend().solve(knapsack_model())
+        finally:
+            trace.uninstall()
+        events = [
+            r for r in read_trace_dir(tmp_path, context.trace_id)
+            if r["kind"] == "event"
+        ]
+        assert [e["name"] for e in events].count("incumbent") >= 1
+        assert events[-1]["name"] == "bound"
+        for key in ("objective", "bound", "gap", "nodes"):
+            assert key in events[-1]["attrs"]
+        assert events[-1]["attrs"]["objective"] == pytest.approx(res.objective)
+
+    def test_error_in_callback_stops_the_search_and_is_reraised(self, monkeypatch):
+        calls = self._raise_on_first_incumbent(monkeypatch, RuntimeError("boom"))
+        ended: list[str] = []
+        load = highs_backend._load
+
+        class RunSpy:
+            def __init__(self, highs):
+                self.highs = highs
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+            def run(self):
+                try:
+                    return self.highs.run()
+                finally:
+                    status = self.highs.getModelStatus()
+                    ended.append(self.highs.modelStatusToString(status))
+
+        monkeypatch.setattr(highs_backend, "_load", lambda *a: RunSpy(load(*a)))
+        with pytest.raises(RuntimeError, match="boom"):
+            HighsBackend().solve(knapsack_model())
+        # The first incumbent raised; HiGHS reported nothing after it and
+        # ended its run cleanly instead of unwinding with status "Not Set".
+        assert calls == ["incumbent"]
+        assert ended == ["Interrupted by user"]
+
+    def test_keyboard_interrupt_in_callback_degrades_to_warm_start(
+        self, monkeypatch
+    ):
+        self._raise_on_first_incumbent(monkeypatch, KeyboardInterrupt())
+        model = knapsack_model()
+        warm = {"x0": 1.0}
+        res = solve_model(model, SolverSpec("highs"), warm_start=warm)
+        assert res.backend == "highs-interrupted"
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.objective == pytest.approx(model.objective_of(warm))
 
 
 class TestResultHelpers:

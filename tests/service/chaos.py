@@ -214,20 +214,19 @@ class TracedStallingMapper(BatchMapper):
         return super().map_all(batch_jobs, should_cancel=should_cancel)
 
 
-def bnb_portfolio_mapper(cache=None, **kwargs):
-    """Race only the pure-Python branch-and-bound backend.
+def highs_portfolio_mapper(cache=None, **kwargs):
+    """Race only the HiGHS arm, so every stage reports live progress.
 
-    HiGHS usually proves optimality before the B&B even starts, so a
-    default portfolio rarely emits incumbent/bound progress events; this
-    factory forces the slow solver so traced fleet tests can observe
-    live solver progress deterministically.
+    The ``lp_round`` arm of the default portfolio reports no progress
+    events; racing HiGHS alone gives traced fleet tests one arm span per
+    stage and its incumbent/bound events deterministically.
     """
     from repro.batch.portfolio import portfolio_solver_factory
     from repro.ilp.solve import SolverSpec
 
     return BatchMapper(
         jobs=1,
-        portfolio=portfolio_solver_factory(specs=(SolverSpec("bnb"),)),
+        portfolio=portfolio_solver_factory(specs=(SolverSpec("highs"),)),
         cache=cache,
         **kwargs,
     )

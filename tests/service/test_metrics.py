@@ -98,7 +98,7 @@ class TestSolveHooks:
                 "wall_time": 0.5,
                 "stages": [
                     {"solve": {"backend": "portfolio[highs]"}},
-                    {"solve": {"backend": "portfolio[bnb-interrupted]"}},
+                    {"solve": {"backend": "portfolio[lp_round-interrupted]"}},
                 ],
             }
         )
@@ -118,8 +118,8 @@ class TestSolveHooks:
         assert counters["mapper_jobs_error"] == 1
         assert counters["ilp_solves"] == 3  # the None stage is not a solve
         assert snapshot["portfolio"]["races"] == 2
-        assert snapshot["portfolio"]["wins"] == {"highs": 1, "bnb": 1}
-        assert snapshot["portfolio"]["win_rates"] == {"highs": 0.5, "bnb": 0.5}
+        assert snapshot["portfolio"]["wins"] == {"highs": 1, "lp_round": 1}
+        assert snapshot["portfolio"]["win_rates"] == {"highs": 0.5, "lp_round": 0.5}
         assert snapshot["latency"]["solve_wall_time"]["count"] == 2
 
     def test_interrupted_jobs_get_their_own_counter(self):

@@ -99,9 +99,9 @@ class TestFleetTraceEndToEnd:
         self, tmp_path, wait_drained
     ):
         """The acceptance walk: accept -> queue -> lease -> worker solve,
-        one trace id, per-arm phase spans, live BnB progress events."""
+        one trace id, per-arm phase spans, live HiGHS progress events."""
         config = _fleet_config(
-            tmp_path, mapper_factory=f"{CHAOS}:bnb_portfolio_mapper"
+            tmp_path, mapper_factory=f"{CHAOS}:highs_portfolio_mapper"
         )
         service = _service(tmp_path, fleet=1, config=config)
         try:
@@ -127,7 +127,7 @@ class TestFleetTraceEndToEnd:
                 "lease",
                 "worker-solve",
                 "cache-lookup",
-                "arm:bnb",
+                "arm:highs",
                 "stage:area",
                 "phase:solve",
             ):
@@ -142,16 +142,21 @@ class TestFleetTraceEndToEnd:
             # ...and the tree really crosses the process boundary.
             assert spans["queue"]["proc"].startswith("daemon-")
             assert spans["worker-solve"]["proc"].startswith("worker-")
-            assert spans["arm:bnb"]["proc"] == spans["worker-solve"]["proc"]
+            assert spans["arm:highs"]["proc"] == spans["worker-solve"]["proc"]
 
-            # Live solver progress: at least one BnB incumbent/bound event.
+            # Live solver progress: HiGHS incumbent/bound events, the last
+            # one of a solve carrying objective, bound and gap.
             events = [r for r in records if r.get("kind") == "event"]
             assert any(e["name"] == "accepted" for e in events)
             progress = [
                 e for e in events if e["name"] in ("incumbent", "bound")
             ]
-            assert progress, "no BnB progress events:\n" + render_tree(records)
+            assert progress, "no HiGHS progress events:\n" + render_tree(records)
             assert any("det_time" in e.get("attrs", {}) for e in progress)
+            assert any(
+                {"objective", "bound", "gap"} <= set(e.get("attrs", {}))
+                for e in progress
+            )
         finally:
             service.stop(wait=True)
         # The supervisor's merge left one consolidated journal behind.

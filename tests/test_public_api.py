@@ -20,13 +20,6 @@ class TestQuickMap:
         assert first.is_valid()
         assert first.assignment == again.assignment
 
-    def test_bnb_backend_choice(self):
-        network = random_network(12, 24, seed=3, max_fan_in=4)
-        mapping = repro.quick_map(
-            network, heterogeneous=False, time_limit=5.0, backend="bnb"
-        )
-        assert mapping.is_valid()
-
     def test_portfolio_backend_choice(self):
         network = random_network(12, 24, seed=3, max_fan_in=4)
         mapping = repro.quick_map(
