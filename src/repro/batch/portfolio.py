@@ -25,8 +25,7 @@ Sequential races also *share incumbents* (see
 :class:`PortfolioOptions.share_incumbents`): each member's best solution
 seeds the next member's warm start, so ordering a cheap heuristic arm
 (``lp_round``) before the exact arms hands them a strong cutoff before
-they open their root node.  :data:`ACCELERATED_SPECS` is that
-composition, ready-made.
+they open their root node.
 """
 
 from __future__ import annotations
@@ -45,14 +44,6 @@ from ..ilp.solve import SolverSpec, solve_model
 DEFAULT_SPECS = (
     SolverSpec("highs"),
     SolverSpec("lp_round", time_limit=5.0),
-)
-
-#: The structure-exploiting portfolio: the LP-rounding racer produces a
-#: strong incumbent in O(LP) time and donates it to a node-capped exact
-#: arm, which now prunes against that cutoff instead of searching blind.
-ACCELERATED_SPECS = (
-    SolverSpec("lp_round", time_limit=5.0),
-    SolverSpec("highs", node_limit=200, emphasis="speed"),
 )
 
 RACE_MODES = ("sequential", "threads")

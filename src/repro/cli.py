@@ -706,7 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--jobs", type=int, default=1,
                      help="worker processes (1 = serial)")
     dse.add_argument("--portfolio", action="store_true",
-                     help="race HiGHS and lp_round per solve")
+                     help="grid: race HiGHS and lp_round per solve; "
+                          "adaptive: one HiGHS arm tuned to each rung")
     dse.add_argument("--time-limit", type=float, default=10.0,
                      help="per-stage solver budget in seconds")
     dse.add_argument("--cache-dir", default=None,

@@ -150,9 +150,10 @@ def explore_adaptive(
         promote = _select_band(remaining, bounds, min(quota, budget))
         if not promote:
             break
-        # Portfolio runs scale solver fidelity with the rung: cheap rungs
-        # race loose-gap node-capped arms behind the lp_round heuristic,
-        # the top rung races full-fidelity exact arms (see dse.fidelity).
+        # Portfolio runs scale solver fidelity with the rung: one HiGHS
+        # arm per rung, loose-gap and node-capped on cheap rungs, exact on
+        # the top rung (see dse.fidelity).  Area-only scenarios get their
+        # route tie-break from the pipeline's polish, not from a racer.
         # Single-backend runs keep their historical configuration.
         specs = (
             rung_solver_specs(rung, max_rungs)

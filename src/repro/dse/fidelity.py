@@ -1,22 +1,24 @@
-"""Fidelity-rung solver portfolios for the adaptive DSE driver.
+"""Fidelity-rung solver specs for the adaptive DSE driver.
 
 Successive halving (:func:`repro.dse.drivers.explore_adaptive`) evaluates
-many candidates cheaply before concentrating budget on survivors.  Until
-now every rung paid the same per-solve price; this module gives each rung
-its own portfolio composition so the *solver* fidelity scales with the
-rung, not just the candidate count:
+many candidates cheaply before concentrating budget on survivors.  This
+module gives each rung its own solver fidelity, so the *solver* cost
+scales with the rung, not just the candidate count.  Every rung runs one
+HiGHS arm:
 
-- **cheap rungs** race the ``lp_round`` heuristic and a loose-gap,
-  node-capped HiGHS arm (``emphasis="speed"``) — good-enough incumbents
-  in a fraction of the exact cost, exactly what band-selection needs;
-- **the top rung** races ``lp_round`` (as an incumbent donor) ahead of a
-  full-fidelity exact arm (``emphasis="quality"``, gap 0) — survivors
-  get the tight answer the frontier is reported from.
+- **cheap rungs** run a loose-gap, node-capped arm (``emphasis="speed"``)
+  — good-enough incumbents in a fraction of the exact cost, exactly what
+  band-selection needs;
+- **the top rung** runs a full-fidelity exact arm (``emphasis="quality"``,
+  gap 0) — survivors get the tight answer the frontier is reported from.
 
-The interpolation is monotone: later rungs never run looser arms than
-earlier ones.  Specs are plain :class:`~repro.ilp.solve.SolverSpec`
-tuples, picklable and fingerprint-stable, so per-rung results cache
-independently (the specs are part of the batch-job fingerprint).
+Ties of the area optimum are broken toward fewer routes by the pipeline's
+route polish (:func:`repro.mapping.local_search.polish_routes`), not by a
+second arm.  The interpolation is monotone: later rungs never run looser
+arms than earlier ones.  Specs are plain
+:class:`~repro.ilp.solve.SolverSpec` tuples, picklable and
+fingerprint-stable, so per-rung results cache independently (the specs
+are part of the batch-job fingerprint).
 """
 
 from __future__ import annotations
@@ -34,27 +36,21 @@ _MAX_GAP = 0.10
 
 
 def rung_solver_specs(rung: int, max_rungs: int) -> tuple[SolverSpec, ...]:
-    """The portfolio arms rung ``rung`` (1-based) of ``max_rungs`` races.
+    """The one HiGHS arm rung ``rung`` (1-based) of ``max_rungs`` runs.
 
-    Every rung leads with the ``lp_round`` racer — its incumbent is
-    donated to the exact arm as a root-node cutoff (sequential races
-    share incumbents).  The exact arm's gap and node cap interpolate from
-    loose/capped on rung 1 to exact/uncapped on the top rung.
+    The arm's gap and node cap interpolate from loose/capped on rung 1 to
+    exact/uncapped on the top rung.
     """
     if rung < 1:
         raise ValueError("rungs are 1-based")
     top = max(max_rungs, 1)
     if rung >= top:
-        return (
-            SolverSpec("lp_round", time_limit=5.0),
-            SolverSpec("highs", emphasis="quality"),
-        )
+        return (SolverSpec("highs", emphasis="quality"),)
     # Fraction of the way up the ladder, in [0, 1).
     frac = (rung - 1) / max(top - 1, 1)
     gap = round(_MAX_GAP * (1.0 - frac), 4)
     node_cap = int(_MIN_NODE_CAP + frac * (_MAX_NODE_CAP - _MIN_NODE_CAP))
     return (
-        SolverSpec("lp_round", time_limit=5.0),
         SolverSpec(
             "highs",
             mip_rel_gap=gap if gap > 0 else None,

@@ -76,7 +76,13 @@ class LpRoundBackend:
         form = model.lower()
         relax = _LpRelaxation(form)
         lp_status, lp_obj, lp_x, _nit = relax.solve(form.var_lb, form.var_ub)
-        bound = float(lp_obj) if lp_status == "optimal" else None
+        # The relaxation minimizes the sign-folded objective; report its
+        # optimum in the model's own sense and constant, like ``objective``.
+        bound = (
+            form.sign * (float(lp_obj) + form.offset)
+            if lp_status == "optimal"
+            else None
+        )
         if lp_status == "infeasible":
             return SolveResult(
                 status=SolveStatus.INFEASIBLE,

@@ -6,10 +6,16 @@ refined" and notes that "the iterative swapping approach in [22] is
 validated with our data" as a route toward finding optimal solutions
 faster.  This module is the one implementation of that idea in the repo:
 the search runs on :class:`MoveEngine` over a
-:class:`~repro.mapping.delta.DeltaEvaluator`, under the policy of its one
-caller, the ``lp_round`` arm (:mod:`repro.mapping.rounding`): the model's
-slot universe as destinations, ``(area, routes)`` or ``(routes, area)`` as
-the score, the model's area budget and a wall-clock deadline.
+:class:`~repro.mapping.delta.DeltaEvaluator`, under the policy of each of
+its two callers:
+
+- :func:`polish_routes`, the area stage's route tie-break
+  (:class:`~repro.mapping.pipeline.MappingPipeline` runs it when the area
+  stage ends the pipeline): every pool slot as a destination,
+  ``(area, routes)`` as the score, a fixed trial count and no deadline;
+- the ``lp_round`` arm (:mod:`repro.mapping.rounding`): the model's slot
+  universe as destinations, ``(area, routes)`` or ``(routes, area)`` as
+  the score, the model's area budget and a wall-clock deadline.
 
 The engine's moves:
 
@@ -36,9 +42,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .delta import DeltaEvaluator
+from .solution import Mapping
 
 #: Slack on the area budget, so a float re-sum equal to it still fits.
 AREA_TOL = 1e-9
+
+#: Ruin-and-recreate trials of :func:`polish_routes`.
+POLISH_TRIALS = 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,3 +171,25 @@ class MoveEngine:
                 best_score = score
                 best = trial.assignment()
         return best
+
+
+def polish_routes(mapping: Mapping) -> Mapping:
+    """A mapping of no more area and no more global routes than ``mapping``.
+
+    The area optimum has ties, and which one a solver lands on decides
+    the routes of an area-only answer.  This breaks the tie explicitly:
+    :meth:`MoveEngine.improve` over every pool slot, then
+    :data:`POLISH_TRIALS` ruin-and-recreate trials seeded with
+    ``random.Random(0)``, all under the ``(area, global routes)`` key.
+    Every accepted move keeps both slots within capacity, so a valid
+    input gives a valid output, and the result is deterministic.
+    """
+    problem = mapping.problem
+    ev = DeltaEvaluator(problem, dict(mapping.assignment))
+    engine = MoveEngine(range(problem.num_slots))
+    neurons = problem.network.neuron_ids()
+    engine.improve(ev, neurons)
+    best = engine.ruin_recreate(
+        ev, neurons, random.Random(0), max_trials=POLISH_TRIALS
+    )
+    return Mapping(problem, best)

@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from repro.batch.portfolio import (
-    ACCELERATED_SPECS,
     PortfolioOptions,
     PortfolioSolver,
     portfolio_solver_factory,
@@ -255,20 +254,6 @@ class TestIncumbentSharing:
     def test_sharing_disabled_keeps_the_original_seed(self):
         results, seed_objective = self._race(share=False)
         assert results[1].objective == pytest.approx(seed_objective)
-
-    def test_accelerated_specs_lead_with_the_heuristic_arm(self):
-        assert ACCELERATED_SPECS[0].backend == "lp_round"
-        assert ACCELERATED_SPECS[-1].backend == "highs"
-        handle, warm = _area_instance()
-        result = PortfolioSolver(
-            PortfolioOptions(specs=ACCELERATED_SPECS)
-        ).solve(handle.model, warm_start=warm)
-        assert result.status.has_solution()
-        assert result.backend.startswith("portfolio[")
-        seed_objective = handle.model.objective_of(
-            handle.model.dense_values(warm)
-        )
-        assert result.objective <= seed_objective + 1e-9
 
 
 class TestSolverSpecKnobs:

@@ -7,15 +7,23 @@ import pytest
 from repro.dse.fidelity import rung_solver_specs
 
 
-def test_every_rung_leads_with_the_lp_round_racer():
-    for rung in range(1, 5):
-        specs = rung_solver_specs(rung, 4)
-        assert specs[0].backend == "lp_round"
-        assert specs[-1].backend == "highs"
+def test_every_rung_runs_one_highs_arm():
+    for max_rungs in range(1, 5):
+        for rung in range(1, max_rungs + 1):
+            specs = rung_solver_specs(rung, max_rungs)
+            assert len(specs) == 1
+            assert specs[0].backend == "highs"
+
+
+def test_no_rung_runs_lp_round():
+    for max_rungs in range(1, 6):
+        for rung in range(1, max_rungs + 2):
+            backends = {s.backend for s in rung_solver_specs(rung, max_rungs)}
+            assert "lp_round" not in backends
 
 
 def test_top_rung_is_full_fidelity():
-    _, exact = rung_solver_specs(3, 3)
+    (exact,) = rung_solver_specs(3, 3)
     assert exact.emphasis == "quality"
     assert exact.node_limit is None
     assert exact.effective_gap() == 0.0
@@ -24,19 +32,22 @@ def test_top_rung_is_full_fidelity():
 def test_cheap_rungs_tighten_monotonically():
     gaps, caps = [], []
     for rung in range(1, 4):
-        _, exact = rung_solver_specs(rung, 4)
-        assert exact.emphasis == "speed"
-        assert exact.node_limit is not None
-        gaps.append(exact.effective_gap())
-        caps.append(exact.node_limit)
+        (arm,) = rung_solver_specs(rung, 4)
+        assert arm.emphasis == "speed"
+        assert arm.node_limit is not None
+        gaps.append(arm.effective_gap())
+        caps.append(arm.node_limit)
     # Later rungs never run looser arms than earlier ones.
     assert gaps == sorted(gaps, reverse=True)
     assert caps == sorted(caps)
     assert len(set(caps)) == len(caps)
+    # ... and the top rung is the tightest of all.
+    (top,) = rung_solver_specs(4, 4)
+    assert top.effective_gap() < gaps[-1]
 
 
 def test_single_rung_ladder_goes_straight_to_full_fidelity():
-    _, exact = rung_solver_specs(1, 1)
+    (exact,) = rung_solver_specs(1, 1)
     assert exact.emphasis == "quality"
     assert exact.node_limit is None
 

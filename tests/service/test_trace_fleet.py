@@ -359,7 +359,7 @@ class TestPhaseTimingsWithoutTracing:
             body = service.metrics_payload()
             assert "trace" not in body
             latency = body["latency"]
-            for phase in ("build", "lower", "solve"):
+            for phase in ("build", "lower", "solve", "polish"):
                 key = f"solve_phase_{phase}"
                 assert key in latency, sorted(latency)
                 assert latency[key]["count"] >= 1
