@@ -260,33 +260,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .batch.cache import ResultCache
-    from .dse import Explorer, RunStore
     from .service.admission import AdmissionController
     from .service.daemon import MappingService, make_server, run_server
     from .service.worker import FleetConfig
 
     fleet = max(0, args.fleet)
     # Fleet workers share the store by path; sharding it keeps their
-    # appends on independent locks.  Opening the store here — before any
-    # worker spawns — also runs the one-shot single-file migration.
+    # appends on independent locks.
     store_shards = args.store_shards
     if fleet and args.store and store_shards is None:
         store_shards = 8
-    store = (
-        RunStore(args.store, shards=store_shards) if args.store else RunStore()
-    )
-    if args.store and len(store):
-        print(f"run store {args.store}: {len(store)} entr(ies) warm")
-    explorer = Explorer(
-        store=store,
-        jobs=args.jobs,
-        portfolio=args.portfolio,
-        # The shared cache is the point of the daemon: default to the
-        # always-on memory tier when no directory is given.
-        cache=ResultCache(args.cache_dir) if args.cache_dir else ResultCache(),
-        time_limit=args.time_limit,
-    )
+    explorer = None
+    if not fleet:
+        # Thread workers share one in-process solver stack.  A fleet
+        # daemon builds none: each worker process builds its own.
+        from .batch.cache import ResultCache
+        from .dse import Explorer, RunStore
+
+        explorer = Explorer(
+            store=(
+                RunStore(args.store, shards=store_shards)
+                if args.store
+                else RunStore()
+            ),
+            jobs=args.jobs,
+            portfolio=args.portfolio,
+            # The shared cache is the point of the daemon: default to the
+            # always-on memory tier when no directory is given.
+            cache=ResultCache(args.cache_dir) if args.cache_dir else ResultCache(),
+            time_limit=args.time_limit,
+        )
     max_queue = args.max_queue
     if fleet and max_queue is None:
         # A fleet exists to survive heavy traffic; unbounded accept is
@@ -321,6 +324,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace_dir=args.trace_dir,
         trace_slow_span=args.trace_slow_span,
     )
+    if args.store and len(service.store):
+        print(f"run store {args.store}: {len(service.store)} entr(ies) warm")
     server = make_server(service, host=args.host, port=args.port)
 
     # SIGTERM/SIGINT take the same clean-drain path as POST /shutdown:
@@ -345,7 +350,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"span journals -> {args.trace_dir}", flush=True)
     print("POST /jobs to submit; POST /shutdown to stop", flush=True)
     run_server(service, server)
-    store.close()
+    service.store.close()
     print("repro service stopped")
     return 0
 

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import networkx as nx
-
 from ..mca.noc import MeshNoC
+from ..snn.analysis import strongly_connected_components
 from ..snn.network import Network
 from .solution import Mapping
 
@@ -82,21 +81,21 @@ def critical_path_latency(
     unbounded by definition and excluded, as in standard static timing).
     """
     delays = effective_delays(mapping, noc, cycles_per_hop)
-    graph = mapping.problem.network.to_networkx()
-    condensed = nx.condensation(graph)
-    component_of = condensed.graph["mapping"]
-    weighted = nx.DiGraph()
-    weighted.add_nodes_from(condensed.nodes)
+    components = strongly_connected_components(mapping.problem.network)
+    component_of = {
+        neuron: c for c, members in enumerate(components) for neuron in members
+    }
+    edges: list[list[tuple[int, int]]] = [[] for _ in components]
     for (pre, post), delay in delays.items():
         a, b = component_of[pre], component_of[post]
-        if a == b:
-            continue
-        prev = weighted.edges.get((a, b), {}).get("weight", 0)
-        if delay > prev:
-            weighted.add_edge(a, b, weight=delay)
-    if weighted.number_of_edges() == 0:
-        return 0
-    return int(nx.dag_longest_path_length(weighted, weight="weight"))
+        if a != b:
+            edges[a].append((b, delay))
+    # Components come successors-first, so each one's longest outgoing
+    # path is final before any component that reaches it is visited.
+    longest = [0] * len(components)
+    for c, out in enumerate(edges):
+        longest[c] = max((delay + longest[b] for b, delay in out), default=0)
+    return max(longest, default=0)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """The long-lived mapping daemon: worker loop + HTTP front end.
 
-A :class:`MappingService` owns exactly one :class:`~repro.dse.explorer.
-Explorer` — and through it one shared :class:`~repro.batch.engine.
-BatchMapper`, one :class:`~repro.batch.cache.ResultCache` and one
-:class:`~repro.dse.store.RunStore` — so every client submission warms
-the same state: a job solved for one client is a zero-solve answer for
-every later client that asks the same question.
+In thread mode (the default) a :class:`MappingService` owns exactly one
+:class:`~repro.dse.explorer.Explorer` — and through it one shared
+:class:`~repro.batch.engine.BatchMapper`, one :class:`~repro.batch.
+cache.ResultCache` and one :class:`~repro.dse.store.RunStore` — so every
+client submission warms the same state: a job solved for one client is a
+zero-solve answer for every later client that asks the same question.
+In fleet mode (``fleet`` > 0) the daemon holds no explorer and never
+imports the solver stack: each spawned worker builds its own, and the
+daemon keeps only a read handle on the shared run store for
+``/healthz`` and ``/metrics``.
 
 Submissions flow ``HTTP -> JobRegistry -> Supervisor -> worker (thread
 or process) -> Explorer``; the registry is the one job table (client
@@ -55,12 +59,12 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from dataclasses import replace as dataclass_replace
 
 from .. import trace
 from ..batch.queue import DEFAULT_AGING_INTERVAL, QueueFull, effective_priority
-from ..dse.explorer import Explorer
 from .admission import AdmissionController, AdmissionDenied
 from .jobs import (
     JOB_CANCELLED,
@@ -83,6 +87,10 @@ from .wire import (
 )
 from .worker import FleetConfig, worker_loop, worker_main
 
+if TYPE_CHECKING:
+    from ..dse.explorer import Explorer
+    from ..dse.store import RunStore
+
 #: Seconds of stream silence before a ``ping`` keepalive event is sent.
 STREAM_HEARTBEAT = 10.0
 
@@ -99,13 +107,16 @@ class PayloadTooLarge(ValueError):
 
 
 class MappingService:
-    """Job registry and supervisor over one shared explorer.
+    """Job registry and supervisor over the service's workers.
 
     Every accepted job lands in one :class:`~repro.service.jobs.
     JobRegistry` — the client view and the lease state of the job in one
     record — and is dispatched by one :class:`Supervisor`: to ``workers``
     threads sharing this service's explorer, or, with ``fleet`` > 0, to
-    that many spawned worker processes built from ``fleet_config``.
+    that many spawned worker processes built from ``fleet_config``.  A
+    fleet service holds no explorer (``explorer`` is ignored, and
+    ``self.explorer`` is ``None``); its ``store`` is a handle on
+    ``fleet_config``'s run store that it only reads.
 
     ``journal_path`` makes the registry persistent: every transition is
     appended to one JSONL journal (accept, claim, requeue and terminal
@@ -141,9 +152,6 @@ class MappingService:
             raise ValueError("max_queue_depth must be >= 1")
         if shed_after is not None and shed_after <= 0:
             raise ValueError("shed_after must be > 0 (or None to disable)")
-        # The default service still shares results across clients inside
-        # one process: explorer evaluations land in its (memory) RunStore.
-        self.explorer = explorer if explorer is not None else Explorer()
         self.metrics = ServiceMetrics()
         self.fleet = fleet
         self.max_queue_depth = max_queue_depth
@@ -155,6 +163,23 @@ class MappingService:
             admission if admission is not None else AdmissionController()
         )
         self.fleet_config = fleet_config if fleet_config is not None else FleetConfig()
+        self.explorer: Explorer | None = None
+        self._fleet_store: RunStore | None = None
+        if fleet:
+            # Fleet workers build their own solver stacks; the daemon only
+            # dispatches, so it never imports one.  Opening the store here,
+            # before any worker spawns, also runs its one-shot migration.
+            self._fleet_store = self.fleet_config.build_store()
+        else:
+            if explorer is None:
+                from ..dse.explorer import Explorer
+
+                # The default service still shares results across clients
+                # inside one process: evaluations land in its memory store.
+                explorer = Explorer()
+            self.explorer = explorer
+            # The shared engine reports solve progress into the same sink.
+            explorer.mapper.metrics = self.metrics
         # Tracing: one runtime for this process, its journal named after
         # the pid so restarts never contend over a file; fleet workers
         # inherit the directory through their config.
@@ -194,8 +219,6 @@ class MappingService:
             aging_interval=aging_interval,
         )
         self.workers = workers
-        # The shared engine reports solve progress into the same sink.
-        self.explorer.mapper.metrics = self.metrics
         self._probe = LoopLatencyProbe(self.metrics)
         self._shed_stop = threading.Event()
         self._started = False
@@ -203,13 +226,20 @@ class MappingService:
             self,
             fleet or workers,
             self.fleet_config,
-            explorer=None if fleet else self.explorer,
+            explorer=self.explorer,
         )
         # Replayed-but-unfinished jobs were admitted by the previous
         # process; they still occupy their client's in-flight quota here.
         for job in self.registry.jobs():
             if not job.finished:
                 self.admission.restore(job.spec.client)
+
+    @property
+    def store(self) -> RunStore:
+        """The shared run store: the explorer's, or the fleet's read handle."""
+        if self.explorer is not None:
+            return self.explorer.store
+        return self._fleet_store
 
     def _admission_release(self, record: dict) -> None:
         # Registry observer: every terminal transition frees one slot of
@@ -255,6 +285,8 @@ class MappingService:
                 writer.close()
         if self.trace_runtime is not None:
             self.trace_runtime.flush()
+        if self._fleet_store is not None:
+            self._fleet_store.close()  # opened by this service
 
     # ------------------------------------------------------------------
     def _retry_after_hint(self, depth: int) -> float:
@@ -433,18 +465,39 @@ class MappingService:
             )
         return len(victims)
 
+    def _cache_stats(self) -> dict | None:
+        """The shared result cache's counters; ``None`` without one.
+
+        Fleet workers own their cache shards, so a fleet daemon has no
+        cache to report.
+        """
+        cache = self.explorer.cache if self.explorer is not None else None
+        return cache.stats.snapshot() if cache is not None else None
+
+    def _store_entries(self) -> int | None:
+        """Entries in the shared run store, as the workers see it.
+
+        Fleet workers append through their own handles, so the daemon
+        re-reads the files first; without a store path each worker keeps
+        a private memory store the daemon cannot see (``None``).
+        """
+        if self.explorer is not None:
+            return len(self.store)
+        if self.store.path is None:
+            return None
+        return self.store.reload()
+
     def stats(self) -> dict:
         """The ``/healthz`` body: liveness plus shared-state counters."""
-        cache = self.explorer.cache
-        store = self.explorer.store
+        store = self.store
         body = {
             "status": "ok",
             "format": WIRE_FORMAT,
             "workers": self.fleet or self.workers,
             "queued": self.registry.depth(),
             "jobs": self.registry.counts(),
-            "cache": cache.stats.snapshot() if cache is not None else None,
-            "store_entries": len(store),
+            "cache": self._cache_stats(),
+            "store_entries": self._store_entries(),
             "store_path": str(store.path) if store.path is not None else None,
             "admission": self.admission.snapshot(),
             "lanes": self.registry.lane_snapshot(),
@@ -470,7 +523,6 @@ class MappingService:
         accepted (replayed jobs belong to the old process and appear
         only in ``jobs.by_state``).
         """
-        cache = self.explorer.cache
         snapshot = self.metrics.snapshot()
         counters = snapshot["counters"]
         gauges = snapshot["gauges"]
@@ -514,8 +566,8 @@ class MappingService:
                 "ilp_solves": counters.get("ilp_solves", 0),
             },
             "portfolio": snapshot["portfolio"],
-            "cache": cache.stats.snapshot() if cache is not None else None,
-            "store_entries": len(self.explorer.store),
+            "cache": self._cache_stats(),
+            "store_entries": self._store_entries(),
             "latency": snapshot["latency"],
             "solver_progress": snapshot["solver_progress"],
             "fleet": self.supervisor.snapshot(),
@@ -577,9 +629,12 @@ class Supervisor:
     ``explorer``, workers are threads sharing it; otherwise they are
     spawned processes (never forked — the daemon carries journal/probe/
     handler threads) that own crash-safe state only, so ``kill -9`` on
-    any of them costs one lease TTL, not data.  :meth:`wake` (called on
-    submit and cancel) ends the loop's idle wait so dispatch never waits
-    out a poll tick.
+    any of them costs one lease TTL, not data.  Each process imports and
+    builds its own solver stack and announces ``ready`` only once that
+    is loaded; the daemon never imports it, so at start-up the workers
+    import in parallel while the daemon is already serving.
+    :meth:`wake` (called on submit and cancel) ends the loop's idle wait
+    so dispatch never waits out a poll tick.
 
     Result-cache merging (processes only): each worker publishes
     finished payloads into its own ``worker-<i>`` shard of the cache

@@ -5,7 +5,10 @@ is.  An in-process worker is a daemon thread running it over the
 daemon's own :class:`~repro.dse.explorer.Explorer`.  A fleet worker is a
 separate OS process (:func:`worker_main`) spawned by the supervisor
 (spawn context, never fork — the daemon carries journal/probe/handler
-threads that fork would duplicate mid-lock).  A fleet worker owns its *own*
+threads that fork would duplicate mid-lock).  Importing this module
+loads no solver code, so a fleet daemon that imports it stays light;
+the stack is imported inside :func:`worker_main`, before the worker
+announces ``ready``.  A fleet worker owns its *own*
 :class:`~repro.dse.explorer.Explorer` stack — its own handle on the
 shared sharded :class:`~repro.dse.store.RunStore`, its own
 :class:`~repro.batch.cache.ResultCache` shard directory — so SIGKILLing
@@ -48,7 +51,6 @@ from pathlib import Path
 
 from .. import trace
 from ..batch.cache import ResultCache
-from ..batch.engine import BatchMapper
 from ..dse.store import TIER_GREEDY, RunStore
 from .wire import WireError, parse_job, result_payload
 
@@ -123,6 +125,8 @@ class FleetConfig:
         if self.mapper_factory is not None:
             factory = _load_factory(self.mapper_factory)
             return factory(cache=cache, **dict(self.mapper_kwargs))
+        from ..batch.engine import BatchMapper
+
         return BatchMapper(
             jobs=self.solver_jobs, portfolio=self.portfolio, cache=cache
         )

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .network import Network
 
 
@@ -41,6 +39,8 @@ class StructureReport:
 
 def weakly_connected_components(network: Network) -> list[set[int]]:
     """Component decomposition, largest first (deterministic tiebreak)."""
+    import networkx as nx
+
     graph = network.to_networkx()
     comps = [set(c) for c in nx.weakly_connected_components(graph)]
     return sorted(comps, key=lambda c: (-len(c), min(c)))
@@ -79,12 +79,63 @@ def feedback_synapses(network: Network) -> list[tuple[int, int]]:
     return back
 
 
+def strongly_connected_components(network: Network) -> list[list[int]]:
+    """Strongly connected components in reverse topological order.
+
+    Iterative Tarjan, so deep chains cannot overflow the interpreter
+    stack.  A component is listed only after every component it reaches,
+    so one pass in list order visits each component after all of its
+    successors in the condensation.  Every neuron, isolated or not, is in
+    exactly one component.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    components: list[list[int]] = []
+    for root in network.neuron_ids():
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(network.successors(root)))]
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(network.successors(succ))))
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
 def network_depth(network: Network) -> int:
     """Longest path (in synapses) through the acyclic condensation.
 
     For recurrent networks, strongly connected components are contracted
     first, so the depth reflects the feed-forward backbone.
     """
+    import networkx as nx
+
     graph = network.to_networkx()
     condensed = nx.condensation(graph)
     if condensed.number_of_nodes() == 0:

@@ -11,9 +11,10 @@ and a subset of neurons is marked as network inputs / outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,8 @@ class Network:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export to a networkx DiGraph (weights/delays as edge attrs)."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for neuron in self.neurons():
             graph.add_node(

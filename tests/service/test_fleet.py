@@ -223,6 +223,36 @@ class TestFleetEndToEnd:
         finally:
             service.stop(wait=True)
 
+    def test_health_and_metrics_see_worker_store_appends(
+        self, tmp_path, wait_drained
+    ):
+        """Workers append to the store through their own handles and own
+        their cache shards: the daemon's endpoints must count the store
+        on disk and report no daemon-side cache."""
+        scenarios = (_scenario(dimension=12), _scenario(dimension=10))
+        service = _service(tmp_path, fleet=2, config=_fleet_config(tmp_path))
+        assert service.explorer is None
+        server = make_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+        try:
+            service.start()
+            for repeat in (False, True):
+                for scenario in scenarios:
+                    job = wait_drained(service, service.submit(_spec(scenario)).id)
+                    assert job.status == JOB_DONE
+                    assert job.results[0]["cached"] is repeat
+            for body in (client.health(), client.metrics()):
+                assert body["store_entries"] == 2
+                assert body["cache"] is None
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+            service.stop(wait=True)
+        assert not thread.is_alive()
+
 
 # ----------------------------------------------------------------------
 class TestFaultInjection:
