@@ -65,12 +65,11 @@ class BatchJob:
     ``pgo`` stage).  All fields are picklable, so a job can be shipped to a
     worker process as-is.
 
-    ``initial_assignment`` (a neuron->slot dict or pair sequence) seeds the
-    pipeline with a carried-over mapping instead of greedy first-fit — the
-    design-space explorer threads a neighboring scenario's solution through
-    here.  A seed that does not form a valid mapping of *this* problem is
-    silently dropped in the worker (falling back to greedy), so transfers
-    across differing pools are safe to attempt.
+    ``initial_assignment`` (a neuron->slot dict or pair sequence) is a
+    caller-supplied warm start used instead of greedy first-fit; it is
+    part of the job fingerprint.  A seed that does not form a valid
+    mapping of *this* problem is silently dropped in the worker (falling
+    back to greedy), so a seed from a differing pool is safe to pass.
 
     ``precision`` switches the area stage to the bit-slicing-aware
     :class:`~repro.mapping.precision.PrecisionAreaModel`.
@@ -347,7 +346,8 @@ class BatchMapper:
         """Yield (idx, job, key, payload) for every non-cached job."""
         if should_cancel is not None and should_cancel():
             # Already cancelled: never spin up a pool or start a solve —
-            # a later wave of a cancelled multi-stage sweep lands here.
+            # a service job cancelled while its scenarios were still
+            # being built lands here.
             for idx, job, key in pending:
                 yield idx, job, key, _cancelled_payload()
             return

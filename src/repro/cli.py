@@ -265,6 +265,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.worker import FleetConfig
 
     fleet = max(0, args.fleet)
+    if fleet and args.jobs > 1:
+        # Fleet workers are daemonic processes, which may not start a
+        # solver pool of their own: a fleet's parallelism is its workers.
+        print(
+            "--jobs applies to thread workers; with --fleet N each worker "
+            "process runs one solve at a time",
+            file=sys.stderr,
+        )
+        return 2
     # Fleet workers share the store by path; sharding it keeps their
     # appends on independent locks.
     store_shards = args.store_shards
@@ -762,7 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="in-process worker threads sharing the daemon's "
                             "engine, cache and store (ignored with --fleet)")
     serve.add_argument("--jobs", type=int, default=1,
-                       help="solver worker processes per batch (1 = in-process)")
+                       help="solver worker processes per batch (1 = "
+                            "in-process; thread workers only, not --fleet)")
     serve.add_argument("--portfolio", action="store_true",
                        help="race HiGHS and lp_round per solve")
     serve.add_argument("--time-limit", type=float, default=10.0,

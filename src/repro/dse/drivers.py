@@ -11,12 +11,12 @@ and return an :class:`~repro.dse.explorer.ExplorationResult`.
   milliseconds each); rung 1 probes the band of promising candidates,
   cheapest pipelines first; later rungs refine the survivors.  Between
   rungs the candidate set is *halved* two ways: bounds are tightened
-  with confirmed prefix-sibling results (an ``area+snu`` scenario can
-  only improve on the confirmed ``area`` point of the same instance, so
-  that point becomes its bound), and candidates whose optimistic bound a
-  confirmed point dominates are pruned outright.  Total ILP spend is
-  hard-capped at ``budget_fraction`` of what the exhaustive grid would
-  pay — met by construction, not by luck.
+  with confirmed prefix-sibling results (an ``area+snu`` scenario's
+  pipeline re-solves the same area stage and then only improves routes,
+  so its ``area`` sibling's point is a heuristic bound), and candidates
+  whose optimistic bound a confirmed point dominates are pruned
+  outright.  Total ILP spend is hard-capped at ``budget_fraction`` of
+  what the exhaustive grid would pay — met by construction, not by luck.
 
 Both drivers are resumable for free: every evaluation goes store-first
 through the explorer, so re-running a finished sweep costs zero solves
@@ -243,8 +243,8 @@ def _instance_key(scenario: Scenario):
     """Scenarios sharing this key map the same problem, same ILP variant.
 
     Stage prefixes are deliberately excluded: within one key, a longer
-    prefix starts from the shorter prefix's solution and only improves
-    it, which is what makes sibling results valid bounds.
+    prefix runs the shorter prefix's stages first, so sibling results
+    serve as (heuristic) bounds for it.
     """
     return (
         scenario.workload,
@@ -261,11 +261,14 @@ def _tighten_bounds(
 ) -> None:
     """Replace greedy bounds with confirmed prefix-sibling points.
 
-    A confirmed ``area`` result for an instance is achievable by the
-    ``area+snu`` scenario of the same instance (the snu stage starts from
-    that very mapping and keeps its enabled set), so it is a tighter
-    pessimistic bound than rung 0's greedy placement — the next rung
-    ranks refinement candidates by real solver evidence, not first-fit.
+    The ``area+snu`` scenario of an instance solves the same area stage
+    as its confirmed ``area`` sibling, and its snu stage starts from its
+    own area mapping and only improves routes.  The sibling's point is
+    therefore a heuristic, not a proven, bound: an equally small
+    placement with different routes can land elsewhere.  It still beats
+    rung 0's greedy placement as evidence, and ``prune_slack`` softens
+    it before any pruning decision, so the next rung ranks refinement
+    candidates by real solver results, not first-fit.
     """
     confirmed: dict[tuple, list[tuple[tuple[str, ...], np.ndarray]]] = {}
     for result in ilp_results.values():

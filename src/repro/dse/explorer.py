@@ -8,11 +8,10 @@ cost tiers:
   decide where real solver budget is worth spending.
 - :meth:`evaluate_ilp` — the full staged mapping pipeline through
   :class:`~repro.batch.engine.BatchMapper` (``jobs`` worker processes,
-  optional solver portfolio).  Scenarios are solved in *waves* ordered
-  by stage-prefix length, and each solved placement seeds the warm
-  start of later waves that map the same (network, pool) instance —
-  warm starts flow between neighboring scenarios exactly like they flow
-  between pipeline stages.
+  optional solver portfolio), one ``map_all`` call per evaluation.
+  Every scenario is its own ILP: warm starts flow between the stages of
+  one pipeline, never between scenarios, so an answer depends only on
+  its scenario — not on what the explorer solved before it.
 
 Both tiers are **resumable**: every finished evaluation lands in the
 :class:`~repro.dse.store.RunStore` keyed by scenario fingerprint, and a
@@ -103,9 +102,6 @@ class Explorer:
             else BatchMapper(jobs=jobs, portfolio=portfolio, cache=cache)
         )
         self.time_limit = time_limit
-        #: (network_fp, arch_fp) -> best known assignment, fed to later
-        #: waves as warm starts.
-        self._seeds: dict[tuple[str, str], dict[int, int]] = {}
 
     # The mapper is the single source of truth for engine configuration;
     # these are read-only views so stale copies cannot drift from it.
@@ -158,17 +154,6 @@ class Explorer:
         )
         self.store.record(result.entry(meta))
         return result
-
-    def _problem_key(self, scenario: Scenario) -> tuple[str, str]:
-        from ..mapping.fingerprint import (
-            architecture_fingerprint,
-            network_fingerprint,
-        )
-
-        return (
-            network_fingerprint(self.registry.network(scenario.workload)),
-            architecture_fingerprint(self.registry.pool(scenario)),
-        )
 
     def _noc(self, scenario: Scenario):
         return scenario.architecture.noc(self.registry.pool(scenario))
@@ -260,12 +245,12 @@ class Explorer:
         should_cancel=None,
         solver_specs=None,
     ) -> list[ScenarioResult]:
-        """Full pipeline evaluation, store-first, in warm-start waves.
+        """Full pipeline evaluation, store-first, one batch per call.
 
         Scenarios already answered in the store are returned without a
-        solve; the rest run through :class:`BatchMapper`, shortest stage
-        prefix first, so an ``area`` solution seeds the ``area+snu``
-        scenario of the same instance in the next wave.
+        solve; the rest run through a single :meth:`BatchMapper.map_all`
+        call.  Each job is built from its scenario alone, so the answer
+        does not depend on its siblings in this call or on earlier calls.
 
         ``should_cancel`` is polled at job boundaries inside the batch
         engine (see :meth:`BatchMapper.map_all`); cancelled scenarios are
@@ -280,14 +265,15 @@ class Explorer:
         limit = self.time_limit if time_limit is None else time_limit
         fingerprints: list[str] = []
         by_fingerprint: dict[str, ScenarioResult] = {}
-        pending: list[tuple[Scenario, str]] = []
+        seen: set[str] = set()
+        jobs = []
+        built: list[tuple[Scenario, str]] = []
         for scenario in scenarios:
             fingerprint, bad = self._safe_fingerprint(scenario)
             fingerprints.append(fingerprint)
-            if fingerprint in by_fingerprint or any(
-                fp == fingerprint for _, fp in pending
-            ):
+            if fingerprint in seen:
                 continue  # duplicate spelling of the same instance
+            seen.add(fingerprint)
             if bad is not None:
                 by_fingerprint[fingerprint] = self._construction_error(
                     scenario, fingerprint, TIER_ILP, bad, meta
@@ -296,65 +282,42 @@ class Explorer:
             resumed = self._from_store(scenario, fingerprint, TIER_ILP)
             if resumed is not None:
                 by_fingerprint[fingerprint] = resumed
-                if resumed.assignment:
-                    self._seeds.setdefault(
-                        self._problem_key(scenario), resumed.assignment
-                    )
-            else:
-                pending.append((scenario, fingerprint))
-
-        waves: dict[int, list[tuple[Scenario, str]]] = {}
-        for scenario, fingerprint in pending:
-            waves.setdefault(len(scenario.formulation.stages), []).append(
-                (scenario, fingerprint)
-            )
-        mapper = self.mapper
-        for depth in sorted(waves):
-            wave = waves[depth]
-            jobs = []
-            built: list[tuple[Scenario, str]] = []
-            for scenario, fingerprint in wave:
-                seed = self._seeds.get(self._problem_key(scenario))
-                try:
-                    # Building the job simulates the workload's spike
-                    # profile; record a failure against the scenario
-                    # rather than aborting the wave's siblings.
-                    job = self.registry.to_job(
-                        scenario, time_limit=limit, initial_assignment=seed
-                    )
-                    if solver_specs is not None:
-                        job = dataclasses.replace(
-                            job, solver_specs=tuple(solver_specs)
-                        )
-                except Exception as exc:
-                    by_fingerprint[fingerprint] = self._construction_error(
-                        scenario,
-                        fingerprint,
-                        TIER_ILP,
-                        f"{type(exc).__name__}: {exc}",
-                        meta,
-                    )
-                    continue
-                jobs.append(job)
-                built.append((scenario, fingerprint))
-            if not jobs:
                 continue
+            try:
+                # Building the job simulates the workload's spike
+                # profile; record a failure against the scenario rather
+                # than aborting its siblings.
+                job = self.registry.to_job(scenario, time_limit=limit)
+                if solver_specs is not None:
+                    job = dataclasses.replace(
+                        job, solver_specs=tuple(solver_specs)
+                    )
+            except Exception as exc:
+                by_fingerprint[fingerprint] = self._construction_error(
+                    scenario,
+                    fingerprint,
+                    TIER_ILP,
+                    f"{type(exc).__name__}: {exc}",
+                    meta,
+                )
+                continue
+            jobs.append(job)
+            built.append((scenario, fingerprint))
+        if jobs:
             # Batch job names must be unique; scenario names already are
             # within one space, but guard against collisions from
             # hand-built scenario lists.
             names = [job.name for job in jobs]
             if len(set(names)) != len(names):
                 jobs = [
-                    type(job)(**{**job.__dict__, "name": f"{job.name}#{idx}"})
+                    dataclasses.replace(job, name=f"{job.name}#{idx}")
                     for idx, job in enumerate(jobs)
                 ]
-            batch = mapper.map_all(jobs, should_cancel=should_cancel)
+            batch = self.mapper.map_all(jobs, should_cancel=should_cancel)
             for (scenario, fingerprint), record in zip(built, batch.records):
                 result = self._result_from_record(scenario, fingerprint, record)
                 self.store.record(result.entry(meta))
                 by_fingerprint[fingerprint] = result
-                if result.ok and result.assignment:
-                    self._seeds[self._problem_key(scenario)] = result.assignment
         return [by_fingerprint[fp] for fp in fingerprints]
 
     def _result_from_record(

@@ -307,10 +307,7 @@ class ScenarioRegistry:
         return self._fingerprints[scenario]
 
     def to_job(
-        self,
-        scenario: Scenario,
-        time_limit: float | None = 10.0,
-        initial_assignment: dict[int, int] | None = None,
+        self, scenario: Scenario, time_limit: float | None = 10.0
     ) -> BatchJob:
         """The batch job that solves this scenario's mapping pipeline."""
         return self._batch_job(
@@ -322,11 +319,6 @@ class ScenarioRegistry:
             formulation=scenario.formulation.options,
             area_time_limit=time_limit,
             route_time_limit=time_limit,
-            initial_assignment=(
-                tuple(initial_assignment.items())
-                if initial_assignment is not None
-                else None
-            ),
             precision=scenario.formulation.precision,
         )
 
@@ -355,10 +347,10 @@ class DesignSpace:
         )
 
     def scenarios(self) -> list[Scenario]:
-        """The full grid, workload-major so neighbors share instances.
+        """The full grid, workload-major.
 
-        Ordering matters to the adaptive driver: consecutive scenarios
-        that share (workload, architecture) are warm-start neighbors.
+        The order is stable, so the adaptive driver's ties (broken in
+        this order) resolve the same way on every run.
         """
         return [
             Scenario(architecture=arch, workload=wl, formulation=form)

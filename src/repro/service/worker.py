@@ -96,7 +96,6 @@ class FleetConfig:
     store_path: str | None = None
     store_shards: int = 8
     cache_dir: str | None = None
-    solver_jobs: int = 1
     portfolio: bool = False
     time_limit: float | None = 10.0
     lease_ttl: float = 15.0
@@ -127,9 +126,8 @@ class FleetConfig:
             return factory(cache=cache, **dict(self.mapper_kwargs))
         from ..batch.engine import BatchMapper
 
-        return BatchMapper(
-            jobs=self.solver_jobs, portfolio=self.portfolio, cache=cache
-        )
+        # One solve at a time: a daemonic worker may not start a pool.
+        return BatchMapper(portfolio=self.portfolio, cache=cache)
 
     def build_store(self) -> RunStore:
         if self.store_path is None:

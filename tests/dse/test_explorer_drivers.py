@@ -19,6 +19,7 @@ from repro.dse.scenario import (
     DesignSpace,
     FormulationSpec,
     WorkloadSpec,
+    default_space,
 )
 from repro.dse.store import TIER_GREEDY, TIER_ILP, RunStore
 
@@ -237,3 +238,37 @@ class TestAdaptiveDriver:
             explore_adaptive(tiny_space, explorer, max_rungs=0)
         with pytest.raises(ValueError, match="prune_slack"):
             explore_adaptive(tiny_space, explorer, prune_slack=1.0)
+
+
+class TestAnswerDependsOnlyOnItsScenario:
+    """An explorer carries nothing between scenarios: the same scenario
+    gets the same point whatever was solved before it.  The area+snu
+    scenario below has equal-area placements with different routes, so
+    a solution carried over from its ``area`` sibling would steer it
+    to a worse tie (energy 57.48, latency 13 against 56.48, 12)."""
+
+    TARGET = "Cx0.12-uniform/het8/area+snu"
+    SIBLING = "Cx0.12-uniform/het8/area"
+
+    @pytest.fixture(scope="class")
+    def scenarios(self):
+        by_name = {s.name: s for s in default_space().scenarios()}
+        return by_name[self.SIBLING], by_name[self.TARGET]
+
+    @pytest.fixture(scope="class")
+    def fresh(self, scenarios):
+        (result,) = Explorer(time_limit=TIME_LIMIT).evaluate_ilp([scenarios[1]])
+        assert result.ok
+        return result.objectives
+
+    def test_sibling_in_the_same_call(self, scenarios, fresh):
+        _, target = Explorer(time_limit=TIME_LIMIT).evaluate_ilp(
+            list(scenarios)
+        )
+        assert target.objectives == fresh
+
+    def test_sibling_in_an_earlier_call(self, scenarios, fresh):
+        explorer = Explorer(time_limit=TIME_LIMIT)
+        explorer.evaluate_ilp([scenarios[0]])
+        (target,) = explorer.evaluate_ilp([scenarios[1]])
+        assert target.objectives == fresh

@@ -146,12 +146,11 @@ class TestFingerprints:
                 stages=("area",), precision=PrecisionSpec(4, 2)
             )
         )
-        job = registry.to_job(scenario, time_limit=7.0,
-                              initial_assignment={0: 1})
+        job = registry.to_job(scenario, time_limit=7.0)
         assert job.stages == ("area",)
         assert job.precision == PrecisionSpec(4, 2)
         assert job.area_time_limit == 7.0
-        assert job.initial_assignment == ((0, 1),)
+        assert job.initial_assignment is None
         assert job.profile is not None
 
 

@@ -111,6 +111,20 @@ class TestServeWiring:
         service.stop(wait=True)
         assert [record["job"] for record in read_jsonl(ledger)] == [job.id]
 
+    def test_fleet_rejects_solver_jobs(self, monkeypatch, capsys):
+        """``serve --fleet N --jobs K`` (K > 1) is refused before any
+        service is built: a daemonic fleet worker cannot start a solver
+        pool, so the flag could only turn into failed jobs."""
+        from repro.service import daemon
+
+        built = []
+        monkeypatch.setattr(
+            daemon, "MappingService", lambda *a, **kw: built.append(kw)
+        )
+        assert main(["serve", "--port", "0", "--fleet", "2", "--jobs", "3"]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert built == []
+
     def test_journal_and_ledger_spell_one_setting(self):
         """Both flags set the one journal path; the last one wins."""
         parse = build_parser().parse_args

@@ -19,6 +19,7 @@ from repro.dse.scenario import (
     Scenario,
     ScenarioRegistry,
     WorkloadSpec,
+    default_space,
 )
 from repro.service.client import ServiceError
 from repro.service.daemon import MappingService, Supervisor
@@ -347,6 +348,28 @@ class _StubExplorer:
         return []
 
 
+
+
+class TestAnswerDependsOnlyOnItsScenario:
+    def test_same_answer_whatever_the_worker_ran_first(self, wait_drained):
+        """One long-lived worker, two histories: the scenario's answer is
+        the same whether the worker first ran its ``area`` sibling or an
+        unrelated scenario."""
+        by_name = {s.name: s for s in default_space().scenarios()}
+        target = by_name["Cx0.12-uniform/het8/area+snu"]
+        answers = []
+        for first in ("Cx0.12-uniform/het8/area", "Cx0.12-uniform/homo12/area"):
+            service = MappingService(Explorer(time_limit=5.0), workers=1)
+            service.start()
+            try:
+                for scenario in (by_name[first], target):
+                    job = service.submit(JobSpec(scenarios=(scenario,)))
+                    assert wait_drained(service, job).status == JOB_DONE
+                (result,) = job.results
+                answers.append(result["objectives"])
+            finally:
+                service.stop(wait=True)
+        assert answers[0] == answers[1]
 
 
 class TestOneExecutionPath:

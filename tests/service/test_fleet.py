@@ -206,6 +206,22 @@ class TestFleetEndToEnd:
         finally:
             service.stop(wait=True)
 
+    def test_two_scenario_job_solves_in_one_worker(self, tmp_path, wait_drained):
+        """A multi-scenario ILP job runs inside one daemonic worker
+        process, which may not start a solver pool of its own."""
+        first, second = _scenario(dimension=12), _scenario(dimension=10)
+        service = _service(tmp_path, fleet=1, config=_fleet_config(tmp_path))
+        try:
+            service.start()
+            job = service.submit(_spec(first, second))
+            done = wait_drained(service, job.id)
+            assert done.status == JOB_DONE
+            assert [_deterministic(p) for p in done.results] == [
+                _deterministic(p) for p in _direct_payloads(first, second)
+            ]
+        finally:
+            service.stop(wait=True)
+
     def test_shared_store_resumes_across_workers(self, tmp_path, wait_drained):
         scenario = _scenario()
         service = _service(tmp_path, fleet=1, config=_fleet_config(tmp_path))
