@@ -1,12 +1,11 @@
-"""Service/fleet bench: sharded store throughput and fleet wall-clock.
+"""Service/fleet bench: run-store throughput, fleet wall-clock, tracing cost.
 
-Two claims behind PR-7's crash-tolerant fleet, measured:
+Three measurements behind the crash-tolerant fleet:
 
-- **store** — the sharded run store keeps up with (and under contention
-  beats) the legacy single-file layout: four concurrent writer processes
-  spread their ``flock``s over the shards instead of serialising on one
-  file, and resume loads ride the index sidecar instead of re-parsing
-  every superseded line;
+- **store** — four writer processes append to the one run-store file
+  under its ``flock`` (each key twice, so resume has superseded lines to
+  skip); the append and resume rates are recorded, and every key must
+  resume;
 - **fleet** — a fleet of two worker processes finishes a batch of
   independent jobs in less wall-clock than one in-process worker thread,
   spawn overhead included (the recorded ``speedup`` tracks how much);
@@ -48,16 +47,11 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 #: supersedes the first, so resume has stale lines to skip).
 WRITERS = 4
 KEYS_PER_WRITER = 150
-SHARDS = 8
 
 #: Fleet workload: independent single-scenario jobs, each a real (0.5-4s)
 #: ILP solve so process-spawn overhead doesn't dominate the comparison.
 FLEET_SCENARIOS = (("C", 16), ("C", 18), ("A", 18), ("E", 18))
 TIME_LIMIT = 15.0
-
-#: The contention floor: sharded must not lose to single-file by more
-#: than measurement noise (it usually wins outright).
-MIN_STORE_RATIO = 0.9
 
 #: Tracing workload: small real solves, re-run per mode on fresh
 #: store/cache so both modes do identical solver work.
@@ -81,8 +75,8 @@ def _entry(fingerprint: str, payload_version: int) -> RunEntry:
     )
 
 
-def _writer_main(path: str, shards: int, writer: int, keys: int) -> None:
-    with RunStore(path, shards=shards) if shards else RunStore(path) as store:
+def _writer_main(path: str, writer: int, keys: int) -> None:
+    with RunStore(path) as store:
         for version in (1, 2):
             for index in range(keys):
                 # Two versions of one key: same fingerprint, new payload,
@@ -91,13 +85,13 @@ def _writer_main(path: str, shards: int, writer: int, keys: int) -> None:
                 store.record(_entry(fingerprint, version))
 
 
-def _hammer(path: Path, shards: int) -> dict:
+def _hammer(path: Path) -> dict:
     """Four processes, each appending its keys twice; returns timings."""
     ctx = multiprocessing.get_context("spawn")
     workers = [
         ctx.Process(
             target=_writer_main,
-            args=(str(path), shards, writer, KEYS_PER_WRITER),
+            args=(str(path), writer, KEYS_PER_WRITER),
         )
         for writer in range(WRITERS)
     ]
@@ -110,12 +104,13 @@ def _hammer(path: Path, shards: int) -> dict:
     assert all(worker.exitcode == 0 for worker in workers)
 
     started = time.perf_counter()
-    store = RunStore(path)  # a sharded dir's manifest self-identifies
+    store = RunStore(path)
     resume_seconds = time.perf_counter() - started
     entries = len(store)
     store.close()
     total_appends = WRITERS * KEYS_PER_WRITER * 2
     return {
+        "writers": WRITERS,
         "appends": total_appends,
         "entries_resumed": entries,
         "append_seconds": append_seconds,
@@ -161,15 +156,14 @@ def _run_single(tmp: Path) -> float:
 
 def _run_fleet(tmp: Path) -> float:
     config = FleetConfig(
-        store_path=str(tmp / "fleet-store"),
-        store_shards=SHARDS,
+        store_path=str(tmp / "fleet-store.jsonl"),
         cache_dir=str(tmp / "fleet-cache"),
         time_limit=TIME_LIMIT,
         heartbeat_interval=0.5,
         lease_ttl=30.0,
     )
     explorer = Explorer(
-        store=RunStore(tmp / "fleet-store", shards=SHARDS),
+        store=RunStore(tmp / "fleet-store.jsonl"),
         cache=ResultCache(),
         time_limit=TIME_LIMIT,
     )
@@ -274,25 +268,13 @@ def _wait_all(service, job_ids, timeout: float = 300.0) -> None:
 def _run_bench() -> dict:
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
-        single = _hammer(tmp / "single.jsonl", shards=0)
-        sharded = _hammer(tmp / "sharded-store", shards=SHARDS)
+        store = _hammer(tmp / "store.jsonl")
         single_wall = _run_single(tmp)
         fleet_wall = _run_fleet(tmp)
         tracing = _trace_overhead(tmp)
     return {
         "tracing": tracing,
-        "store": {
-            "writers": WRITERS,
-            "shards": SHARDS,
-            "single_file": single,
-            "sharded": sharded,
-            "append_ratio": (
-                sharded["appends_per_second"] / single["appends_per_second"]
-            ),
-            "resume_ratio": (
-                sharded["resumes_per_second"] / single["resumes_per_second"]
-            ),
-        },
+        "store": store,
         "fleet": {
             "jobs": len(FLEET_SCENARIOS),
             "single_process_seconds": single_wall,
@@ -306,25 +288,13 @@ def test_benchmark_service(benchmark):
     stats = once(benchmark, _run_bench)
 
     payload = {
-        "schema": "repro.bench_service/1",
+        "schema": "repro.bench_service/2",
         "source": "benchmarks/bench_service.py",
-        "min_store_ratio": MIN_STORE_RATIO,
         **stats,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
 
-    store = stats["store"]
-    expected = WRITERS * KEYS_PER_WRITER
-    assert store["single_file"]["entries_resumed"] == expected
-    assert store["sharded"]["entries_resumed"] == expected
-    assert store["append_ratio"] >= MIN_STORE_RATIO, (
-        f"sharded appends at {store['append_ratio']:.2f}x the single-file "
-        f"rate under {WRITERS}-writer contention (< {MIN_STORE_RATIO}x floor)"
-    )
-    assert store["resume_ratio"] >= MIN_STORE_RATIO, (
-        f"sharded resume at {store['resume_ratio']:.2f}x the single-file "
-        f"rate (< {MIN_STORE_RATIO}x floor)"
-    )
+    assert stats["store"]["entries_resumed"] == WRITERS * KEYS_PER_WRITER
     assert stats["fleet"]["speedup"] > 0  # recorded, not asserted faster:
     # two spawns plus solver variance can eat the win on tiny batches.
 

@@ -6,7 +6,9 @@ repeated sweeps skip already-solved instances.  Two tiers:
 
 - an in-memory dict, always on;
 - an optional on-disk tier (one ``<fingerprint>.json`` per entry under a
-  directory), surviving across processes and runs.
+  directory), surviving across processes and runs.  Entries publish by
+  atomic rename from a writer-private temp file, so any number of
+  threads and processes can share one directory.
 
 The cache never stores live :class:`~repro.mapping.solution.Mapping`
 objects — payloads are rehydrated against the caller's problem instance,
@@ -17,6 +19,7 @@ bound to the *caller's* network/architecture objects.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -121,9 +124,14 @@ class ResultCache:
         self.stats.record_store()
         if self.path is not None:
             entry = {"format": CACHE_FORMAT, "key": key, "payload": payload}
-            tmp = self._entry_path(key).with_suffix(".json.tmp")
+            target = self._entry_path(key)
+            # One temp file per writer: two writers of one key must not
+            # rename the same file out from under each other.
+            tmp = target.with_name(
+                f"{target.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+            )
             tmp.write_text(json.dumps(entry, sort_keys=True))
-            tmp.replace(self._entry_path(key))  # atomic publish
+            tmp.replace(target)  # atomic publish
 
     def __contains__(self, key: str) -> bool:
         return key in self._memory or (

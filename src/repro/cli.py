@@ -274,11 +274,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # Fleet workers share the store by path; sharding it keeps their
-    # appends on independent locks.
-    store_shards = args.store_shards
-    if fleet and args.store and store_shards is None:
-        store_shards = 8
     explorer = None
     if not fleet:
         # Thread workers share one in-process solver stack.  A fleet
@@ -287,11 +282,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .dse import Explorer, RunStore
 
         explorer = Explorer(
-            store=(
-                RunStore(args.store, shards=store_shards)
-                if args.store
-                else RunStore()
-            ),
+            store=RunStore(args.store) if args.store else RunStore(),
             jobs=args.jobs,
             portfolio=args.portfolio,
             # The shared cache is the point of the daemon: default to the
@@ -321,7 +312,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         aging_interval=args.aging_interval,
         fleet_config=FleetConfig(
             store_path=args.store,
-            store_shards=store_shards or 8,
             cache_dir=args.cache_dir,
             portfolio=args.portfolio,
             time_limit=args.time_limit,
@@ -789,8 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="structured per-job log (JSONL): one line per "
                             "state transition and per scenario result")
     serve.add_argument("--store", default=None,
-                       help="shared JSONL run store; submissions resume "
-                            "from and append to it")
+                       help="shared JSONL run store file (every worker "
+                            "appends to it); submissions resume from it")
     serve.add_argument("--fleet", type=int, default=0,
                        help="run N supervised worker *processes* instead "
                             "of --workers threads (0 = threads)")
@@ -806,10 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between worker heartbeats")
     serve.add_argument("--max-attempts", type=int, default=3,
                        help="attempts per job before dead-letter")
-    serve.add_argument("--store-shards", type=int, default=None,
-                       help="shard the run store into N flock'd JSONL "
-                            "files (default: 8 with --fleet; single-file "
-                            "otherwise); migrates a legacy store in place")
     serve.add_argument("--rate", type=float, default=None,
                        help="per-client submission rate limit "
                             "(tokens/second; default: unlimited)")

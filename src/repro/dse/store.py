@@ -13,49 +13,27 @@ append again; the *last* entry per key wins, so the store doubles as a
 history of the sweep.
 
 Concurrent writers are safe: a store keeps **one** append handle open
-per file for its whole life (instead of re-opening per entry) and takes
-an advisory ``flock`` around every append, so several worker processes —
-or the mapping daemon's threads — can share a single store.  Before each
-append the writer heals a torn tail left by a crashed sibling (a final
-line without its newline) by terminating it, so the crash costs exactly
-the one torn entry and never corrupts the next writer's line.
-
-Two on-disk layouts share this contract:
-
-- **single file** (``RunStore(path)`` on a ``.jsonl`` path) — the
-  original layout: one JSONL file, full scan on load;
-- **sharded** (``RunStore(path, shards=N)``) — ``path`` is a directory
-  of ``shard-XXX.jsonl`` files, entries routed by fingerprint prefix.
-  Each shard has its own lock (N writers on N different shards never
-  contend) and an **index sidecar** (``shard-XXX.idx``) appending
-  ``(key, offset, length)`` per entry, so a resume reads the small
-  index plus one line per *unique key* instead of re-parsing the whole
-  append history — the difference between O(history) and O(keys).
-  Opening an existing single-file store with ``shards=`` migrates it in
-  place (the original file is kept as ``<name>.pre-shard``); opening a
-  shard directory without ``shards=`` autodetects the layout from its
-  ``MANIFEST.json``.
+for its whole life (instead of re-opening per entry) and appends under
+the :mod:`repro.jsonlio` protocol — an exclusive advisory ``flock``,
+healing a crashed sibling's torn tail (a final line without its
+newline) first — so several worker processes, or the mapping daemon's
+threads, can share a single file.  The crash costs exactly the one torn
+entry and never corrupts the next writer's line.  Readers keep a byte
+offset, so picking up siblings' appends parses only the new tail.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
-from ..jsonlio import flock as _shared_flock
-from ..jsonlio import funlock as _shared_funlock
-from ..jsonlio import heal_torn_tail as _shared_heal_torn_tail
+from ..jsonlio import append_records, dump_line, flock, funlock, open_append
 
 #: Bump when the entry schema changes; older entries are ignored on load.
 STORE_FORMAT = 1
-
-#: The shard-directory marker file recording the shard count.
-MANIFEST_NAME = "MANIFEST.json"
 
 TIER_GREEDY = "greedy"
 TIER_ILP = "ilp"
@@ -129,75 +107,6 @@ def _parse_entry(line: str) -> RunEntry | None:
         return None
 
 
-class _Appender:
-    """One JSONL file's long-lived locked append handle (plus sidecar).
-
-    Owns the single-handle/flock/torn-tail-heal protocol for a data file
-    and, when ``index_path`` is given, mirrors every append into an
-    index sidecar line ``{"f", "t", "o", "l"}`` under the *same* lock,
-    so index order always matches data order.
-    """
-
-    def __init__(self, data_path: Path, index_path: Path | None = None) -> None:
-        self.data_path = data_path
-        self.index_path = index_path
-        self._handle: IO[bytes] | None = None
-        self._index_handle: IO[bytes] | None = None
-
-    def append(self, data: bytes, key: tuple[str, str] | None = None) -> None:
-        handle = self._ensure(self.data_path, "_handle")
-        _flock(handle, exclusive=True)
-        try:
-            _heal_torn_tail(handle)
-            offset = handle.seek(0, 2)
-            handle.write(data)
-            handle.flush()
-            if self.index_path is not None and key is not None:
-                index_handle = self._ensure(self.index_path, "_index_handle")
-                _heal_torn_tail(index_handle)
-                index_handle.seek(0, 2)
-                record = {"f": key[0], "t": key[1], "o": offset, "l": len(data)}
-                index_handle.write(
-                    json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
-                )
-                index_handle.flush()
-        finally:
-            _funlock(handle)
-
-    def _ensure(self, path: Path, attr: str) -> IO[bytes]:
-        handle: IO[bytes] | None = getattr(self, attr)
-        if handle is None or handle.closed:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # "a+b": O_APPEND keeps every write at end-of-file no matter
-            # which writer got there first; the read side lets the
-            # torn-tail check inspect the current last byte under lock.
-            handle = path.open("a+b")
-            setattr(self, attr, handle)
-        return handle
-
-    def close(self) -> None:
-        for attr in ("_handle", "_index_handle"):
-            handle = getattr(self, attr)
-            if handle is not None and not handle.closed:
-                handle.close()
-            setattr(self, attr, None)
-
-
-# The flock/heal protocol lives in repro.jsonlio now (shared with the
-# service journals and the trace span journals); the historical names
-# stay importable for callers and tests grown against this module.
-def _heal_torn_tail(handle: IO[bytes]) -> None:
-    _shared_heal_torn_tail(handle)
-
-
-def _flock(handle: IO[bytes], exclusive: bool) -> None:
-    _shared_flock(handle, exclusive)
-
-
-def _funlock(handle: IO[bytes]) -> None:
-    _shared_funlock(handle)
-
-
 class RunStore:
     """Append-only JSONL store of :class:`RunEntry` records.
 
@@ -205,222 +114,78 @@ class RunStore:
     tests); otherwise entries are flushed line-by-line so a concurrent
     reader — or the next resumed run — sees every finished scenario.
 
-    ``shards=N`` selects the sharded directory layout (see the module
-    docstring): entries are routed to ``shard-XXX.jsonl`` by fingerprint
-    prefix, each shard file has its own advisory lock, and an index
-    sidecar makes resume read one line per unique key instead of the
-    whole history.  An existing shard directory reopens with its
-    manifest's shard count no matter what ``shards`` says; an existing
-    single file migrates one-shot when ``shards`` is given.
-
     A persistent store is safe to share between processes: appends go
-    through long-lived handles under advisory ``flock`` (plus an
-    in-process mutex for threaded writers such as the mapping daemon).
-    Use :meth:`reload` to pick up entries appended by *other* writers
-    since this store was opened, and :meth:`close` (or the context
-    manager form) to release the handles.
+    through one long-lived handle under an exclusive advisory ``flock``
+    (plus an in-process mutex for threaded writers such as the mapping
+    daemon).  The store remembers how far into the file it has read, so
+    :meth:`reload` parses only the lines other writers appended since;
+    :meth:`close` (or the context manager form) releases the handle.
     """
 
-    def __init__(
-        self, path: str | Path | None = None, shards: int | None = None
-    ) -> None:
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1")
+    def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._entries: dict[tuple[str, str], RunEntry] = {}
-        self._loaded_lines = 0
         self._skipped_lines = 0
+        self._offset = 0  # bytes of the file already folded into _entries
         self._lock = threading.Lock()
-        self._shards = 0  # 0 = memory or single-file layout
-        self._appenders: dict[int, _Appender] = {}
+        self._handle: IO[bytes] | None = None
         if self.path is None:
             return
         if self.path.is_dir():
-            self._shards = self._read_manifest(shards)
-        elif self.path.exists():
-            if shards is not None:
-                self._migrate_legacy(shards)
-        elif shards is not None:
-            self._init_shard_dir(shards)
-        self._load_all()
-
-    # -- layout ---------------------------------------------------------
-    @property
-    def shards(self) -> int:
-        """Shard count (0 for the memory / single-file layouts)."""
-        return self._shards
-
-    def _manifest_path(self) -> Path:
-        assert self.path is not None
-        return self.path / MANIFEST_NAME
-
-    def _read_manifest(self, shards: int | None) -> int:
-        try:
-            manifest = json.loads(self._manifest_path().read_text())
-            count = int(manifest["shards"])
-            if manifest.get("format") != STORE_FORMAT or count < 1:
-                raise ValueError(manifest)
-        except (OSError, ValueError, KeyError, TypeError):
             raise ValueError(
-                f"{self.path} is not a run-store directory (missing or "
-                f"invalid {MANIFEST_NAME})"
-            ) from None
-        return count
-
-    def _init_shard_dir(self, shards: int) -> None:
-        assert self.path is not None
-        self.path.mkdir(parents=True, exist_ok=True)
-        manifest = self._manifest_path()
-        if not manifest.exists():
-            tmp = manifest.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps({"format": STORE_FORMAT, "shards": shards}) + "\n"
+                f"{self.path} is a directory; the run store is one JSONL "
+                f"file now.  Concatenate the old shards (each key lived in "
+                f"exactly one) with: cat {self.path}/shard-*.jsonl > runs.jsonl"
             )
-            tmp.replace(manifest)  # atomic publish
-        self._shards = self._read_manifest(shards)
+        self._read_tail()
 
-    def _migrate_legacy(self, shards: int) -> None:
-        """One-shot single-file -> sharded migration (last-per-key).
+    def _read_tail(self) -> None:
+        """Fold the lines appended since the last read into the entries.
 
-        The original file survives as ``<name>.pre-shard`` next to the
-        new directory, so a crash mid-migration (or a change of heart)
-        loses nothing.  Not safe to race from two processes — migrate
-        once, at daemon startup, before workers open the store.
+        Reads under the *shared* lock, so no writer is mid-append: an
+        unterminated last line can only be a crashed writer's torn tail.
+        It is counted in :attr:`skipped_lines` and read past; the next
+        writer's heal turns it into a line of its own.  A file that
+        shrank below the offset was replaced or truncated, so it is
+        re-read from the start.
         """
         assert self.path is not None
-        entries: dict[tuple[str, str], RunEntry] = {}
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                entry = _parse_entry(line)
-                if entry is not None:
-                    entries[entry.key] = entry
-        backup = self.path.with_name(self.path.name + ".pre-shard")
-        os.replace(self.path, backup)
-        self._init_shard_dir(shards)
-        for entry in entries.values():
-            line = json.dumps(
-                entry.to_json(), sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-            self._appender_for(entry.fingerprint).append(line + b"\n", entry.key)
-
-    def _shard_of(self, fingerprint: str) -> int:
-        # Fingerprints are hex digests, so the leading characters are a
-        # uniform route; non-hex keys ("invalid-..." placeholders) fall
-        # back to a stable hash of the whole string.
         try:
-            return int(fingerprint[:8], 16) % self._shards
-        except ValueError:
-            return zlib.crc32(fingerprint.encode("utf-8")) % self._shards
-
-    def _shard_paths(self, index: int) -> tuple[Path, Path]:
-        assert self.path is not None
-        stem = f"shard-{index:03d}"
-        return (self.path / f"{stem}.jsonl", self.path / f"{stem}.idx")
-
-    def _appender_for(self, fingerprint: str) -> _Appender:
-        assert self.path is not None
-        if self._shards:
-            index = self._shard_of(fingerprint)
-            appender = self._appenders.get(index)
-            if appender is None:
-                data, idx = self._shard_paths(index)
-                appender = self._appenders[index] = _Appender(data, idx)
-            return appender
-        appender = self._appenders.get(-1)
-        if appender is None:
-            # The legacy layout has no index sidecar: its file must stay
-            # byte-compatible with stores written before sharding.
-            appender = self._appenders[-1] = _Appender(self.path)
-        return appender
-
-    # -- loading --------------------------------------------------------
-    def _load_all(self) -> None:
-        assert self.path is not None
-        if self._shards:
-            for index in range(self._shards):
-                data, idx = self._shard_paths(index)
-                if data.exists():
-                    self._load_shard(data, idx)
-        elif self.path.exists():
-            self._scan_file(self.path)
-
-    def _scan_file(self, path: Path, start: int = 0) -> None:
-        """Full (or tail) scan: parse every line from ``start`` onward."""
-        with path.open("r", encoding="utf-8") as handle:
-            if start:
-                handle.seek(start)
-            for line in handle:
-                entry = _parse_entry(line)
-                if entry is None:
-                    if line.strip():
-                        self._skipped_lines += 1
-                    continue
-                self._entries[entry.key] = entry
-                self._loaded_lines += 1
-
-    def _load_shard(self, data_path: Path, index_path: Path) -> None:
-        """Index-accelerated load, falling back to a full scan.
-
-        The sidecar tells us where the *last* entry of every key lives,
-        so a resume parses one line per unique key plus whatever tail
-        the index has not caught up with (a sibling that crashed between
-        its data and index appends, or an indexless legacy writer).
-        """
-        if not index_path.exists():
-            self._scan_file(data_path)
+            handle = self.path.open("rb")
+        except FileNotFoundError:
             return
-        winners: dict[tuple[str, str], tuple[int, int]] = {}
-        indexed_end = 0
-        with index_path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key = (record["f"], record["t"])
-                    offset, length = int(record["o"]), int(record["l"])
-                except (ValueError, KeyError, TypeError):
-                    continue  # torn index tail; the data tail scan covers it
-                winners[key] = (offset, length)
-                indexed_end = max(indexed_end, offset + length)
-        size = data_path.stat().st_size
-        if indexed_end > size:
-            # The index points past the data (mismatched files, manual
-            # truncation): it cannot be trusted at all.
-            self._scan_file(data_path)
-            return
-        loaded: dict[tuple[str, str], RunEntry] = {}
-        with data_path.open("r", encoding="utf-8") as handle:
-            for key, (offset, length) in winners.items():
-                handle.seek(offset)
-                entry = _parse_entry(handle.read(length))
-                if entry is None or entry.key != key:
-                    self._scan_file(data_path)  # index lied; trust the data
-                    return
-                loaded[key] = entry
-        self._entries.update(loaded)
-        self._loaded_lines += len(loaded)
-        if indexed_end < size:
-            self._scan_file(data_path, start=indexed_end)
+        with handle:
+            flock(handle, exclusive=False)
+            try:
+                if handle.seek(0, 2) < self._offset:
+                    self._entries.clear()
+                    self._skipped_lines = 0
+                    self._offset = 0
+                handle.seek(self._offset)
+                data = handle.read()
+            finally:
+                funlock(handle)
+        self._offset += len(data)
+        for raw in data.split(b"\n"):
+            if not raw.strip():
+                continue
+            entry = _parse_entry(raw.decode("utf-8", errors="replace"))
+            if entry is None:
+                self._skipped_lines += 1
+                continue
+            self._entries[entry.key] = entry
 
     def reload(self) -> int:
-        """Re-read the files, merging entries appended by other writers.
+        """Fold in entries appended by other writers since the last read.
 
         Returns the number of keyed entries after the reload.  A memory
         store is a no-op.  Entries recorded through *this* store are
-        re-read from disk too (last line per key wins, as always), so the
-        in-memory view converges with every sibling writer's.  With the
-        sharded layout this is cheap — the index sidecars bound the work
-        by unique keys, not append history.
+        re-read from the file too (last line per key wins, as always), so
+        the in-memory view converges with every sibling writer's.
         """
         with self._lock:
-            if self.path is None:
-                return len(self._entries)
-            self._entries.clear()
-            self._loaded_lines = 0
-            self._skipped_lines = 0
-            self._load_all()
+            if self.path is not None:
+                self._read_tail()
             return len(self._entries)
 
     # ------------------------------------------------------------------
@@ -451,28 +216,26 @@ class RunStore:
     def record(self, entry: RunEntry) -> None:
         """Persist one evaluation (last write per key wins).
 
-        The append happens through the entry's shard handle, serialized
-        by an exclusive advisory lock: the full ``line + newline`` is
-        flushed before the lock drops, so readers and sibling writers
-        never observe a half-written entry (short of a crash, whose torn
-        tail the next append heals).
+        The append is serialized by an exclusive advisory lock: the full
+        ``line + newline`` is flushed before the lock drops, so readers
+        and sibling writers never observe a half-written entry (short of
+        a crash, whose torn tail the next append heals).
         """
-        line = json.dumps(entry.to_json(), sort_keys=True, separators=(",", ":"))
         with self._lock:
             self._entries[entry.key] = entry
             if self.path is None:
                 return
-            self._appender_for(entry.fingerprint).append(
-                line.encode("utf-8") + b"\n", entry.key
-            )
+            if self._handle is None or self._handle.closed:
+                self._handle = open_append(self.path)
+            append_records(self._handle, dump_line(entry.to_json()))
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the append handles (records still work — they reopen)."""
+        """Release the append handle (records still work — they reopen)."""
         with self._lock:
-            for appender in self._appenders.values():
-                appender.close()
-            self._appenders.clear()
+            if self._handle is not None and not self._handle.closed:
+                self._handle.close()
+            self._handle = None
 
     def __enter__(self) -> "RunStore":
         return self
@@ -490,14 +253,3 @@ class RunStore:
     def skipped_lines(self) -> int:
         """Unreadable lines encountered on load (torn tails, old formats)."""
         return self._skipped_lines
-
-    @property
-    def _handle(self) -> IO[bytes] | None:
-        """The single-file layout's append handle (``None`` when closed).
-
-        Kept as an inspectable attribute because the single-handle
-        regression tests assert on its lifecycle; the sharded layout has
-        one handle per shard instead (see ``_appenders``).
-        """
-        appender = self._appenders.get(-1)
-        return appender._handle if appender is not None else None

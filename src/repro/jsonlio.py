@@ -11,8 +11,7 @@ the run store (:mod:`repro.dse.store`), the service journals
 - readers tolerate everything a crash can leave behind: torn tails,
   blank lines, non-object lines — every healthy line, nothing else.
 
-This module is the single home of those primitives; the historical
-copies in ``dse/store.py`` and ``service/metrics.py`` delegate here.
+This module is the single home of those primitives.
 """
 
 from __future__ import annotations

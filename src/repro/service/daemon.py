@@ -468,8 +468,9 @@ class MappingService:
     def _cache_stats(self) -> dict | None:
         """The shared result cache's counters; ``None`` without one.
 
-        Fleet workers own their cache shards, so a fleet daemon has no
-        cache to report.
+        Fleet workers count hits in their own processes (the directory
+        they share holds entries, not counters), so a fleet daemon has
+        no cache to report.
         """
         cache = self.explorer.cache if self.explorer is not None else None
         return cache.stats.snapshot() if cache is not None else None
@@ -478,8 +479,9 @@ class MappingService:
         """Entries in the shared run store, as the workers see it.
 
         Fleet workers append through their own handles, so the daemon
-        re-reads the files first; without a store path each worker keeps
-        a private memory store the daemon cannot see (``None``).
+        first reads the tail they appended since its last look; without
+        a store path each worker keeps a private memory store the daemon
+        cannot see (``None``).
         """
         if self.explorer is not None:
             return len(self.store)
@@ -635,12 +637,6 @@ class Supervisor:
     import in parallel while the daemon is already serving.
     :meth:`wake` (called on submit and cancel) ends the loop's idle wait
     so dispatch never waits out a poll tick.
-
-    Result-cache merging (processes only): each worker publishes
-    finished payloads into its own ``worker-<i>`` shard of the cache
-    directory; the supervisor copies new fingerprints into a ``merged``
-    shard after each result and primes new workers' shards from it, so a
-    mapping solved by one worker is a disk hit for every later one.
     """
 
     #: Control-loop tick; also the message-drain poll timeout.
@@ -673,13 +669,6 @@ class Supervisor:
         self._trace_offsets: dict[str, int] = {}
 
     # -- lifecycle -----------------------------------------------------
-    @property
-    def merged_cache_dir(self) -> Path | None:
-        # Threads share the daemon's cache: there is nothing to merge.
-        if self.config.cache_dir is None or self._explorer is not None:
-            return None
-        return Path(self.config.cache_dir) / "merged"
-
     def start(self) -> None:
         if self._started:
             return
@@ -742,7 +731,6 @@ class Supervisor:
                 if process.is_alive():  # pragma: no cover - last resort
                     process.kill()
                     process.join(timeout=2.0)
-                self._merge_cache(handle.index)
             self._merge_trace()
 
     # -- workers -------------------------------------------------------
@@ -777,7 +765,6 @@ class Supervisor:
         # leave its old queue's pipe in an unusable state.
         handle.task_queue = self._ctx.Queue()
         handle.cancel_event = self._ctx.Event()
-        self._prime_cache(handle.index)
         process = self._ctx.Process(
             target=worker_main,
             args=(
@@ -912,7 +899,6 @@ class Supervisor:
                 lease_worker = handle.name
             self._observe_duration(handle)
             handle.job = None
-            self._merge_cache(handle.index)
             self._merge_trace()
         job = registry.get(job_id)
         if job is None or job.finished:
@@ -965,7 +951,6 @@ class Supervisor:
             handle.process = None
             handle.ready = False
             job_id, handle.job = handle.job, None
-            self._merge_cache(handle.index)  # salvage finished payloads
             self._merge_trace()  # salvage the dead worker's spans too
             if job_id is not None:
                 self._observe_duration(handle)
@@ -1075,37 +1060,6 @@ class Supervisor:
             self._trace_offsets[source.name] = trace.merge_journal(
                 source, dest, offset
             )
-
-    # -- result-cache merging ------------------------------------------
-    def _prime_cache(self, worker_id: int) -> None:
-        merged = self.merged_cache_dir
-        worker_dir = self.config.worker_cache_dir(worker_id)
-        if merged is None or worker_dir is None or not merged.exists():
-            return
-        self._copy_new_entries(merged, Path(worker_dir))
-
-    def _merge_cache(self, worker_id: int) -> None:
-        merged = self.merged_cache_dir
-        worker_dir = self.config.worker_cache_dir(worker_id)
-        if merged is None or worker_dir is None:
-            return
-        source = Path(worker_dir)
-        if source.exists():
-            self._copy_new_entries(source, merged)
-
-    @staticmethod
-    def _copy_new_entries(source: Path, target: Path) -> None:
-        target.mkdir(parents=True, exist_ok=True)
-        for entry in source.glob("*.json"):
-            destination = target / entry.name
-            if destination.exists():
-                continue  # fingerprints are content-addressed: same answer
-            tmp = destination.with_suffix(".json.tmp")
-            try:
-                tmp.write_bytes(entry.read_bytes())
-                tmp.replace(destination)  # atomic publish, like the cache
-            except OSError:
-                continue
 
     # -- inspection ----------------------------------------------------
     def snapshot(self) -> dict:

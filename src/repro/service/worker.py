@@ -10,11 +10,11 @@ loads no solver code, so a fleet daemon that imports it stays light;
 the stack is imported inside :func:`worker_main`, before the worker
 announces ``ready``.  A fleet worker owns its *own*
 :class:`~repro.dse.explorer.Explorer` stack — its own handle on the
-shared sharded :class:`~repro.dse.store.RunStore`, its own
-:class:`~repro.batch.cache.ResultCache` shard directory — so SIGKILLing
-it can never corrupt the supervisor's state: the store's per-shard
-flock'd appends are crash-safe, the cache publishes entries atomically,
-and everything else dies with the process.
+shared :class:`~repro.dse.store.RunStore` file and its own
+:class:`~repro.batch.cache.ResultCache` over the shared cache
+directory — so SIGKILLing it can never corrupt the supervisor's state:
+the store's flock'd appends are crash-safe, the cache publishes entries
+atomically, and everything else dies with the process.
 
 Protocol, over queues (tasks in, messages out)::
 
@@ -47,7 +47,6 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .. import trace
 from ..batch.cache import ResultCache
@@ -94,7 +93,6 @@ class FleetConfig:
     """
 
     store_path: str | None = None
-    store_shards: int = 8
     cache_dir: str | None = None
     portfolio: bool = False
     time_limit: float | None = 10.0
@@ -111,16 +109,13 @@ class FleetConfig:
     #: Slow-span watchdog threshold (seconds), forwarded to the runtime.
     trace_slow_span: float | None = None
 
-    def worker_cache_dir(self, worker_id: int) -> str | None:
-        """The per-worker result-cache shard (merged by the supervisor)."""
-        if self.cache_dir is None:
-            return None
-        return str(Path(self.cache_dir) / f"worker-{worker_id}")
-
     def build_mapper(self, worker_id: int):
-        """The worker's private engine (factory-injected in chaos tests)."""
-        cache_dir = self.worker_cache_dir(worker_id)
-        cache = ResultCache(path=cache_dir) if cache_dir is not None else None
+        """The worker's private engine (factory-injected in chaos tests).
+
+        Every worker's cache reads and writes the one shared directory,
+        so a mapping solved by one worker is a disk hit for every other.
+        """
+        cache = ResultCache(self.cache_dir) if self.cache_dir is not None else None
         if self.mapper_factory is not None:
             factory = _load_factory(self.mapper_factory)
             return factory(cache=cache, **dict(self.mapper_kwargs))
@@ -130,12 +125,7 @@ class FleetConfig:
         return BatchMapper(portfolio=self.portfolio, cache=cache)
 
     def build_store(self) -> RunStore:
-        if self.store_path is None:
-            return RunStore()
-        path = Path(self.store_path)
-        if path.is_dir():
-            return RunStore(path)  # manifest knows the shard count
-        return RunStore(path, shards=self.store_shards)
+        return RunStore(self.store_path)
 
 
 def _load_factory(reference: str):

@@ -227,3 +227,42 @@ class TestDiskTier:
         cache.clear()
         assert key not in cache
         assert len(cache) == 0
+
+    def test_concurrent_writers_of_one_key_all_succeed(self, tmp_path):
+        """Threads sharing one directory may all publish the same key.
+
+        The regression this guards: every put went through one shared
+        ``<key>.json.tmp``, so the loser of a race renamed a file the
+        winner had already moved and ``FileNotFoundError`` escaped.
+        """
+        cache_dir = tmp_path / "cache"
+        threads_n, rounds = 4, 200
+        caches = [ResultCache(cache_dir) for _ in range(threads_n)]
+        barrier = threading.Barrier(threads_n)
+        errors: list[BaseException] = []
+
+        def hammer(worker: int) -> None:
+            barrier.wait()
+            for index in range(rounds):
+                try:
+                    caches[worker].put("shared", {"worker": worker, "i": index})
+                except OSError as exc:
+                    errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(worker,))
+                for worker in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [p.name for p in cache_dir.iterdir()] == ["shared.json"]
+        assert ResultCache(cache_dir).get("shared") is not None

@@ -3,7 +3,8 @@
 The regression of record: the store used to re-open the JSONL file per
 append, so a crashed writer's torn final line silently merged with the
 next writer's entry (losing both).  The store now keeps one locked
-append handle and heals torn tails before every append.
+append handle and heals torn tails before every append.  Readers keep a
+byte offset, so a reload parses only what siblings appended since.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import multiprocessing as mp
 
 import pytest
 
+from repro.dse import store as store_module
 from repro.dse.store import TIER_ILP, RunEntry, RunStore
 
 pytestmark = pytest.mark.dse
@@ -140,3 +142,58 @@ class TestConcurrentWriters:
         assert mine.reload() == 2
         assert mine.get("theirs") is not None
         assert mine.get("mine") is not None  # own entries survive reload
+
+
+class TestTailReload:
+    def test_reload_parses_only_the_siblings_new_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "runs.jsonl"
+        with RunStore(path) as sibling:
+            for i in range(10):
+                sibling.record(_entry(f"old-{i}"))
+            mine = RunStore(path)
+            sibling.record(_entry("new"))
+        parsed = []
+        real_parse = store_module._parse_entry
+        monkeypatch.setattr(
+            store_module,
+            "_parse_entry",
+            lambda line: parsed.append(line) or real_parse(line),
+        )
+        assert mine.reload() == 11
+        assert len(parsed) == 1
+        assert mine.get("new") is not None
+
+    def test_sibling_append_after_a_torn_tail_is_visible(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        mine = RunStore(path)
+        mine.record(_entry("before"))
+        with path.open("ab") as raw:  # a sibling crashed mid-append
+            raw.write(b'{"format": 1, "fingerprint": "torn-victi')
+        mine.reload()  # reads past the torn tail
+        with RunStore(path) as sibling:
+            sibling.record(_entry("after"))  # heals, then appends
+        mine.reload()
+        assert mine.get("before") is not None
+        assert mine.get("after") is not None
+        assert mine.skipped_lines == 1
+
+    def test_a_shrunken_file_is_re_read_from_the_start(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        mine = RunStore(path)
+        for name in ("a", "b", "c"):
+            mine.record(_entry(name))
+        assert mine.reload() == 3  # the offset is now past all three
+        mine.close()
+        # Rewritten shorter behind the store's back (a manual compaction).
+        path.write_text(
+            json.dumps(_entry("z").to_json(), sort_keys=True) + "\n"
+        )
+        assert mine.reload() == 1
+        assert mine.get("z") is not None
+        assert mine.get("a") is None
+
+    def test_directory_is_rejected_with_the_cat_hint(self, tmp_path):
+        old = tmp_path / "runs"
+        old.mkdir()
+        with pytest.raises(ValueError, match=r"cat .*shard-\*\.jsonl > runs\.jsonl"):
+            RunStore(old)

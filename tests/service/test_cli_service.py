@@ -33,7 +33,7 @@ class TestParser:
         assert args.lease_ttl == 15.0
         assert args.heartbeat_interval == 3.0
         assert args.max_attempts == 3
-        assert args.store_shards is None
+        assert not hasattr(args, "store_shards")  # one store layout
         assert args.drain_timeout == 20.0
 
     def test_serve_fleet_flags_parse(self):
@@ -52,8 +52,6 @@ class TestParser:
                 "1",
                 "--max-attempts",
                 "5",
-                "--store-shards",
-                "16",
                 "--drain-timeout",
                 "3",
             ]
@@ -64,7 +62,6 @@ class TestParser:
         assert args.lease_ttl == 8.0
         assert args.heartbeat_interval == 1.0
         assert args.max_attempts == 5
-        assert args.store_shards == 16
         assert args.drain_timeout == 3.0
 
     def test_submit_defaults(self):

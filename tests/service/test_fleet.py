@@ -26,6 +26,7 @@ from repro.dse.scenario import (
     ArchitectureSpec,
     FormulationSpec,
     Scenario,
+    ScenarioRegistry,
     WorkloadSpec,
 )
 from repro.dse.store import RunStore
@@ -76,8 +77,7 @@ def _spec(*scenarios: Scenario) -> JobSpec:
 
 def _fleet_config(tmp_path: Path, **overrides) -> FleetConfig:
     settings = dict(
-        store_path=str(tmp_path / "store"),
-        store_shards=4,
+        store_path=str(tmp_path / "store.jsonl"),
         cache_dir=str(tmp_path / "cache"),
         time_limit=5.0,
         lease_ttl=5.0,
@@ -93,7 +93,7 @@ def _fleet_config(tmp_path: Path, **overrides) -> FleetConfig:
 
 def _service(tmp_path: Path, fleet: int, config: FleetConfig, **kwargs):
     explorer = Explorer(
-        store=RunStore(tmp_path / "store", shards=4), cache=ResultCache()
+        store=RunStore(tmp_path / "store.jsonl"), cache=ResultCache()
     )
     return MappingService(
         explorer,
@@ -124,7 +124,7 @@ class TestWorkerMain:
     """The worker entry point, run in-process for direct inspection."""
 
     def test_solves_and_reports_results(self, tmp_path):
-        config = FleetConfig(store_path=str(tmp_path / "store"), store_shards=2)
+        config = FleetConfig(store_path=str(tmp_path / "store.jsonl"))
         tasks: queue.Queue = queue.Queue()
         results: queue.Queue = queue.Queue()
         tasks.put({"job": "job-1", "spec": _spec(_scenario()).payload()})
@@ -159,7 +159,7 @@ class TestWorkerMain:
         assert "unrunnable task" in failed["error"]
 
     def test_cancel_event_marks_results_cancelled(self, tmp_path):
-        config = FleetConfig(store_path=str(tmp_path / "store"), store_shards=2)
+        config = FleetConfig(store_path=str(tmp_path / "store.jsonl"))
         tasks: queue.Queue = queue.Queue()
         results: queue.Queue = queue.Queue()
         cancel = threading.Event()
@@ -173,6 +173,23 @@ class TestWorkerMain:
             messages.append(results.get_nowait())
         result = next(m for m in messages if m["type"] == "result")
         assert result["cancelled"] is True
+
+
+class TestSharedCache:
+    def test_workers_answer_each_others_jobs_from_one_directory(self, tmp_path):
+        """A mapping one worker solved is a disk hit for every other."""
+        cache_dir = tmp_path / "cache"
+        config = FleetConfig(cache_dir=str(cache_dir))
+        job = ScenarioRegistry().to_job(_scenario(), time_limit=5.0)
+        (fresh,) = config.build_mapper(0).map_all([job])
+        (cached,) = config.build_mapper(1).map_all([job])
+        assert fresh.ok and not fresh.from_cache
+        assert cached.from_cache
+        assert (
+            cached.final().mapping.assignment == fresh.final().mapping.assignment
+        )
+        # One flat directory of entries: no per-worker or merged subtree.
+        assert all(entry.is_file() for entry in cache_dir.iterdir())
 
 
 # ----------------------------------------------------------------------
@@ -242,9 +259,9 @@ class TestFleetEndToEnd:
     def test_health_and_metrics_see_worker_store_appends(
         self, tmp_path, wait_drained
     ):
-        """Workers append to the store through their own handles and own
-        their cache shards: the daemon's endpoints must count the store
-        on disk and report no daemon-side cache."""
+        """Workers append to the store file through their own handles and
+        count cache hits in their own processes: the daemon's endpoints
+        must count the store on disk and report no daemon-side cache."""
         scenarios = (_scenario(dimension=12), _scenario(dimension=10))
         service = _service(tmp_path, fleet=2, config=_fleet_config(tmp_path))
         assert service.explorer is None

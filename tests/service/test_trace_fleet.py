@@ -58,8 +58,7 @@ def _spec(*scenarios: Scenario, trace_context: str | None = None) -> JobSpec:
 
 def _fleet_config(tmp_path: Path, **overrides) -> FleetConfig:
     settings = dict(
-        store_path=str(tmp_path / "store"),
-        store_shards=4,
+        store_path=str(tmp_path / "store.jsonl"),
         cache_dir=str(tmp_path / "cache"),
         time_limit=5.0,
         lease_ttl=5.0,
@@ -75,7 +74,7 @@ def _fleet_config(tmp_path: Path, **overrides) -> FleetConfig:
 
 def _service(tmp_path: Path, fleet: int, config: FleetConfig, **kwargs):
     explorer = Explorer(
-        store=RunStore(tmp_path / "store", shards=4), cache=ResultCache()
+        store=RunStore(tmp_path / "store.jsonl"), cache=ResultCache()
     )
     kwargs.setdefault("trace_dir", tmp_path / "trace")
     return MappingService(
@@ -349,7 +348,7 @@ class TestPhaseTimingsWithoutTracing:
     ):
         """Satellite: per-phase timings feed /metrics even with tracing off."""
         explorer = Explorer(
-            store=RunStore(tmp_path / "store", shards=2), cache=ResultCache()
+            store=RunStore(tmp_path / "store.jsonl"), cache=ResultCache()
         )
         service = MappingService(explorer)  # no trace_dir anywhere
         try:
