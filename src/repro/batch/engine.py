@@ -247,6 +247,8 @@ class BatchMapper:
     jobs:
         Worker-process count.  ``1`` (default) runs in-process, in
         submission order, matching a plain serial loop bit-for-bit.
+        Pool processes carry no trace runtime, so a pooled batch records
+        no ``stage:*``/``phase:*`` spans; only in-process runs trace them.
     portfolio:
         Race HiGHS and the ``lp_round`` heuristic per stage and keep the
         best incumbent (see :mod:`repro.batch.portfolio`).  May also
@@ -331,7 +333,6 @@ class BatchMapper:
                 )
                 if cacheable and self.cache is not None:
                     self.cache.put(key, payload)
-                _record_stage_spans(job.name, payload)
                 records[idx] = _rehydrate(job, key, payload, from_cache=False)
         finally:
             # A crash mid-batch must not leave the in-flight gauge stuck
@@ -420,49 +421,6 @@ class BatchMapper:
                 yield from _drain_cancelled()
 
 
-def _record_stage_spans(name: str, payload: dict) -> None:
-    """Reconstruct per-stage/per-phase spans from a completed payload.
-
-    Pool workers have no ambient trace context (nothing crosses the
-    ``ProcessPoolExecutor`` boundary but plain data), so the parent derives
-    solver spans after the fact from the phase breakdowns the payload
-    carries — end-aligned to now, stages walked newest-first.  Strictly a
-    no-op when tracing is inactive.
-    """
-    if trace.current_context() is None or trace.get_runtime() is None:
-        return
-    end = time.time()
-    for stage in reversed(payload.get("stages") or []):
-        summary = stage.get("solve") or {}
-        phases = [
-            (str(phase), float(seconds))
-            for phase, seconds in summary.get("phases") or ()
-        ]
-        stage_wall = sum(seconds for _, seconds in phases) or float(
-            summary.get("wall_time") or 0.0
-        )
-        stage_start = end - stage_wall
-        trace.record_span(
-            f"stage:{stage.get('name')}",
-            start=stage_start,
-            duration=stage_wall,
-            job=name,
-            backend=summary.get("backend"),
-            status=summary.get("status"),
-        )
-        cursor = stage_start
-        for phase, seconds in phases:
-            trace.record_span(
-                f"phase:{phase}",
-                start=cursor,
-                duration=seconds,
-                job=name,
-                stage=stage.get("name"),
-            )
-            cursor += seconds
-        end = stage_start
-
-
 def parallel_map(fn, items, jobs: int = 1) -> list:
     """Ordered ``map(fn, items)`` across a process pool.
 
@@ -532,9 +490,10 @@ def _execute_job(job: BatchJob, portfolio: bool) -> dict:
                 candidate = None
             if candidate is not None and candidate.is_valid():
                 initial = candidate
-        result = pipeline.run(
-            stages=job.stages, profile=job.profile, initial=initial
-        )
+        with trace.span("pipeline", job=job.name):
+            result = pipeline.run(
+                stages=job.stages, profile=job.profile, initial=initial
+            )
         stages = [
             {
                 "name": record.name,

@@ -265,15 +265,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.worker import FleetConfig
 
     fleet = max(0, args.fleet)
-    if fleet and args.jobs > 1:
-        # Fleet workers are daemonic processes, which may not start a
-        # solver pool of their own: a fleet's parallelism is its workers.
-        print(
-            "--jobs applies to thread workers; with --fleet N each worker "
-            "process runs one solve at a time",
-            file=sys.stderr,
-        )
-        return 2
     explorer = None
     if not fleet:
         # Thread workers share one in-process solver stack.  A fleet
@@ -283,7 +274,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         explorer = Explorer(
             store=RunStore(args.store) if args.store else RunStore(),
-            jobs=args.jobs,
             portfolio=args.portfolio,
             # The shared cache is the point of the daemon: default to the
             # always-on memory tier when no directory is given.
@@ -759,10 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port (0 = pick a free one)")
     serve.add_argument("--workers", type=int, default=1,
                        help="in-process worker threads sharing the daemon's "
-                            "engine, cache and store (ignored with --fleet)")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="solver worker processes per batch (1 = "
-                            "in-process; thread workers only, not --fleet)")
+                            "engine, cache and store; each runs one solve at "
+                            "a time, in the thread that traces it (ignored "
+                            "with --fleet)")
     serve.add_argument("--portfolio", action="store_true",
                        help="race HiGHS and lp_round per solve")
     serve.add_argument("--time-limit", type=float, default=10.0,
@@ -813,7 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds of queue wait that promote a job one "
                             "priority class (anti-starvation aging)")
     serve.add_argument("--trace-dir", default=None,
-                       help="span-journal directory; enables end-to-end "
+                       help="span-journal directory (one journal per "
+                            "process); enables end-to-end "
                             "tracing (every job gets a trace id, "
                             "GET /jobs/<id>/trace serves the span tree)")
     serve.add_argument("--trace-slow-span", type=float, default=None,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import trace
 from ..batch.cache import ResultCache
 from ..batch.engine import BatchMapper
 from ..mapping.greedy import greedy_first_fit
@@ -76,7 +77,11 @@ class ScenarioResult:
 
 
 class Explorer:
-    """Evaluates scenarios through the batch engine, store-first."""
+    """Evaluates scenarios through the batch engine, store-first.
+
+    A pooled explorer (``jobs > 1``) solves in pool processes, which
+    record no ``stage:*``/``phase:*`` trace spans.
+    """
 
     def __init__(
         self,
@@ -268,41 +273,42 @@ class Explorer:
         seen: set[str] = set()
         jobs = []
         built: list[tuple[Scenario, str]] = []
-        for scenario in scenarios:
-            fingerprint, bad = self._safe_fingerprint(scenario)
-            fingerprints.append(fingerprint)
-            if fingerprint in seen:
-                continue  # duplicate spelling of the same instance
-            seen.add(fingerprint)
-            if bad is not None:
-                by_fingerprint[fingerprint] = self._construction_error(
-                    scenario, fingerprint, TIER_ILP, bad, meta
-                )
-                continue
-            resumed = self._from_store(scenario, fingerprint, TIER_ILP)
-            if resumed is not None:
-                by_fingerprint[fingerprint] = resumed
-                continue
-            try:
-                # Building the job simulates the workload's spike
-                # profile; record a failure against the scenario rather
-                # than aborting its siblings.
-                job = self.registry.to_job(scenario, time_limit=limit)
-                if solver_specs is not None:
-                    job = dataclasses.replace(
-                        job, solver_specs=tuple(solver_specs)
+        with trace.span("scenario-build", scenarios=len(scenarios)):
+            for scenario in scenarios:
+                fingerprint, bad = self._safe_fingerprint(scenario)
+                fingerprints.append(fingerprint)
+                if fingerprint in seen:
+                    continue  # duplicate spelling of the same instance
+                seen.add(fingerprint)
+                if bad is not None:
+                    by_fingerprint[fingerprint] = self._construction_error(
+                        scenario, fingerprint, TIER_ILP, bad, meta
                     )
-            except Exception as exc:
-                by_fingerprint[fingerprint] = self._construction_error(
-                    scenario,
-                    fingerprint,
-                    TIER_ILP,
-                    f"{type(exc).__name__}: {exc}",
-                    meta,
-                )
-                continue
-            jobs.append(job)
-            built.append((scenario, fingerprint))
+                    continue
+                resumed = self._from_store(scenario, fingerprint, TIER_ILP)
+                if resumed is not None:
+                    by_fingerprint[fingerprint] = resumed
+                    continue
+                try:
+                    # Building the job simulates the workload's spike
+                    # profile; record a failure against the scenario rather
+                    # than aborting its siblings.
+                    job = self.registry.to_job(scenario, time_limit=limit)
+                    if solver_specs is not None:
+                        job = dataclasses.replace(
+                            job, solver_specs=tuple(solver_specs)
+                        )
+                except Exception as exc:
+                    by_fingerprint[fingerprint] = self._construction_error(
+                        scenario,
+                        fingerprint,
+                        TIER_ILP,
+                        f"{type(exc).__name__}: {exc}",
+                        meta,
+                    )
+                    continue
+                jobs.append(job)
+                built.append((scenario, fingerprint))
         if jobs:
             # Batch job names must be unique; scenario names already are
             # within one space, but guard against collisions from

@@ -179,9 +179,10 @@ class RunStore:
         """Fold in entries appended by other writers since the last read.
 
         Returns the number of keyed entries after the reload.  A memory
-        store is a no-op.  Entries recorded through *this* store are
-        re-read from the file too (last line per key wins, as always), so
-        the in-memory view converges with every sibling writer's.
+        store is a no-op.  An entry recorded through *this* store is
+        re-read only when a sibling's line preceded it in the file (last
+        line per key wins, as always), so the in-memory view converges
+        with every sibling writer's.
         """
         with self._lock:
             if self.path is not None:
@@ -219,7 +220,10 @@ class RunStore:
         The append is serialized by an exclusive advisory lock: the full
         ``line + newline`` is flushed before the lock drops, so readers
         and sibling writers never observe a half-written entry (short of
-        a crash, whose torn tail the next append heals).
+        a crash, whose torn tail the next append heals).  When the file
+        ended at this store's read offset, the offset moves past the new
+        line; otherwise a sibling's unread lines lie before it and the
+        next :meth:`reload` reads both.
         """
         with self._lock:
             self._entries[entry.key] = entry
@@ -227,7 +231,11 @@ class RunStore:
                 return
             if self._handle is None or self._handle.closed:
                 self._handle = open_append(self.path)
-            append_records(self._handle, dump_line(entry.to_json()))
+            before, after = append_records(self._handle, dump_line(entry.to_json()))
+            if before == self._offset:
+                # Nothing unread sat between our offset and our line, so
+                # the next reload need not parse our own line again.
+                self._offset = after
 
     # ------------------------------------------------------------------
     def close(self) -> None:

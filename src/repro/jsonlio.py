@@ -74,13 +74,19 @@ def dump_line(record: dict) -> bytes:
     )
 
 
-def append_records(handle: IO[bytes], data: bytes) -> None:
-    """Append pre-encoded lines under the flock/heal protocol."""
+def append_records(handle: IO[bytes], data: bytes) -> tuple[int, int]:
+    """Append pre-encoded lines under the flock/heal protocol.
+
+    Returns the file's size before the heal and after the write, both
+    read under the lock.
+    """
     flock(handle, exclusive=True)
     try:
+        before = handle.seek(0, 2)
         heal_torn_tail(handle)
         handle.write(data)
         handle.flush()
+        return before, handle.tell()
     finally:
         funlock(handle)
 

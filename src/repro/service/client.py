@@ -222,7 +222,7 @@ class ServiceClient:
         return self._request("GET", "/metrics")
 
     def trace(self, job_id: str) -> dict:
-        """The job's merged trace records (``GET /jobs/<id>/trace``)."""
+        """The job's span records from every process (``GET /jobs/<id>/trace``)."""
         return self._request("GET", f"/jobs/{job_id}/trace")
 
     def cancel(self, job_id: str) -> dict:

@@ -22,7 +22,7 @@ Endpoints:
 ``GET /jobs``               job summaries, submission order
 ``GET /jobs/<id>``          full status, per-scenario results, event log
 ``GET /jobs/<id>/stream``   NDJSON event stream until the job finishes
-``GET /jobs/<id>/trace``    merged span records + live solver progress
+``GET /jobs/<id>/trace``    every process's span records + live progress
 ``POST /jobs/<id>/cancel``  flag cancellation (queued: immediate)
 ``GET /healthz``            liveness + shared cache/store statistics
 ``GET /metrics``            lock-consistent counters/gauges/percentiles
@@ -398,9 +398,9 @@ class MappingService:
     def trace_payload(self, job_id: str) -> dict | None:
         """The ``GET /jobs/<id>/trace`` body (``None`` -> 404).
 
-        Reads every journal in the trace directory — the supervisor's
-        merged file *and* the live per-process ones — so spans of a job
-        still running are visible before any merge happens.
+        Reads every process's journal in the trace directory, each span
+        once, from the process that recorded it: a running job's spans
+        are visible as they land, and a dead worker's stay in its file.
         """
         job = self.registry.get(job_id)
         if job is None:
@@ -665,8 +665,6 @@ class Supervisor:
         self._draining = False
         self._thread: threading.Thread | None = None
         self._started = False
-        #: Per-source byte offsets into worker span journals (merge state).
-        self._trace_offsets: dict[str, int] = {}
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -731,7 +729,6 @@ class Supervisor:
                 if process.is_alive():  # pragma: no cover - last resort
                     process.kill()
                     process.join(timeout=2.0)
-            self._merge_trace()
 
     # -- workers -------------------------------------------------------
     def _spawn(self, handle: _WorkerHandle) -> None:
@@ -899,7 +896,6 @@ class Supervisor:
                 lease_worker = handle.name
             self._observe_duration(handle)
             handle.job = None
-            self._merge_trace()
         job = registry.get(job_id)
         if job is None or job.finished:
             # A cancel (or shed) landed while the result was in transit.
@@ -951,7 +947,6 @@ class Supervisor:
             handle.process = None
             handle.ready = False
             job_id, handle.job = handle.job, None
-            self._merge_trace()  # salvage the dead worker's spans too
             if job_id is not None:
                 self._observe_duration(handle)
                 self._attempt_failed(
@@ -1041,25 +1036,6 @@ class Supervisor:
                 # The worker's pipe is broken (it just died); the reap
                 # pass will fail the attempt and respawn.
                 pass
-
-    # -- span-journal merging ------------------------------------------
-    def _merge_trace(self) -> None:
-        """Fold new worker span-journal lines into ``merged.jsonl``.
-
-        Incremental (per-source byte offsets) and torn-tail safe: a line
-        a SIGKILLed worker half-wrote is left for the next pass, which
-        will skip it the same way.  Reading tools dedup merged + source
-        copies, so merging is free to run as often as convenient.
-        """
-        trace_dir = self.service.trace_dir
-        if trace_dir is None:
-            return
-        dest = trace_dir / trace.MERGED_NAME
-        for source in sorted(trace_dir.glob("worker-*.jsonl")):
-            offset = self._trace_offsets.get(source.name, 0)
-            self._trace_offsets[source.name] = trace.merge_journal(
-                source, dest, offset
-            )
 
     # -- inspection ----------------------------------------------------
     def snapshot(self) -> dict:

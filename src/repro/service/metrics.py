@@ -381,10 +381,6 @@ class JsonlWriter:
             self._handle = jsonlio.open_append(self.path)
         return self._handle
 
-    @staticmethod
-    def _heal_torn_tail(handle: IO[bytes]) -> None:
-        jsonlio.heal_torn_tail(handle)
-
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     """Tolerant JSONL iterator (see :func:`repro.jsonlio.read_jsonl`)."""

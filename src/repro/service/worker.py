@@ -234,7 +234,8 @@ def worker_loop(
                     "worker-solve", job=job_id, tier=spec.tier, worker=name
                 ):
                     if reload_store:
-                        explorer.store.reload()
+                        with trace.span("store-reload"):
+                            explorer.store.reload()
                     if spec.tier == TIER_GREEDY:
                         results = explorer.evaluate_greedy(list(spec.scenarios))
                     else:

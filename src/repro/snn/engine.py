@@ -11,9 +11,8 @@ dynamics with dense NumPy state:
   slot for timestep ``t`` is ``t % (max_delay + 1)``, consumed and
   recycled as the clock advances;
 - firing is one boolean mask per step; outgoing deliveries are one
-  sparse matrix-vector product per distinct synaptic delay (a CSR
-  matrix transposed so rows are *targets*), falling back to a pure-NumPy
-  gather + ``bincount`` pass when SciPy is unavailable.
+  sparse matrix-vector product per distinct synaptic delay (a SciPy CSR
+  matrix transposed so rows are *targets*).
 
 Equivalence with the reference engine is spike-for-spike exact: within
 every ``(timestep, target)`` charge bucket the deliveries accumulate in
@@ -31,11 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-
-try:  # SciPy is optional — the kernel degrades to a pure-NumPy path.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sparse = None
+from scipy import sparse as _sparse
 
 from .network import Network
 
@@ -81,7 +76,7 @@ class CompiledNetwork:
     weight: np.ndarray  # (nnz,) float64
     delay: np.ndarray  # (nnz,) int64, all >= 1
     max_delay: int
-    delay_groups: tuple = ()  # ((delay, csr_matrix), ...) when SciPy exists
+    delay_groups: tuple = ()  # ((delay, csr_matrix), ...)
 
     @property
     def num_neurons(self) -> int:
@@ -122,7 +117,7 @@ class CompiledNetwork:
         )
 
         groups: list[tuple[int, object]] = []
-        if _sparse is not None and delay_arr.size:
+        if delay_arr.size:
             for d in np.unique(delay_arr):
                 sel = delay_arr == d
                 mat = _sparse.csr_matrix(
@@ -228,7 +223,6 @@ def run_compiled(
     potentials = np.zeros(n, dtype=np.float64)
     leaks = compiled.leaks
     fire_at = compiled.thresholds - 1e-12
-    use_matvec = bool(compiled.delay_groups) or compiled.delay.size == 0
     counts = np.zeros(n, dtype=np.int64)
     fired_chunks: list[np.ndarray] = []
     step_times: list[int] = []
@@ -257,15 +251,12 @@ def run_compiled(
         counts[fired] += 1
         potentials[fired] = 0.0
 
-        if use_matvec:
-            spike_vec.fill(0.0)
-            spike_vec[fired] = 1.0
-            for d, mat in compiled.delay_groups:
-                target_t = t + d
-                if target_t < duration:
-                    ring[target_t % ring_len] += mat.dot(spike_vec)
-        else:
-            _deliver_gather(compiled, ring, fired, t, duration, ring_len, n)
+        spike_vec.fill(0.0)
+        spike_vec[fired] = 1.0
+        for d, mat in compiled.delay_groups:
+            target_t = t + d
+            if target_t < duration:
+                ring[target_t % ring_len] += mat.dot(spike_vec)
 
     if fired_chunks:
         lens = [c.size for c in fired_chunks]
@@ -278,42 +269,3 @@ def run_compiled(
         spike_times = np.empty(0, dtype=np.int64)
         spike_ids = np.empty(0, dtype=np.int64)
     return spike_times, spike_ids, counts, potentials
-
-
-def _deliver_gather(
-    compiled: CompiledNetwork,
-    ring: np.ndarray,
-    fired: np.ndarray,
-    t: int,
-    duration: int,
-    ring_len: int,
-    n: int,
-) -> None:
-    """SciPy-free delivery: gather fired rows, bincount per target slot.
-
-    ``np.bincount`` adds weights in element order per bin, so the
-    reference's accumulation order is preserved exactly.
-    """
-    indptr = compiled.indptr
-    starts = indptr[fired]
-    lens = indptr[fired + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return
-    # Flat indices of every outgoing synapse of every fired neuron,
-    # rows in ascending-pre order, targets ascending within a row.
-    cum = np.cumsum(lens)
-    flat = np.repeat(starts - (cum - lens), lens) + np.arange(total)
-    target_t = t + compiled.delay[flat]
-    keep = target_t < duration
-    if not keep.all():
-        flat = flat[keep]
-        target_t = target_t[keep]
-    dest_slots = target_t % ring_len
-    for s in np.unique(dest_slots):
-        sel = dest_slots == s
-        ring[s] += np.bincount(
-            compiled.post[flat[sel]],
-            weights=compiled.weight[flat[sel]],
-            minlength=n,
-        )

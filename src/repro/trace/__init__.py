@@ -8,9 +8,14 @@ to fleet workers in the task protocol, and is re-activated ambiently
 engine, the solver portfolio and the ILP backends record spans and
 progress events without any of their signatures changing.
 
+Each span is recorded once, by the process that times it, into that
+process's own journal: the mapping pipeline opens a live ``stage:*``
+span around each paper stage (area, SNU, PGO) and lays its measured
+``phase:*`` timers out under it.
+
 See :mod:`.runtime` for the ambient machinery, :mod:`.journal` for the
-per-process JSONL journals and the supervisor merge, and :mod:`.export`
-for the span-tree / Chrome-trace renderers behind ``repro trace``.
+per-process JSONL journals and their reader, and :mod:`.export` for the
+span-tree / Chrome-trace renderers behind ``repro trace``.
 """
 
 from .context import (
@@ -23,10 +28,11 @@ from .context import (
     valid_encoded,
 )
 from .export import chrome_trace, render_tree, slowest_spans, trace_ids
-from .journal import MERGED_NAME, SpanJournal, merge_journal, read_trace_dir
+from .journal import SpanJournal, read_trace_dir
 from .runtime import (
     TraceRuntime,
     activate,
+    annotate,
     current_context,
     current_job,
     event,
@@ -51,12 +57,11 @@ __all__ = [
     "render_tree",
     "slowest_spans",
     "trace_ids",
-    "MERGED_NAME",
     "SpanJournal",
-    "merge_journal",
     "read_trace_dir",
     "TraceRuntime",
     "activate",
+    "annotate",
     "current_context",
     "current_job",
     "event",

@@ -1,4 +1,4 @@
-"""Per-process span journals and the supervisor's merge protocol.
+"""Per-process span journals: one file per process, one copy per record.
 
 Every traced process owns one JSONL journal file in the shared trace
 directory (``daemon-<pid>.jsonl``, ``worker-<i>-<pid>.jsonl``), appended
@@ -7,13 +7,10 @@ through the same flock/heal protocol as every other journal in the repo
 line, a SIGKILL'd worker loses at most its final torn line — everything
 it recorded before dying stays readable.
 
-The supervisor *merges*: it tails each worker journal (remembering a
-byte offset per file) and appends the new complete lines into
-``merged.jsonl``, so a trace survives worker-journal rotation and a
-single file holds the fleet's history.  Readers scan every journal in
-the directory and de-duplicate by record identity, so merge lag (or a
-record present both in its source journal and the merged file) never
-double-counts a span.
+A span is written once, by the process that timed it, and nothing
+copies it elsewhere.  Readers (:func:`read_trace_dir`) scan every
+journal in the directory, so a dead worker's spans are read straight
+from its own file.
 """
 
 from __future__ import annotations
@@ -22,9 +19,6 @@ import threading
 from pathlib import Path
 
 from .. import jsonlio
-
-#: The supervisor-owned merge target inside a trace directory.
-MERGED_NAME = "merged.jsonl"
 
 
 class SpanJournal:
@@ -85,54 +79,23 @@ class SpanJournal:
         self.close()
 
 
-def merge_journal(source: str | Path, dest: str | Path, offset: int = 0) -> int:
-    """Append ``source``'s complete lines past ``offset`` onto ``dest``.
-
-    Returns the new offset (pass it back next time).  Only whole lines
-    move: a torn tail mid-write stays behind until its newline lands.
-    Missing sources are fine — a worker that never traced has no file.
-    """
-    source = Path(source)
-    try:
-        with source.open("rb") as handle:
-            handle.seek(offset)
-            data = handle.read()
-    except OSError:
-        return offset
-    if not data:
-        return offset
-    cut = data.rfind(b"\n") + 1
-    if cut == 0:
-        return offset
-    with jsonlio.open_append(Path(dest)) as dest_handle:
-        jsonlio.append_records(dest_handle, data[:cut])
-    return offset + cut
-
-
 def read_trace_dir(
     trace_dir: str | Path, trace_id: str | None = None
 ) -> list[dict]:
-    """Every unique span/event record in a trace directory's journals.
+    """Every span/event record in a trace directory's journals.
 
-    Scans ``*.jsonl`` (per-process journals *and* the merged file),
-    filters to ``trace_id`` when given, and de-duplicates by record
-    identity — merged copies and their originals collapse to one.
-    Span records sort by start time, events by timestamp.
+    Scans each process's ``*.jsonl`` journal and filters to ``trace_id``
+    when given.  Span records sort by start time, events by timestamp.
     """
     trace_dir = Path(trace_dir)
     if not trace_dir.is_dir():
         return []
-    seen: set[bytes] = set()
-    records: list[dict] = []
-    for path in sorted(trace_dir.glob("*.jsonl")):
-        for record in jsonlio.read_jsonl(path):
-            if trace_id is not None and record.get("trace") != trace_id:
-                continue
-            key = jsonlio.dump_line(record)
-            if key in seen:
-                continue
-            seen.add(key)
-            records.append(record)
+    records = [
+        record
+        for path in sorted(trace_dir.glob("*.jsonl"))
+        for record in jsonlio.read_jsonl(path)
+        if trace_id is None or record.get("trace") == trace_id
+    ]
     records.sort(
         key=lambda r: (float(r.get("start", r.get("ts")) or 0.0), str(r.get("span") or ""))
     )

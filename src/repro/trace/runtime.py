@@ -3,10 +3,10 @@
 One :class:`TraceRuntime` per traced process (the daemon installs one
 when ``--trace-dir`` is set; ``worker_main`` installs one from its
 ``FleetConfig``).  Instrumentation sites throughout the stack call the
-module-level helpers — :func:`span`, :func:`record_span`, :func:`event`,
-:func:`progress` — which are strict no-ops costing two attribute loads
-when no runtime is installed or no context is active, so tracing adds
-nothing to untraced jobs.
+module-level helpers — :func:`span`, :func:`annotate`, :func:`record_span`,
+:func:`event`, :func:`progress` — which are strict no-ops costing two
+attribute loads when no runtime is installed or no context is active, so
+tracing adds nothing to untraced jobs.
 
 The *current context* and *current job id* ride :mod:`contextvars`, so
 every worker loop, thread or process, gets correct ambient parenting
@@ -37,6 +37,10 @@ _current_context: ContextVar[TraceContext | None] = ContextVar(
 )
 _current_job: ContextVar[str | None] = ContextVar(
     "repro_trace_job", default=None
+)
+#: The attrs of the innermost open :func:`span`, for :func:`annotate`.
+_current_attrs: ContextVar[dict | None] = ContextVar(
+    "repro_trace_attrs", default=None
 )
 
 _runtime: "TraceRuntime | None" = None
@@ -169,11 +173,13 @@ def span(name: str, **attrs):
         return
     child = parent.child()
     token = _current_context.set(child)
+    attrs_token = _current_attrs.set(attrs)
     start = time.time()
     clock = time.perf_counter()
     try:
         yield child
     finally:
+        _current_attrs.reset(attrs_token)
         _current_context.reset(token)
         runtime.record_span(
             Span(
@@ -189,6 +195,17 @@ def span(name: str, **attrs):
         )
 
 
+def annotate(**attrs) -> None:
+    """Add attributes to the innermost open :func:`span` (no-op if none).
+
+    For attributes known only once the block's work is done, such as a
+    solve's backend and status; they are recorded when the span closes.
+    """
+    current = _current_attrs.get()
+    if current is not None:
+        current.update(attrs)
+
+
 def record_span(
     name: str,
     context: TraceContext | None = None,
@@ -199,9 +216,9 @@ def record_span(
 ) -> None:
     """Record an already-measured span under ``context`` (or the ambient one).
 
-    For hops whose interval is reconstructed after the fact — queue
-    waits, leases, solver phases — where a ``with span(...)`` block
-    never existed.
+    For intervals timed by something other than a ``with span(...)``
+    block: the supervisor's queue waits and leases, and a solver stage's
+    own phase timers, laid out under their live stage span.
     """
     runtime = _runtime
     parent = context if context is not None else _current_context.get()

@@ -163,6 +163,34 @@ class TestTailReload:
         assert len(parsed) == 1
         assert mine.get("new") is not None
 
+    def test_reload_after_own_record_parses_nothing(self, tmp_path, monkeypatch):
+        mine = RunStore(tmp_path / "runs.jsonl")
+        for i in range(5):
+            mine.record(_entry(f"own-{i}"))
+        parsed = []
+        real_parse = store_module._parse_entry
+        monkeypatch.setattr(
+            store_module,
+            "_parse_entry",
+            lambda line: parsed.append(line) or real_parse(line),
+        )
+        assert mine.reload() == 5
+        assert parsed == []
+        mine.close()
+
+    def test_interleaved_writers_still_fold_in_each_other(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        a, b = RunStore(path), RunStore(path)
+        a.record(_entry("a1"))
+        b.record(_entry("b1"))
+        a.record(_entry("a2"))  # B's line sits unread before this one
+        assert a.reload() == 3
+        assert a.get("b1") is not None
+        assert b.reload() == 3
+        assert b.get("a1") is not None and b.get("a2") is not None
+        a.close()
+        b.close()
+
     def test_sibling_append_after_a_torn_tail_is_visible(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         mine = RunStore(path)

@@ -108,18 +108,20 @@ class TestServeWiring:
         service.stop(wait=True)
         assert [record["job"] for record in read_jsonl(ledger)] == [job.id]
 
-    def test_fleet_rejects_solver_jobs(self, monkeypatch, capsys):
-        """``serve --fleet N --jobs K`` (K > 1) is refused before any
-        service is built: a daemonic fleet worker cannot start a solver
-        pool, so the flag could only turn into failed jobs."""
+    def test_serve_rejects_jobs(self, monkeypatch, capsys):
+        """``serve`` has no ``--jobs``: every worker, thread or process,
+        runs each solve itself, in the process that traces it."""
         from repro.service import daemon
 
         built = []
         monkeypatch.setattr(
             daemon, "MappingService", lambda *a, **kw: built.append(kw)
         )
-        assert main(["serve", "--port", "0", "--fleet", "2", "--jobs", "3"]) == 2
-        assert "--jobs" in capsys.readouterr().err
+        for argv in (["--jobs", "3"], ["--fleet", "2", "--jobs", "3"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", "--port", "0", *argv])
+            assert excinfo.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
         assert built == []
 
     def test_journal_and_ledger_spell_one_setting(self):

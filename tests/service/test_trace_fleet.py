@@ -32,7 +32,7 @@ from repro.service.daemon import MappingService, make_server
 from repro.service.jobs import JOB_DONE
 from repro.service.wire import JobSpec, WireError
 from repro.service.worker import FleetConfig
-from repro.trace import MERGED_NAME, render_tree
+from repro.trace import render_tree
 
 pytestmark = pytest.mark.service
 
@@ -158,8 +158,6 @@ class TestFleetTraceEndToEnd:
             )
         finally:
             service.stop(wait=True)
-        # The supervisor's merge left one consolidated journal behind.
-        assert (tmp_path / "trace" / MERGED_NAME).exists()
 
     def test_sigkilled_workers_spans_survive_and_trace_id_sticks(
         self, tmp_path, wait_drained
@@ -252,6 +250,47 @@ class TestFleetTraceEndToEnd:
             )
         finally:
             after.stop(wait=True)
+
+
+# ----------------------------------------------------------------------
+class TestOneCopyPerSpan:
+    @pytest.mark.parametrize("fleet", [0, 1], ids=["thread", "fleet"])
+    def test_stage_spans_are_live_and_recorded_once(
+        self, tmp_path, wait_drained, fleet
+    ):
+        """Each span exists once, in the journal of the process that
+        timed it, and every phase nests inside its live stage span."""
+        scenario = Scenario(
+            architecture=ArchitectureSpec(kind="homogeneous", dimension=12),
+            workload=WorkloadSpec(network="C", scale=0.1, profile="uniform"),
+            formulation=FormulationSpec(stages=("area", "snu")),
+        )
+        service = _service(tmp_path, fleet=fleet, config=_fleet_config(tmp_path))
+        try:
+            service.start()
+            job = service.submit(_spec(scenario))
+            assert wait_drained(service, job.id).status == JOB_DONE
+            records = service.trace_payload(job.id)["records"]
+        finally:
+            service.stop(wait=True)
+            trace.uninstall()
+        assert not (tmp_path / "trace" / "merged.jsonl").exists()
+        spans = [r for r in records if r.get("kind") == "span"]
+        ids = [r["span"] for r in spans]
+        assert len(ids) == len(set(ids)), render_tree(records)
+        by_id = {r["span"]: r for r in spans}
+        stages = [r for r in spans if r["name"].startswith("stage:")]
+        phases = [r for r in spans if r["name"].startswith("phase:")]
+        assert [r["name"] for r in stages] == ["stage:area", "stage:snu"]
+        assert phases, render_tree(records)
+        for stage in stages:
+            assert {"backend", "status"} <= set(stage["attrs"]), stage
+        for phase in phases:
+            stage = by_id[phase["parent"]]
+            assert stage["name"] == f"stage:{phase['attrs']['stage']}"
+            end = stage["start"] + stage["dur"]
+            assert stage["start"] <= phase["start"] + 1e-6
+            assert phase["start"] + phase["dur"] <= end + 1e-6, render_tree(records)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.snn.engine import (
     ENGINES,
     CompiledNetwork,
     resolve_engine,
-    run_compiled,
 )
 from repro.snn.network import Network
 from repro.snn.simulator import Simulator, spike_profile
@@ -99,33 +98,6 @@ class TestPropertyEquivalence:
             assert vec.final_potentials[nid] == pytest.approx(
                 reference, rel=1e-12, abs=1e-12
             )
-
-    @settings(max_examples=40, deadline=None)
-    @given(net=networks(), data=st.data())
-    def test_gather_fallback_matches_reference(self, net, data):
-        """The SciPy-free delivery path is equivalent too."""
-        duration = data.draw(st.integers(0, 20))
-        spikes, charges = data.draw(input_programs(net.num_neurons, duration))
-        compiled = CompiledNetwork.from_network(net)
-        stripped = CompiledNetwork(
-            ids=compiled.ids,
-            thresholds=compiled.thresholds,
-            leaks=compiled.leaks,
-            indptr=compiled.indptr,
-            post=compiled.post,
-            weight=compiled.weight,
-            delay=compiled.delay,
-            max_delay=compiled.max_delay,
-            delay_groups=(),  # force the gather/bincount path
-        )
-        times, ids, counts, _ = run_compiled(
-            stripped, duration, input_spikes=spikes, input_charges=charges
-        )
-        ref = Simulator(net, engine="reference").run(
-            duration, input_spikes=spikes, input_charges=charges
-        )
-        assert list(zip(times.tolist(), ids.tolist())) == ref.spikes
-        assert dict(zip(compiled.ids.tolist(), counts.tolist())) == ref.spike_counts
 
     @settings(max_examples=40, deadline=None)
     @given(net=networks(), data=st.data())

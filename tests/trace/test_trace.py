@@ -12,13 +12,10 @@ import json
 import pytest
 
 from repro import trace
-from repro.jsonlio import read_jsonl
 from repro.trace import (
-    MERGED_NAME,
     Span,
     TraceRuntime,
     chrome_trace,
-    merge_journal,
     mint_context,
     parse_context,
     read_trace_dir,
@@ -106,6 +103,21 @@ class TestRuntime:
         assert by_name["inner"]["span"] == inner.span_id
         assert all(record["trace"] == root.trace_id for record in records)
 
+    def test_annotate_adds_attrs_to_the_innermost_open_span(
+        self, runtime, tmp_path
+    ):
+        trace.annotate(ignored=True)  # no open span: a no-op
+        root = mint_context()
+        with trace.activate(root):
+            with trace.span("outer", kind="stage"):
+                with trace.span("inner"):
+                    trace.annotate(status="optimal")
+                trace.annotate(backend="highs")
+        records = read_trace_dir(tmp_path, root.trace_id)
+        by_name = {record["name"]: record for record in records}
+        assert by_name["inner"]["attrs"] == {"status": "optimal"}
+        assert by_name["outer"]["attrs"] == {"kind": "stage", "backend": "highs"}
+
     def test_record_span_parents_to_explicit_context(self, runtime, tmp_path):
         context = mint_context()
         trace.record_span(
@@ -169,46 +181,6 @@ def _span_record(trace_id, span_id, name, start, dur, parent=None):
 
 
 class TestJournal:
-    def test_read_trace_dir_dedups_merged_copies(self, tmp_path, runtime):
-        context = mint_context()
-        trace.record_span("hop", context, start=1.0, duration=0.5)
-        runtime.flush()
-        (source,) = tmp_path.glob("*.jsonl")
-        merge_journal(source, tmp_path / MERGED_NAME)
-        # The record now exists in both the per-process journal and the
-        # merged file; readers must count it once.
-        records = read_trace_dir(tmp_path, context.trace_id)
-        assert len(records) == 1
-
-    def test_merge_journal_offsets_and_torn_tail(self, tmp_path):
-        source = tmp_path / "worker.jsonl"
-        dest = tmp_path / MERGED_NAME
-        line1 = json.dumps(_span_record("t1", "s1", "a", 1.0, 0.1)) + "\n"
-        line2 = json.dumps(_span_record("t1", "s2", "b", 2.0, 0.1)) + "\n"
-        torn = '{"format": 1, "kind": "span", "trace": "t1", "sp'
-
-        source.write_text(line1)
-        offset = merge_journal(source, dest)
-        assert offset == len(line1.encode())
-        assert len(list(read_jsonl(dest))) == 1
-
-        # A torn tail (no newline yet) must stay behind...
-        source.write_text(line1 + line2 + torn)
-        offset = merge_journal(source, dest, offset)
-        assert offset == len((line1 + line2).encode())
-        assert [r["span"] for r in read_jsonl(dest)] == ["s1", "s2"]
-
-        # ...and move once its newline lands, without re-copying others.
-        healed = json.dumps(_span_record("t1", "s3", "c", 3.0, 0.1)) + "\n"
-        source.write_text(line1 + line2 + healed)
-        offset = merge_journal(source, dest, offset)
-        assert [r["span"] for r in read_jsonl(dest)] == ["s1", "s2", "s3"]
-
-    def test_merge_journal_missing_source_is_noop(self, tmp_path):
-        dest = tmp_path / MERGED_NAME
-        assert merge_journal(tmp_path / "absent.jsonl", dest, 7) == 7
-        assert not dest.exists()
-
     def test_read_trace_dir_filters_by_trace_id(self, tmp_path, runtime):
         mine, other = mint_context(), mint_context()
         trace.record_span("mine", mine, start=1.0, duration=0.1)
