@@ -237,9 +237,6 @@ def _trace_overhead(tmp: Path) -> dict:
         traced.append(
             _run_batch(tmp, f"traced-{repeat}", tmp / f"trace-{repeat}")
         )
-        # The in-process service installs a process-global runtime; drop it
-        # between repeats so untraced runs really are untraced.
-        trace_mod.uninstall()
     spans = len(trace_mod.read_trace_dir(tmp / "trace-0"))
     return {
         "jobs": len(TRACE_SCENARIOS),

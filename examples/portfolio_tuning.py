@@ -1,21 +1,17 @@
 #!/usr/bin/env python
-"""Portfolio tuning: one fig2 scenario mapped three ways.
+"""Portfolio tuning: one fig2 scenario mapped two ways.
 
 Solves the SNU (global-route minimization) stage of a fig2 paper
-scenario with three solver configurations and prints a wall-clock /
-objective table:
+scenario with two solver configurations on the same route model and
+prints a wall-clock / objective table:
 
-1. **exact**          — the baseline node-capped HiGHS arm on the plain
-                        model (no symmetry rows, no heuristic seed);
-2. **symmetry-broken** — the same arm on the ``symmetry="lex"`` model:
-                        slot-permutation orbits are cut down to one
-                        canonical representative each (the optimal
-                        *objective* is provably unchanged);
-3. **lp_round-seeded** — the accelerated portfolio: the ``lp_round``
-                        racer (LP relaxation + delta-guided repair)
-                        produces an incumbent in seconds and donates it
-                        to a node-capped ``emphasis="speed"`` exact arm
-                        as a root cutoff.
+1. **exact**           — the baseline node-capped HiGHS arm (no
+                         heuristic seed);
+2. **lp_round-seeded** — the accelerated portfolio: the ``lp_round``
+                         racer (LP relaxation + delta-guided repair)
+                         produces an incumbent in seconds and donates it
+                         to a node-capped ``emphasis="speed"`` exact arm
+                         as a root cutoff.
 
 Run:  PYTHONPATH=src python examples/portfolio_tuning.py [--smoke]
 
@@ -35,10 +31,10 @@ from repro.experiments.networks import paper_network
 from repro.experiments.runner import ExperimentConfig
 from repro.ilp.solve import SolverSpec, solve_model
 from repro.mapping.greedy import greedy_first_fit
-from repro.mapping.snu import RouteModelOptions, build_snu_model
+from repro.mapping.snu import build_snu_model
 
 
-def solve_three_ways(scale: float, node_cap: int, lp_time: float) -> list[dict]:
+def solve_two_ways(scale: float, node_cap: int, lp_time: float) -> list[dict]:
     config = ExperimentConfig(scale=scale)
     network = paper_network("E", scale=scale)
     problem = het_problem(network, config)
@@ -65,31 +61,18 @@ def solve_three_ways(scale: float, node_cap: int, lp_time: float) -> list[dict]:
             }
         )
 
-    # 1. Exact arm, plain model.
-    plain = build_snu_model(problem, base)
+    handle = build_snu_model(problem, base)
+
+    # 1. Exact arm.
     run(
         "exact",
         lambda: solve_model(
-            plain.model,
+            handle.model,
             SolverSpec("highs", node_limit=node_cap),
         ),
     )
 
-    # 2. Same arm, lex symmetry-broken model.  The warm start is
-    #    canonicalized automatically by warm_start_from.
-    lex = build_snu_model(
-        problem, base, options=RouteModelOptions(symmetry="lex")
-    )
-    run(
-        "symmetry-broken",
-        lambda: solve_model(
-            lex.model,
-            SolverSpec("highs", node_limit=node_cap),
-            warm_start=lex.warm_start_from(base),
-        ),
-    )
-
-    # 3. Accelerated portfolio: lp_round donates its incumbent to a
+    # 2. Accelerated portfolio: lp_round donates its incumbent to a
     #    loose node-capped exact arm (sequential races share incumbents).
     specs = (
         SolverSpec("lp_round", time_limit=lp_time),
@@ -98,7 +81,7 @@ def solve_three_ways(scale: float, node_cap: int, lp_time: float) -> list[dict]:
     run(
         "lp_round-seeded",
         lambda: PortfolioSolver(PortfolioOptions(specs=specs)).solve(
-            lex.model, warm_start=lex.warm_start_from(base)
+            handle.model, warm_start=handle.warm_start_from(base)
         ),
     )
     return rows
@@ -114,9 +97,9 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.smoke:
-        rows = solve_three_ways(scale=0.08, node_cap=50, lp_time=2.0)
+        rows = solve_two_ways(scale=0.08, node_cap=50, lp_time=2.0)
     else:
-        rows = solve_three_ways(scale=0.25, node_cap=150, lp_time=5.0)
+        rows = solve_two_ways(scale=0.25, node_cap=150, lp_time=5.0)
 
     print()
     header = f"{'mode':<16} {'wall [s]':>9} {'objective':>10} {'status':>9}  backend"

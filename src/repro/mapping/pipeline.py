@@ -45,7 +45,7 @@ from .options import STAGES, FormulationOptions, PrecisionSpec
 from .pgo import SpikeProfile, build_pgo_model
 from .precision import PrecisionAreaModel, validate_sliced
 from .problem import MappingProblem
-from .snu import RouteModelOptions, RouteObjective, build_snu_model
+from .snu import RouteObjective, build_snu_model
 from .solution import Mapping
 
 
@@ -224,25 +224,9 @@ class MappingPipeline:
             solve.phases += (("polish", time.perf_counter() - polish_entry),)
         return mapping, solve
 
-    def _route_options(self, objective: RouteObjective) -> RouteModelOptions:
-        """Route-stage options inheriting the formulation's symmetry level.
-
-        Only an explicit ``"lex"`` propagates (``"order"`` historically
-        applied to the area model alone); warm starts stay valid because
-        the route builders canonicalize them to the model's level.
-        """
-        return RouteModelOptions(
-            objective=objective, symmetry=self.formulation.route_symmetry()
-        )
-
     def _run_snu(self, base: Mapping) -> tuple[Mapping, SolveResult]:
         build_entry = time.perf_counter()
-        handle = build_snu_model(
-            self.problem,
-            base,
-            RouteObjective.GLOBAL,
-            options=self._route_options(RouteObjective.GLOBAL),
-        )
+        handle = build_snu_model(self.problem, base, RouteObjective.GLOBAL)
         build_wall = time.perf_counter() - build_entry
         backend = self.solver(self.route_time_limit)
         solve = backend.solve(handle.model, warm_start=handle.warm_start_from(base))
@@ -255,12 +239,7 @@ class MappingPipeline:
         self, base: Mapping, profile: SpikeProfile | MappingT[int, int]
     ) -> tuple[Mapping, SolveResult]:
         build_entry = time.perf_counter()
-        handle = build_pgo_model(
-            self.problem,
-            base,
-            profile,
-            options=self._route_options(RouteObjective.GLOBAL),
-        )
+        handle = build_pgo_model(self.problem, base, profile)
         build_wall = time.perf_counter() - build_entry
         backend = self.solver(self.route_time_limit)
         solve = backend.solve(handle.model, warm_start=handle.warm_start_from(base))

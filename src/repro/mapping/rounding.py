@@ -59,7 +59,7 @@ class MappingRoundingGuide:
 
     ``handle`` is the owning builder (:class:`AreaModel` or
     :class:`RouteModel`): it supplies the problem, the variable layout and
-    the symmetry-aware ``warm_start_from`` used to emit the final vector.
+    the ``warm_start_from`` used to emit the final vector.
     ``objective`` picks the score the delta search minimizes — ``"area"``
     (lexicographic area then routes, the area formulations) or
     ``"routes"`` (global routes, the SNU/PGO formulations; PGO's weighted
@@ -70,7 +70,6 @@ class MappingRoundingGuide:
 
     handle: object
     objective: str = "area"
-    symmetry: str = "off"
 
     # ------------------------------------------------------------------
     def round(

@@ -283,8 +283,12 @@ class MappingService:
         for writer in (self._journal, self._job_log):
             if writer is not None:
                 writer.close()
-        if self.trace_runtime is not None:
-            self.trace_runtime.flush()
+        # Release the process-global sink this service installed (closing
+        # flushes its journal), so a later service's client-traced jobs
+        # never journal into this one's directory.  A runtime another
+        # install has since replaced was closed by that install.
+        if self.trace_runtime is not None and trace.get_runtime() is self.trace_runtime:
+            trace.uninstall()
         if self._fleet_store is not None:
             self._fleet_store.close()  # opened by this service
 

@@ -273,7 +273,6 @@ class TestOneCopyPerSpan:
             records = service.trace_payload(job.id)["records"]
         finally:
             service.stop(wait=True)
-            trace.uninstall()
         assert not (tmp_path / "trace" / "merged.jsonl").exists()
         spans = [r for r in records if r.get("kind") == "span"]
         ids = [r["span"] for r in spans]
@@ -343,6 +342,36 @@ class TestTraceHTTP:
             server.server_close()
             thread.join(timeout=10)
             service.stop(wait=True)
+
+    def test_stopped_service_releases_its_trace_sink(self, tmp_path):
+        """A client-traced job on a later untraced service in the same
+        process journals nothing into a stopped service's directory."""
+        traced = MappingService(
+            Explorer(store=RunStore(tmp_path / "a.jsonl"), cache=ResultCache()),
+            trace_dir=tmp_path / "trace",
+        )
+        traced.start()
+        traced.stop(wait=True)
+
+        untraced = MappingService(
+            Explorer(store=RunStore(tmp_path / "b.jsonl"), cache=ResultCache())
+        )
+        server, thread, client = self._serve(untraced)
+        supplied = trace.mint_context().encode()
+        try:
+            untraced.start()
+            accepted = client.submit(
+                payload=_spec(_scenario()).payload(), trace=supplied
+            )
+            assert client.wait(accepted["id"], timeout=90.0)["status"] == JOB_DONE
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+            untraced.stop(wait=True)
+        assert trace.get_runtime() is None
+        trace_id = supplied.partition(":")[0]
+        assert trace.read_trace_dir(tmp_path / "trace", trace_id) == []
 
     def test_metrics_exposes_trace_section_and_gap_gauge_lifecycle(
         self, tmp_path, wait_drained

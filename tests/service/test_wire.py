@@ -128,6 +128,12 @@ class TestJobSpec:
     def test_unknown_submission_key_rejected(self):
         with pytest.raises(WireError, match="priority"):
             parse_job({"scenario": _scenario().payload(), "priority": 9})
+        # Formulation options are strict too: a key the options do not
+        # carry is a 400, not a silently ignored setting.
+        payload = _scenario().payload()
+        payload["formulation"]["options"]["symmetry"] = "lex"
+        with pytest.raises(WireError, match="formulation options.*symmetry"):
+            parse_job({"scenario": payload})
 
     def test_wrong_format_rejected(self):
         with pytest.raises(WireError, match="wire format"):
