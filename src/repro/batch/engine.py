@@ -259,14 +259,6 @@ class BatchMapper:
     cache:
         Optional :class:`ResultCache`; hits skip the solve entirely and
         rehydrate the stored solution.
-    metrics:
-        Optional sink (duck-typed; see
-        :class:`repro.service.metrics.ServiceMetrics`) notified of
-        execution progress: ``solves_dispatched(n)`` when jobs enter
-        execution, ``solve_finished(payload)`` per completed worker
-        payload, ``solves_abandoned(n)`` for jobs a crash kept from
-        completing.  Cache hits never touch the sink — "solves in
-        flight" counts real solver work.
     """
 
     def __init__(
@@ -274,14 +266,12 @@ class BatchMapper:
         jobs: int = 1,
         portfolio: bool = False,
         cache: ResultCache | None = None,
-        metrics=None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.portfolio = portfolio
         self.cache = cache
-        self.metrics = metrics
 
     # ------------------------------------------------------------------
     def map_all(
@@ -318,27 +308,14 @@ class BatchMapper:
                 else:
                     pending.append((idx, job, key))
 
-        sink = self.metrics
-        if sink is not None and pending:
-            sink.solves_dispatched(len(pending))
-        completed = 0
-        try:
-            for idx, job, key, payload in self._execute(pending, should_cancel):
-                if sink is not None:
-                    sink.solve_finished(payload)
-                    completed += 1
-                cacheable = (
-                    payload.get("status") == JOB_OK
-                    and not payload.get("interrupted", False)
-                )
-                if cacheable and self.cache is not None:
-                    self.cache.put(key, payload)
-                records[idx] = _rehydrate(job, key, payload, from_cache=False)
-        finally:
-            # A crash mid-batch must not leave the in-flight gauge stuck
-            # above zero forever; normal completion makes this a no-op.
-            if sink is not None and completed < len(pending):
-                sink.solves_abandoned(len(pending) - completed)
+        for idx, job, key, payload in self._execute(pending, should_cancel):
+            cacheable = (
+                payload.get("status") == JOB_OK
+                and not payload.get("interrupted", False)
+            )
+            if cacheable and self.cache is not None:
+                self.cache.put(key, payload)
+            records[idx] = _rehydrate(job, key, payload, from_cache=False)
 
         return BatchResult([records[i] for i in range(len(batch_jobs))])
 
@@ -498,7 +475,7 @@ def _execute_job(job: BatchJob, portfolio: bool) -> dict:
             {
                 "name": record.name,
                 "assignment": {str(i): j for i, j in record.mapping.assignment.items()},
-                "solve": _solve_summary(record.solve_result),
+                "solve": solve_summary(record.solve_result),
             }
             for record in result.stages.values()
         ]
@@ -561,7 +538,7 @@ def _cache_entry_satisfies(job: BatchJob, payload: dict) -> bool:
     )
 
 
-def _solve_summary(solve: SolveResult | None) -> dict | None:
+def solve_summary(solve: SolveResult | None) -> dict | None:
     """The picklable/JSON-able core of a solve result (no variable values)."""
     if solve is None:
         return None

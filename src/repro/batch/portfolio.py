@@ -99,10 +99,11 @@ class PortfolioSolver:
 
     ``on_race`` is an optional hook called after every race with
     ``(winner, results)`` — the finalized winning :class:`SolveResult`
-    and every member's result in portfolio order.  The mapping daemon's
-    metrics use it to count per-arm wins when the solver runs in-process
-    (pooled runs report the same information parent-side, parsed out of
-    the worker payload's backend tags).
+    and every member's result in portfolio order — for callers that want
+    every member's outcome, not just the winner's.  Only the winner
+    reaches a mapping result: its ``portfolio[<member>]`` backend tag,
+    from which :func:`winning_arm` recovers the arm that the mapping
+    daemon's ``/metrics`` counts wins by.
     """
 
     name = "portfolio"

@@ -29,7 +29,8 @@ import numpy as np
 
 from .. import trace
 from ..batch.cache import ResultCache
-from ..batch.engine import BatchMapper
+from ..batch.engine import BatchMapper, solve_summary
+from ..batch.portfolio import winning_arm
 from ..mapping.greedy import greedy_first_fit
 from ..mapping.problem import MappingProblem
 from .objectives import ObjectivePoint, evaluate_objectives, objective_matrix
@@ -40,7 +41,15 @@ from .store import TIER_GREEDY, TIER_ILP, RunEntry, RunStore
 
 @dataclass
 class ScenarioResult:
-    """One scenario's scored outcome at some tier."""
+    """One scenario's scored outcome at some tier.
+
+    ``stages`` holds one entry per stage solve actually run for this
+    result: the engine's :func:`~repro.batch.engine.solve_summary` plus
+    the ``stage`` name and the winning portfolio ``arm`` (``None`` outside
+    a race).  Cache hits, store resumes and greedy results carry ``()``.
+    The entries travel with the result to the service, never into the
+    run store.
+    """
 
     scenario: Scenario
     fingerprint: str
@@ -48,7 +57,7 @@ class ScenarioResult:
     status: str
     objectives: ObjectivePoint | None = None
     assignment: dict[int, int] | None = None
-    solves: int = 0  # ILP solves actually executed for this result
+    stages: tuple[dict, ...] = ()
     wall_time: float = 0.0
     error: str | None = None
     from_store: bool = False
@@ -56,6 +65,11 @@ class ScenarioResult:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def solves(self) -> int:
+        """ILP solves actually executed for this result."""
+        return len(self.stages)
 
     def entry(self, meta: dict | None = None) -> RunEntry:
         return RunEntry(
@@ -188,8 +202,6 @@ class Explorer:
             status="ok",
             objectives=ObjectivePoint.from_dict(entry.objectives),
             assignment=assignment,
-            solves=0,
-            wall_time=0.0,
             from_store=True,
         )
 
@@ -339,14 +351,14 @@ class Explorer:
                 wall_time=record.wall_time,
             )
         mapping = record.final().mapping
-        solves = (
-            0
-            if record.from_cache
-            else sum(
-                1
-                for stage in record.stages.values()
-                if stage.solve_result is not None
-            )
+        stages = tuple(
+            {
+                "stage": name,
+                **solve_summary(stage.solve_result),
+                "arm": winning_arm(stage.solve_result.backend),
+            }
+            for name, stage in record.stages.items()
+            if stage.solve_result is not None and not record.from_cache
         )
         return ScenarioResult(
             scenario=scenario,
@@ -355,7 +367,7 @@ class Explorer:
             status="ok",
             objectives=self._score(scenario, mapping),
             assignment=dict(mapping.assignment),
-            solves=solves,
+            stages=stages,
             wall_time=record.wall_time,
         )
 

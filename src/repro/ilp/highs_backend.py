@@ -146,6 +146,18 @@ class HighsBackend:
         highs.startCallback(_CALLBACK.kCallbackMipImprovingSolution)
         highs.startCallback(_CALLBACK.kCallbackMipInterrupt)
         run_status = highs.run()
+        if (
+            run_status == _highs.HighsStatus.kError
+            and not failures
+            and highs.getModelStatus() == _STATUS.kSolveError
+        ):
+            # HiGHS's MIP presolve reports a solve error on some small
+            # infeasible models (e.g. binaries with 3a + 3b + 3c - 2d == 2)
+            # that solve cleanly without it: re-solve once, presolve off.
+            found.clear()
+            best = np.inf if warm_obj is None else form.sign * warm_obj - form.offset
+            highs.setOptionValue("presolve", "off")
+            run_status = highs.run()
         wall = time.perf_counter() - start
         if failures:
             raise failures[0]

@@ -167,8 +167,8 @@ class MappingService:
         self._fleet_store: RunStore | None = None
         if fleet:
             # Fleet workers build their own solver stacks; the daemon only
-            # dispatches, so it never imports one.  Opening the store here,
-            # before any worker spawns, also runs its one-shot migration.
+            # dispatches, so it never imports one.  Its store handle only
+            # reads what the workers append, for /healthz and /metrics.
             self._fleet_store = self.fleet_config.build_store()
         else:
             if explorer is None:
@@ -178,8 +178,6 @@ class MappingService:
                 # inside one process: evaluations land in its memory store.
                 explorer = Explorer()
             self.explorer = explorer
-            # The shared engine reports solve progress into the same sink.
-            explorer.mapper.metrics = self.metrics
         # Tracing: one runtime for this process, its journal named after
         # the pid so restarts never contend over a file; fleet workers
         # inherit the directory through their config.
@@ -519,10 +517,11 @@ class MappingService:
     def metrics_payload(self) -> dict:
         """The ``GET /metrics`` body.
 
-        Process-lifetime counters/gauges/histograms come from the
+        Process-lifetime counters and histograms come from the
         :class:`ServiceMetrics` snapshot (one lock, so the scrape is
         self-consistent); live state — queue depth, per-state job
-        counts, cache totals — is read from its owners under *their*
+        counts, cache totals, the workers holding a job
+        (``solves_in_flight``) — is read from its owners under *their*
         locks at scrape time.  Within each section the invariants hold
         exactly: ``cache.hits + cache.misses == cache.lookups``, and
         ``counters.jobs_submitted`` covers every job this process
@@ -531,7 +530,7 @@ class MappingService:
         """
         snapshot = self.metrics.snapshot()
         counters = snapshot["counters"]
-        gauges = snapshot["gauges"]
+        fleet = self.supervisor.snapshot()
         body = {
             "status": "ok",
             "uptime": snapshot["uptime"],
@@ -541,7 +540,7 @@ class MappingService:
             "admission": self.admission.snapshot(),
             "admission_throttled": counters.get("admission_throttled", 0),
             "lanes": self.registry.lane_snapshot(),
-            "solves_in_flight": gauges.get("solves_in_flight", 0),
+            "solves_in_flight": sum(1 for w in fleet["workers"] if w["job"]),
             "jobs": {
                 "by_state": self.registry.counts(),
                 "submitted": counters.get("jobs_submitted", 0),
@@ -562,21 +561,13 @@ class MappingService:
                 "error": counters.get("scenarios_error", 0),
                 "cached": counters.get("scenarios_cached", 0),
             },
-            "solves": {
-                "mapper_jobs": counters.get("mapper_jobs", 0),
-                "mapper_jobs_ok": counters.get("mapper_jobs_ok", 0),
-                "mapper_jobs_error": counters.get("mapper_jobs_error", 0),
-                "mapper_jobs_interrupted": counters.get(
-                    "mapper_jobs_interrupted", 0
-                ),
-                "ilp_solves": counters.get("ilp_solves", 0),
-            },
+            "solves": {"ilp_solves": counters.get("ilp_solves", 0)},
             "portfolio": snapshot["portfolio"],
             "cache": self._cache_stats(),
             "store_entries": self._store_entries(),
             "latency": snapshot["latency"],
             "solver_progress": snapshot["solver_progress"],
-            "fleet": self.supervisor.snapshot(),
+            "fleet": fleet,
             "ledger": self.registry.lease_counts(),
         }
         if self.trace_runtime is not None:

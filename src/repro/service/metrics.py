@@ -2,13 +2,14 @@
 
 Everything the ``GET /metrics`` endpoint reports lives here:
 
-- :class:`ServiceMetrics` — monotonic counters, gauges and bounded
+- :class:`ServiceMetrics` — monotonic counters and bounded
   histograms behind **one** lock, so a scrape sees a consistent snapshot
   (``hits + misses == lookups`` holds even while worker threads hammer
-  the counters).  The registry reports job state transitions into it
-  (via :meth:`ServiceMetrics.job_event`), the batch engine reports
-  solve dispatch/completion (solves in flight, per-arm portfolio wins),
-  and the worker loop reports queue-wait and job-duration samples.
+  the counters).  The registry reports job state transitions and
+  scenario results into it (via :meth:`ServiceMetrics.job_event`) —
+  the solve counters, per-arm portfolio wins and ``solve_*`` histograms
+  are read off those results — and the supervisor reports queue-wait
+  and job-duration samples.
 - :class:`LoopLatencyProbe` — a background thread that repeatedly
   sleeps a fixed interval and records the overshoot, the classic
   event-loop-lag measurement: under load the scheduler hands the probe
@@ -80,21 +81,20 @@ class _Histogram:
 
 
 class ServiceMetrics:
-    """Lock-guarded counters/gauges/histograms for one daemon process.
+    """Lock-guarded counters/histograms for one daemon process.
 
     All mutation and the :meth:`snapshot` read happen under a single
-    mutex, so a scrape never observes a half-applied update (a hit
-    counted whose lookup is not, a gauge incremented twice).  Counters
-    are monotonic and cover *this process's lifetime*; per-state job
-    counts and cache totals are scraped live from their owners at
-    request time, under those owners' own locks.
+    mutex, so a scrape never observes a half-applied update (a result
+    counted whose solves are not).  Counters are monotonic and cover
+    *this process's lifetime*; per-state job counts, cache totals and
+    busy workers are scraped live from their owners at request time,
+    under those owners' own locks.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._started = time.time()
         self._counters: dict[str, int] = {}
-        self._gauges: dict[str, int] = {}
         self._histograms: dict[str, _Histogram] = {}
         self._portfolio_wins: dict[str, int] = {}
         #: job id -> latest in-flight solver progress (gap gauge et al).
@@ -103,26 +103,15 @@ class ServiceMetrics:
     # -- primitives ----------------------------------------------------
     def inc(self, name: str, amount: int = 1) -> None:
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
-
-    def gauge_add(self, name: str, delta: int) -> None:
-        with self._lock:
-            self._gauges[name] = self._gauges.get(name, 0) + delta
+            self._inc_locked(name, amount)
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = _Histogram()
-            histogram.observe(value)
+            self._observe_locked(name, value)
 
     def counter(self, name: str) -> int:
         with self._lock:
             return self._counters.get(name, 0)
-
-    def gauge(self, name: str) -> int:
-        with self._lock:
-            return self._gauges.get(name, 0)
 
     # -- instrumentation seams -----------------------------------------
     def job_event(self, record: dict) -> None:
@@ -138,11 +127,7 @@ class ServiceMetrics:
         elif event == "running":
             self.inc("jobs_started")
         elif event == "result":
-            status = record.get("status")
-            self.inc("scenarios_total")
-            self.inc(f"scenarios_{'ok' if status == 'ok' else 'error'}")
-            if record.get("cached"):
-                self.inc("scenarios_cached")
+            self._count_result(record)
         elif event == "requeued":
             self.inc("jobs_requeued")
         elif event in ("done", "error", "cancelled", "deadline", "shed"):
@@ -151,55 +136,43 @@ class ServiceMetrics:
             self.inc("jobs_finished")
             self.inc(f"jobs_{event}")
 
-    def solves_dispatched(self, count: int) -> None:
-        """Batch engine hook: ``count`` jobs entered execution."""
-        self.gauge_add("solves_in_flight", count)
+    def _count_result(self, record: dict) -> None:
+        """One scenario result and the stage solves it ran.
 
-    def solves_abandoned(self, count: int) -> None:
-        """Batch engine hook: dispatched jobs that will never complete."""
-        self.gauge_add("solves_in_flight", -count)
-
-    def solve_finished(self, payload: dict) -> None:
-        """Batch engine hook: one executed job's worker payload.
-
-        Parses the per-stage solve summaries out of the payload — which
-        crosses the process-pool boundary as plain data — so portfolio
-        win rates are counted identically for serial and pooled runs.
+        Thread and process workers alike return every result through the
+        registry, so its ``stages`` entries (see :func:`~repro.service.
+        wire.result_payload`) are the one source of the solve counters,
+        the per-arm portfolio wins and the ``solve_*`` histograms.  The
+        winning arm arrives precomputed: parsing backend tags here would
+        load the solver stack into a fleet daemon that never needs it.
         """
-        from ..batch.portfolio import winning_arm
-
-        status = payload.get("status")
-        interrupted = bool(payload.get("interrupted"))
-        stage_solves: list[dict] = [
-            stage["solve"]
-            for stage in payload.get("stages") or []
-            if stage.get("solve") is not None
+        keys = [
+            "scenarios_total",
+            "scenarios_ok" if record.get("status") == "ok" else "scenarios_error",
         ]
+        if record.get("cached"):
+            keys.append("scenarios_cached")
+        solves = [s for s in record.get("stages") or () if isinstance(s, dict)]
         with self._lock:
-            self._gauges["solves_in_flight"] = (
-                self._gauges.get("solves_in_flight", 0) - 1
-            )
-            self._counters["mapper_jobs"] = self._counters.get("mapper_jobs", 0) + 1
-            key = (
-                "mapper_jobs_interrupted"
-                if interrupted
-                else ("mapper_jobs_ok" if status == "ok" else "mapper_jobs_error")
-            )
-            self._counters[key] = self._counters.get(key, 0) + 1
-            for solve in stage_solves:
-                self._counters["ilp_solves"] = self._counters.get("ilp_solves", 0) + 1
-                arm = winning_arm(str(solve.get("backend", "")))
-                if arm is not None:
-                    self._counters["portfolio_races"] = (
-                        self._counters.get("portfolio_races", 0) + 1
-                    )
+            for key in keys:
+                self._inc_locked(key)
+            for solve in solves:
+                self._inc_locked("ilp_solves")
+                if solve.get("arm") is not None:
+                    arm = str(solve["arm"])
+                    self._inc_locked("portfolio_races")
                     self._portfolio_wins[arm] = self._portfolio_wins.get(arm, 0) + 1
                 for phase, seconds in solve.get("phases") or ():
                     name = _PHASE_NAME.sub("_", str(phase).lower()) or "unknown"
                     self._observe_locked(f"solve_phase_{name}", float(seconds))
-            wall = payload.get("wall_time")
-            if wall is not None:
-                self._observe_locked("solve_wall_time", float(wall))
+            if solves:
+                self._observe_locked(
+                    "solve_wall_time", float(record.get("wall_time") or 0.0)
+                )
+
+    def _inc_locked(self, name: str, amount: int = 1) -> None:
+        # Caller holds the lock.
+        self._counters[name] = self._counters.get(name, 0) + amount
 
     def _observe_locked(self, name: str, value: float) -> None:
         # Caller holds the lock.
@@ -225,14 +198,13 @@ class ServiceMetrics:
 
     # -- scrape --------------------------------------------------------
     def snapshot(self) -> dict:
-        """One consistent view of every counter, gauge and histogram."""
+        """One consistent view of every counter and histogram."""
         with self._lock:
             wins = dict(self._portfolio_wins)
             races = self._counters.get("portfolio_races", 0)
             return {
                 "uptime": time.time() - self._started,
                 "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
                 "portfolio": {
                     "races": races,
                     "wins": wins,

@@ -233,7 +233,11 @@ def result_payload(result: ScenarioResult) -> dict:
 
     ``cached`` is true when the evaluation cost zero new solves because a
     shared component already knew the answer — the run store (resume) or
-    the batch engine's result cache.
+    the batch engine's result cache.  ``stages`` lists the stage solves
+    this evaluation ran (see :class:`~repro.dse.explorer.ScenarioResult`),
+    each with its backend, arm, status, objective, bound, node count and
+    phase timings; it is how ``/metrics`` counts solves in both worker
+    modes.
     """
     return {
         "scenario": result.scenario.name,
@@ -247,6 +251,7 @@ def result_payload(result: ScenarioResult) -> dict:
             else None
         ),
         "solves": result.solves,
+        "stages": list(result.stages),
         # Greedy evaluations never solve, so zero solves only signals a
         # cache/store hit at the ILP tier.
         "cached": bool(

@@ -167,6 +167,16 @@ class TestHighsSpecifics:
         assert objs == sorted(objs, reverse=True)
         assert objs[-1] == pytest.approx(5.0)
 
+    def test_infeasible_despite_presolve_solve_error(self):
+        # HiGHS's presolve reports a solve error on this model; the
+        # backend must still prove it infeasible.
+        m = Model()
+        a, b, c, d = (m.add_binary(name) for name in "abcd")
+        m.add(3 * a + 3 * b + 3 * c - 2 * d == 2)
+        res = HighsBackend().solve(m)
+        assert res.status is SolveStatus.INFEASIBLE
+        assert res.objective is None
+
     def test_unbounded_detected(self):
         m = Model()
         x = m.add_continuous("x", 0.0)

@@ -50,6 +50,7 @@ USED_MEMBERS = {
         "kInfeasible",
         "kUnbounded",
         "kUnboundedOrInfeasible",
+        "kSolveError",
     ),
     "HighsStatus": ("kError",),
     "MatrixFormat": ("kColwise",),

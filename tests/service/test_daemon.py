@@ -5,7 +5,6 @@ from __future__ import annotations
 import sys
 import threading
 import time
-import types
 
 import pytest
 
@@ -330,7 +329,6 @@ class _StubExplorer:
     cache = None
 
     def __init__(self, stall: bool = False) -> None:
-        self.mapper = types.SimpleNamespace(metrics=None)
         self.stall = stall
         self.calls = 0
         self._lock = threading.Lock()

@@ -87,6 +87,7 @@ class _StubResult:
         self.objectives = None
         self.assignment = None
         self.solves = 1
+        self.stages = ()
         self.from_store = False
         self.ok = True
         self.wall_time = 0.0

@@ -6,9 +6,13 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 
 import pytest
 
+from repro.batch.engine import BatchMapper
+from repro.dse.explorer import Explorer
+from repro.service.daemon import MappingService
 from repro.service.jobs import JobRegistry
 from repro.service.metrics import (
     HISTOGRAM_WINDOW,
@@ -17,6 +21,7 @@ from repro.service.metrics import (
     read_jsonl,
 )
 from repro.service.wire import JobSpec
+from repro.service.worker import FleetConfig
 
 pytestmark = pytest.mark.service
 
@@ -38,10 +43,15 @@ class TestServiceMetricsCounters:
             for _ in range(rounds):
                 metrics.job_event({"event": "queued"})
                 metrics.job_event({"event": "running"})
-                metrics.job_event({"event": "result", "status": "ok"})
+                metrics.job_event(
+                    {
+                        "event": "result",
+                        "status": "ok",
+                        "wall_time": 0.01,
+                        "stages": [{"stage": "area", "phases": [["solve", 0.01]]}],
+                    }
+                )
                 metrics.job_event({"event": "done"})
-                metrics.gauge_add("solves_in_flight", 1)
-                metrics.gauge_add("solves_in_flight", -1)
                 metrics.observe("queue_wait", 0.01)
 
         old_interval = sys.getswitchinterval()
@@ -65,7 +75,8 @@ class TestServiceMetricsCounters:
         assert counters["jobs_done"] == total
         assert counters["scenarios_total"] == total
         assert counters["scenarios_ok"] == total
-        assert snapshot["gauges"]["solves_in_flight"] == 0
+        assert counters["ilp_solves"] == total
+        assert snapshot["latency"]["solve_phase_solve"]["count"] == total
         assert snapshot["latency"]["queue_wait"]["count"] == total
 
     def test_job_event_classifies_every_transition(self):
@@ -86,55 +97,86 @@ class TestServiceMetricsCounters:
 
 
 class TestSolveHooks:
-    def test_solve_finished_parses_portfolio_arms(self):
-        """Worker payloads carry the winner as a backend tag; both pooled
-        and serial runs are counted from that same wire shape."""
+    def test_result_records_parse_portfolio_arms(self):
+        """Solve figures are read off the ``stages`` of result records —
+        the one shape thread and process workers both return."""
         metrics = ServiceMetrics()
-        metrics.solves_dispatched(3)
-        assert metrics.gauge("solves_in_flight") == 3
-        metrics.solve_finished(
+        metrics.job_event(
             {
+                "event": "result",
                 "status": "ok",
                 "wall_time": 0.5,
                 "stages": [
-                    {"solve": {"backend": "portfolio[highs]"}},
-                    {"solve": {"backend": "portfolio[lp_round-interrupted]"}},
+                    {
+                        "stage": "area",
+                        "backend": "portfolio[highs]",
+                        "arm": "highs",
+                        "phases": [["build", 0.1], ["solve", 0.3]],
+                    },
+                    {
+                        "stage": "snu",
+                        "backend": "portfolio[lp_round-interrupted]",
+                        "arm": "lp_round",
+                        "phases": [["Solve", 0.05]],
+                    },
                 ],
             }
         )
-        metrics.solve_finished(
+        metrics.job_event(
             {
+                "event": "result",
                 "status": "ok",
                 "wall_time": 0.25,
-                "stages": [{"solve": {"backend": "highs"}}, {"solve": None}],
+                "stages": [{"stage": "area", "backend": "highs", "arm": None}, None],
             }
         )
-        metrics.solve_finished({"status": "error", "stages": None})
+        metrics.job_event({"event": "result", "status": "error", "stages": None})
+        metrics.job_event(
+            {"event": "result", "status": "ok", "cached": True, "stages": []}
+        )
         snapshot = metrics.snapshot()
         counters = snapshot["counters"]
-        assert metrics.gauge("solves_in_flight") == 0
-        assert counters["mapper_jobs"] == 3
-        assert counters["mapper_jobs_ok"] == 2
-        assert counters["mapper_jobs_error"] == 1
+        assert counters["scenarios_total"] == 4
         assert counters["ilp_solves"] == 3  # the None stage is not a solve
         assert snapshot["portfolio"]["races"] == 2
         assert snapshot["portfolio"]["wins"] == {"highs": 1, "lp_round": 1}
         assert snapshot["portfolio"]["win_rates"] == {"highs": 0.5, "lp_round": 0.5}
-        assert snapshot["latency"]["solve_wall_time"]["count"] == 2
+        latency = snapshot["latency"]
+        # One wall-time sample per result that ran a solve.
+        assert latency["solve_wall_time"]["count"] == 2
+        assert latency["solve_wall_time"]["sum"] == pytest.approx(0.75)
+        assert latency["solve_phase_build"]["count"] == 1
+        assert latency["solve_phase_solve"]["count"] == 2
 
-    def test_interrupted_jobs_get_their_own_counter(self):
-        metrics = ServiceMetrics()
-        metrics.solve_finished({"status": "ok", "interrupted": True, "stages": []})
-        counters = metrics.snapshot()["counters"]
-        assert counters["mapper_jobs_interrupted"] == 1
-        assert "mapper_jobs_ok" not in counters
+    def test_cancelled_job_releases_in_flight(self, tiny_scenario, wait_drained):
+        """``solves_in_flight`` is the workers holding a job, read at
+        scrape time: a stalled solve holds one, its cancellation frees it."""
 
-    def test_abandoned_solves_release_the_gauge(self):
-        metrics = ServiceMetrics()
-        metrics.solves_dispatched(5)
-        metrics.solve_finished({"status": "ok", "stages": []})
-        metrics.solves_abandoned(4)  # batch cancelled mid-flight
-        assert metrics.gauge("solves_in_flight") == 0
+        class StallingMapper(BatchMapper):
+            def __init__(self) -> None:
+                super().__init__()
+                self.entered = threading.Event()
+
+            def map_all(self, batch_jobs, should_cancel=None):
+                self.entered.set()
+                while not should_cancel():
+                    time.sleep(0.01)
+                return super().map_all(batch_jobs, should_cancel=should_cancel)
+
+        mapper = StallingMapper()
+        service = MappingService(Explorer(mapper=mapper))
+        service.start()
+        try:
+            job = service.submit(JobSpec(scenarios=(tiny_scenario,)))
+            assert mapper.entered.wait(timeout=30)
+            assert service.metrics_payload()["solves_in_flight"] == 1
+            service.cancel(job.id)
+            assert wait_drained(service, job).status == "cancelled"
+            body = service.metrics_payload()
+            assert body["solves_in_flight"] == 0
+            assert body["solves"]["ilp_solves"] == 0
+        finally:
+            service.stop(wait=True)
 
 
 class TestHistograms:
@@ -296,9 +338,7 @@ class TestMetricsEndpoint:
         assert cache["misses"] >= 1
         assert cache["stores"] >= 1
 
-        solves = body["solves"]
-        assert solves["mapper_jobs"] == solves["mapper_jobs_ok"] == 1
-        assert solves["ilp_solves"] >= 1
+        assert body["solves"] == {"ilp_solves": 1}  # the repeat ran none
 
         latency = body["latency"]
         for name in ("queue_wait", "job_duration", "solve_wall_time"):
@@ -314,3 +354,41 @@ class TestMetricsEndpoint:
         assert body["scenarios"]["total"] == 0
         assert body["portfolio"] == {"races": 0, "wins": {}, "win_rates": {}}
         assert body["solves_in_flight"] == 0
+
+    def test_fleet_and_thread_workers_count_the_same_solve(
+        self, tmp_path, tiny_scenario, wait_drained
+    ):
+        """Solve figures reach ``/metrics`` from the results every worker
+        returns, so a process worker's solve counts as a thread's does."""
+        bodies = []
+        for fleet in (0, 1):
+            if fleet:
+                store = str(tmp_path / "store.jsonl")
+                service = MappingService(
+                    fleet=1, fleet_config=FleetConfig(store_path=store)
+                )
+            else:
+                service = MappingService(Explorer(time_limit=5.0), workers=1)
+            service.start()
+            try:
+                job = service.submit(
+                    JobSpec(scenarios=(tiny_scenario,), time_limit=5.0)
+                )
+                assert wait_drained(service, job).status == "done"
+                assert job.results[0]["solves"] == 1
+                bodies.append(service.metrics_payload())
+            finally:
+                service.stop(wait=True)
+        names = []
+        for body in bodies:
+            assert body["solves"]["ilp_solves"] == 1
+            assert body["solves_in_flight"] == 0
+            solve_histograms = {
+                name: histogram
+                for name, histogram in body["latency"].items()
+                if name.startswith("solve_")
+            }
+            assert "solve_wall_time" in solve_histograms
+            assert all(h["count"] >= 1 for h in solve_histograms.values())
+            names.append(sorted(solve_histograms))
+        assert names[0] == names[1]

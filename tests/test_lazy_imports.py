@@ -112,6 +112,33 @@ class TestLightFleetDaemon:
         )
         assert _heavy_after(code) == []
 
+    def test_fleet_metrics_count_a_portfolio_solve_without_the_solver(
+        self, tmp_path
+    ):
+        """A result record's ``stages`` reach ``/metrics`` without the
+        daemon parsing backend tags through the solver stack."""
+        store = str(tmp_path / "store")
+        stage = {
+            "stage": "area",
+            "backend": "portfolio[highs]",
+            "arm": "highs",
+            "phases": [["build", 0.01], ["solve", 0.02]],
+        }
+        code = (
+            "from repro.service.daemon import MappingService\n"
+            "from repro.service.worker import FleetConfig\n"
+            "service = MappingService(\n"
+            f"    fleet=1, fleet_config=FleetConfig(store_path={store!r})\n"
+            ")\n"
+            "service.metrics.job_event({'event': 'result', 'status': 'ok',\n"
+            f"    'wall_time': 0.05, 'stages': [{stage!r}]}})\n"
+            "body = service.metrics_payload()\n"
+            "assert body['solves']['ilp_solves'] == 1, body\n"
+            "assert body['portfolio']['wins'] == {'highs': 1}, body\n"
+            "assert body['latency']['solve_phase_solve']['count'] == 1, body\n"
+        )
+        assert _heavy_after(code) == []
+
     def test_worker_stack_loads_no_networkx(self):
         code = (
             "import repro.service.worker\n"
