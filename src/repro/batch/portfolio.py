@@ -6,22 +6,16 @@ keeps the best incumbent is more robust than betting on either alone (the
 heuristic lands a strong incumbent in O(LP) time; HiGHS improves on it and
 proves).
 
-Two race modes:
-
-- ``sequential`` (default, deterministic): members run one after another,
-  stopping early once a member proves optimality.  Worst-case wall time is
-  the sum of member budgets; results are bit-for-bit reproducible.
-- ``threads``: members run concurrently and overlap their wall time.  The
-  winner is still chosen by the same deterministic rule after *all*
-  members finish (SciPy solves cannot be cancelled mid-flight), so results
-  stay reproducible while wall time approaches the slowest member's.
+Members race sequentially: one after another, stopping early once a
+member proves optimality.  Worst-case wall time is the sum of member
+budgets; results are bit-for-bit reproducible.
 
 The winner is the member with the lowest objective; ties break on lower
 deterministic time, then on portfolio order.  A winner that did not
 prove optimality itself reports ``optimal`` (with the prover's bound)
 when another member proved a bound its objective meets.
 
-Sequential races also *share incumbents* (see
+Races also *share incumbents* (see
 :class:`PortfolioOptions.share_incumbents`): each member's best solution
 seeds the next member's warm start, so ordering a cheap heuristic arm
 (``lp_round``) before the exact arms hands them a strong cutoff before
@@ -31,8 +25,9 @@ they open their root node.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .. import trace
 from ..ilp.highs_backend import HIGHS_DEFAULT_GAP
@@ -46,14 +41,12 @@ DEFAULT_SPECS = (
     SolverSpec("lp_round", time_limit=5.0),
 )
 
-RACE_MODES = ("sequential", "threads")
-
 
 @dataclass(frozen=True)
 class PortfolioOptions:
     """Which backends race, and how.
 
-    ``share_incumbents`` (sequential races only): each member's best
+    ``share_incumbents``: each member's best
     incumbent is donated as the warm start of every later member when it
     beats what they would otherwise have been seeded with.  Exact
     backends turn that seed into a cutoff and prune against it from the
@@ -61,22 +54,16 @@ class PortfolioOptions:
     accelerates the exact arms that follow it.  Donation never *loses*
     information: a member still falls back to its own search if the seed
     does not help, and the race winner is picked by the same
-    deterministic rule either way.  Thread races cannot donate (members
-    start simultaneously).
+    deterministic rule either way.
     """
 
     specs: tuple[SolverSpec, ...] = DEFAULT_SPECS
-    race: str = "sequential"
-    stop_on_optimal: bool = True  # sequential mode: skip members after a proof
-    share_incumbents: bool = True  # sequential mode: donate best incumbent
+    stop_on_optimal: bool = True  # skip members after a proof
+    share_incumbents: bool = True  # donate the best incumbent
 
     def __post_init__(self) -> None:
         if not self.specs:
             raise ValueError("a portfolio needs at least one member spec")
-        if self.race not in RACE_MODES:
-            raise ValueError(
-                f"unknown race mode {self.race!r}; choose from {RACE_MODES}"
-            )
 
 
 def winning_arm(backend: str) -> str | None:
@@ -97,27 +84,17 @@ def winning_arm(backend: str) -> str | None:
 class PortfolioSolver:
     """A :class:`~repro.mapping.pipeline.SolverBackend` over many members.
 
-    ``on_race`` is an optional hook called after every race with
-    ``(winner, results)`` — the finalized winning :class:`SolveResult`
-    and every member's result in portfolio order — for callers that want
-    every member's outcome, not just the winner's.  Only the winner
-    reaches a mapping result: its ``portfolio[<member>]`` backend tag,
-    from which :func:`winning_arm` recovers the arm that the mapping
-    daemon's ``/metrics`` counts wins by.
+    Only the winner reaches a mapping result: its ``portfolio[<member>]``
+    backend tag, from which :func:`winning_arm` recovers the arm that the
+    mapping daemon's ``/metrics`` counts wins by.
     """
 
     name = "portfolio"
 
     def __init__(self, options: PortfolioOptions | None = None) -> None:
         self.options = options or PortfolioOptions()
-        self.on_race = None
 
-    def solve(
-        self,
-        model: Model,
-        warm_start=None,
-        keep_values: bool = True,
-    ) -> SolveResult:
+    def solve(self, model: Model, warm_start: np.ndarray | None = None) -> SolveResult:
         """Race every member on ``model`` and return the best result.
 
         The returned result is the winning member's, re-tagged as
@@ -128,56 +105,44 @@ class PortfolioSolver:
         opts = self.options
         # Assemble the shared matrix form once, up front: every racer's
         # Model.lower() (and warm-start feasibility check) then reuses the
-        # cached system instead of re-lowering per backend — including in
-        # thread mode, where racers would otherwise assemble concurrently.
+        # cached system instead of re-lowering per backend.
         lower_entry = time.perf_counter()
         model.lower()
         lower_wall = time.perf_counter() - lower_entry
         race_start = time.time()
         results: list[SolveResult] = []
-        if opts.race == "threads" and len(opts.specs) > 1:
-            with ThreadPoolExecutor(max_workers=len(opts.specs)) as pool:
-                futures = [
-                    pool.submit(solve_model, model, spec, warm_start, keep_values)
-                    for spec in opts.specs
-                ]
-                results = [f.result() for f in futures]
-        else:
-            # Sequential incumbent sharing: the best solution seen so far
-            # (including a feasible caller-supplied warm start) seeds every
-            # later member, so exact arms inherit the heuristic arms'
-            # incumbents as root-node cutoffs.
-            fold = 1.0 if model.objective_sense is ObjectiveSense.MINIMIZE else -1.0
-            donated = warm_start
-            best_folded: float | None = None
-            if opts.share_incumbents and warm_start is not None:
-                x0 = model.dense_values(warm_start)
-                if not model.check_feasible(x0):
-                    best_folded = fold * model.objective_of(x0)
-            for spec in opts.specs:
-                result = solve_model(model, spec, donated, keep_values)
-                results.append(result)
-                if opts.stop_on_optimal and result.status is SolveStatus.OPTIMAL:
-                    break
-                if result.backend.endswith("-interrupted"):
-                    # Cancellation reached us mid-race: don't start more
-                    # members, report the best of what finished.
-                    break
-                if (
-                    opts.share_incumbents
-                    and result.status.has_solution()
-                    and result.objective is not None
-                    and result.x is not None
-                ):
-                    folded = fold * result.objective
-                    if best_folded is None or folded < best_folded:
-                        best_folded = folded
-                        donated = result.x
+        # Incumbent sharing: the best solution seen so far (including a
+        # feasible caller-supplied warm start) seeds every later member,
+        # so exact arms inherit the heuristic arms' incumbents as
+        # root-node cutoffs.
+        fold = 1.0 if model.objective_sense is ObjectiveSense.MINIMIZE else -1.0
+        donated = warm_start
+        best_folded: float | None = None
+        if opts.share_incumbents and warm_start is not None:
+            if not model.check_feasible(warm_start):
+                best_folded = fold * model.objective_of(warm_start)
+        for spec in opts.specs:
+            result = solve_model(model, spec, donated)
+            results.append(result)
+            if opts.stop_on_optimal and result.status is SolveStatus.OPTIMAL:
+                break
+            if result.backend.endswith("-interrupted"):
+                # Cancellation reached us mid-race: don't start more
+                # members, report the best of what finished.
+                break
+            if (
+                opts.share_incumbents
+                and result.status.has_solution()
+                and result.objective is not None
+                and result.x is not None
+            ):
+                folded = fold * result.objective
+                if best_folded is None or folded < best_folded:
+                    best_folded = folded
+                    donated = result.x
 
-        # Per-arm race spans: derived post-race from each member's own
-        # wall time (thread racers don't inherit the ambient context, so
-        # recording here covers both race modes).  Sequential arms are
-        # laid end to end; threaded arms all start at the race start.
+        # Per-arm race spans, derived post-race from each member's own
+        # wall time and laid end to end.
         arm_start = race_start
         for member in results:
             trace.record_span(
@@ -190,17 +155,12 @@ class PortfolioSolver:
                 det_time=member.det_time,
                 nodes=member.node_count,
             )
-            if opts.race != "threads":
-                arm_start += member.wall_time
+            arm_start += member.wall_time
 
         winner = _pick_winner(results, model.objective_sense)
         _borrow_proof(winner, results, model.objective_sense)
         winner.det_time = sum(r.det_time for r in results)
-        winner.wall_time = (
-            max(r.wall_time for r in results)
-            if opts.race == "threads"
-            else sum(r.wall_time for r in results)
-        )
+        winner.wall_time = sum(r.wall_time for r in results)
         winner.backend = f"{self.name}[{winner.backend}]"
         # The shared lowering above is work the winning arm's own phase
         # breakdown never saw — prepend it so phase histograms account
@@ -216,8 +176,6 @@ class PortfolioSolver:
             and "-interrupted" not in winner.backend
         ):
             winner.backend += "-interrupted"
-        if self.on_race is not None:
-            self.on_race(winner, results)
         return winner
 
 
@@ -276,25 +234,16 @@ def _borrow_proof(
 
 def portfolio_solver_factory(
     specs: tuple[SolverSpec, ...] = DEFAULT_SPECS,
-    race: str = "sequential",
-    split_budget: bool | None = None,
 ) -> "callable":
     """A :class:`~repro.mapping.pipeline.SolverFactory` that races ``specs``.
 
-    The stage's time budget is honored as a *total*: sequential races split
-    it evenly across members (their wall times add up), while thread races
-    give every member the full budget (they overlap).  ``split_budget``
-    overrides that default.
+    The stage's time budget is honored as a *total*, split evenly across
+    members (their wall times add up).
     """
-    split = split_budget if split_budget is not None else race == "sequential"
 
     def factory(time_limit: float | None) -> PortfolioSolver:
-        per_member = (
-            time_limit / len(specs)
-            if split and time_limit is not None
-            else time_limit
-        )
+        per_member = time_limit / len(specs) if time_limit is not None else None
         timed = tuple(spec.with_time_limit(per_member) for spec in specs)
-        return PortfolioSolver(PortfolioOptions(specs=timed, race=race))
+        return PortfolioSolver(PortfolioOptions(specs=timed))
 
     return factory

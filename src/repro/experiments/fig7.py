@@ -57,8 +57,7 @@ def evolution_frontier(
     result = backend.solve(handle.model, warm_start=warm)
     points: list[FrontierPoint] = []
     for incumbent in result.incumbents:
-        assert incumbent.values is not None
-        mapping = handle.mapping_from_values(dict(incumbent.values))
+        mapping = handle.mapping_from_x(incumbent.x)
         snu = snu_optimize(problem, mapping, config)
         points.append(
             FrontierPoint(

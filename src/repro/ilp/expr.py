@@ -4,7 +4,10 @@ This module provides a tiny, dependency-free algebraic layer (in the spirit
 of PuLP / OR-Tools' model builders) used by :mod:`repro.ilp.model` to state
 ILP formulations declaratively.  Expressions are affine combinations of
 variables; comparisons against expressions or numbers produce
-:class:`Constraint` objects that a :class:`~repro.ilp.model.Model` collects.
+:class:`Constraint` objects, which :meth:`~repro.ilp.model.Model.add`
+decomposes into one columnar row each.  Nothing here evaluates an
+assignment: solutions are dense vectors, checked and scored by the
+model's assembled matrix.
 
 Operator-built expressions are the *convenience* path: every ``x + y <= 1``
 allocates a coefficient dict per intermediate, so cost grows with the
@@ -161,15 +164,6 @@ class LinExpr(_Algebra):
             raise TypeError(f"cannot combine LinExpr with {type(other)!r}")
         return LinExpr(coeffs, constant)
 
-    def evaluate(self, values: Mapping[int, float]) -> float:
-        """Evaluate the expression given variable values keyed by index."""
-        return self.constant + sum(c * values[idx] for idx, c in self.coeffs.items())
-
-    def drop_zeros(self, tol: float = 0.0) -> "LinExpr":
-        """Return a copy without (near-)zero coefficients."""
-        coeffs = {i: c for i, c in self.coeffs.items() if abs(c) > tol}
-        return LinExpr(coeffs, self.constant)
-
     def __bool__(self) -> bool:
         raise TypeError(
             "LinExpr has no truth value; did you mean to add it as a constraint?"
@@ -216,15 +210,6 @@ class Constraint:
         """Attach a name (useful for debugging infeasibilities)."""
         self.name = name
         return self
-
-    def satisfied(self, values: Mapping[int, float], tol: float = 1e-6) -> bool:
-        """Check whether the constraint holds for the given assignment."""
-        lhs = self.expr.evaluate(values)
-        if self.sense is Sense.LE:
-            return lhs <= tol
-        if self.sense is Sense.GE:
-            return lhs >= -tol
-        return abs(lhs) <= tol
 
     def __repr__(self) -> str:
         label = f" [{self.name}]" if self.name else ""

@@ -81,15 +81,14 @@ class _LpRelaxation:
         )
 
 
-def lp_rounding_warm_start(
-    model: Model, max_passes: int = 25
-) -> dict[str, float] | None:
+def lp_rounding_warm_start(model: Model, max_passes: int = 25) -> np.ndarray | None:
     """Attempt to build a feasible integral assignment by iterative rounding.
 
     Each pass solves the LP relaxation with all previously rounded integer
     variables fixed, then fixes the most-integral remaining fractional
-    variable to its rounded value.  Returns ``None`` when a pass goes
-    infeasible (callers then fall back to problem-specific heuristics).
+    variable to its rounded value.  Returns the snapped dense vector, or
+    ``None`` when a pass goes infeasible (callers then fall back to
+    problem-specific heuristics).
     """
     form = model.lower()
     relax = _LpRelaxation(form)
@@ -106,7 +105,7 @@ def lp_rounding_warm_start(
             snapped = x.copy()
             snapped[int_idx] = np.round(snapped[int_idx])
             if relax.is_feasible(snapped, form.var_lb, form.var_ub):
-                return {v.name: float(snapped[v.index]) for v in model.variables}
+                return snapped
             return None
         # Fix every nearly-integral variable plus the single most-integral
         # fractional one, shrinking the problem monotonically.

@@ -72,16 +72,11 @@ class HighsBackend:
     def __init__(self, options: HighsOptions | None = None) -> None:
         self.options = options or HighsOptions()
 
-    def solve(
-        self,
-        model: Model,
-        warm_start: dict[str, float] | np.ndarray | None = None,
-        keep_values: bool = True,
-    ) -> SolveResult:
+    def solve(self, model: Model, warm_start: np.ndarray | None = None) -> SolveResult:
         """Solve ``model``, recording every improving solution.
 
-        A feasible ``warm_start`` (name-keyed dict or dense index-ordered
-        vector) is the time-zero incumbent.  It enters HiGHS as a cutoff
+        A feasible ``warm_start`` (dense index-ordered vector) is the
+        time-zero incumbent.  It enters HiGHS as a cutoff
         row (``objective <= warm_obj``), which prunes the tree, and it is
         returned whenever HiGHS finds nothing better within its limits.
         An exception raised inside a HiGHS callback (a ``KeyboardInterrupt``
@@ -102,15 +97,14 @@ class HighsBackend:
                     + ("..." if len(violations) > 3 else "")
                 )
             warm_obj = form.objective_value(warm_x)
-            values = model.values_dict(warm_x) if keep_values else None
-            incumbents.append(Incumbent(warm_obj, 0.0, 0.0, values))
+            incumbents.append(Incumbent(warm_obj, 0.0, 0.0, warm_x))
 
         start = time.perf_counter()
         highs = _load(form, warm_obj, self.options)
         setup_units = DET_UNITS_PER_NNZ * form.a_matrix.nnz
-        # Improving solutions as (objective, det_time, seconds, x), kept
-        # strictly better than the previous one (and than the warm start).
-        found: list[tuple[float, float, float, np.ndarray | None]] = []
+        # Improving solutions, kept strictly better than the previous one
+        # (and than the warm start).
+        found: list[Incumbent] = []
         best = np.inf if warm_obj is None else form.sign * warm_obj - form.offset
         failures: list[BaseException] = []
 
@@ -127,8 +121,8 @@ class HighsBackend:
                 best = out.objective_function_value
                 objective = form.sign * (best + form.offset)
                 det_time = DET_UNITS_PER_NODE * max(out.mip_node_count, 1) + setup_units
-                x = np.array(out.mip_solution) if keep_values else None
-                found.append((objective, det_time, out.running_time, x))
+                x = _snap_integers(np.array(out.mip_solution), form.integrality)
+                found.append(Incumbent(objective, det_time, out.running_time, x))
                 trace.progress(
                     "incumbent",
                     objective=objective,
@@ -186,27 +180,21 @@ class HighsBackend:
             status = SolveStatus.FEASIBLE
             best_x = warm_x
             objective = warm_obj
-        values = model.values_dict(best_x) if best_x is not None and keep_values else None
         bound = _user_bound(form, info.mip_dual_bound) if is_mip else None
 
-        for inc_objective, inc_det, seconds, x in found:
-            inc_values = None
-            if x is not None:
-                inc_values = model.values_dict(_snap_integers(x, form.integrality))
-            incumbents.append(Incumbent(inc_objective, inc_det, seconds, inc_values))
+        incumbents.extend(found)
         if objective is not None and (
             not incumbents
             or form.sign * objective < form.sign * incumbents[-1].objective - 1e-9
         ):
-            incumbents.append(Incumbent(objective, det_time, wall, values))
+            incumbents.append(Incumbent(objective, det_time, wall, best_x))
         trace.progress(
             "bound", objective=objective, bound=bound, nodes=nodes, det_time=det_time
         )
         return SolveResult(
             status=status,
             objective=objective,
-            values=values,
-            x=best_x if keep_values else None,
+            x=best_x,
             bound=bound,
             det_time=det_time,
             wall_time=wall,

@@ -61,12 +61,7 @@ class LpRoundBackend:
     def __init__(self, options: LpRoundOptions | None = None) -> None:
         self.options = options or LpRoundOptions()
 
-    def solve(
-        self,
-        model: Model,
-        warm_start: dict[str, float] | np.ndarray | None = None,
-        keep_values: bool = True,
-    ) -> SolveResult:
+    def solve(self, model: Model, warm_start: np.ndarray | None = None) -> SolveResult:
         start = time.perf_counter()
         deadline = (
             start + self.options.time_limit
@@ -104,11 +99,9 @@ class LpRoundBackend:
             if vec is not None and model.check_feasible(vec):
                 vec = None  # guide bug: never report an infeasible incumbent
         if vec is None:
-            values = lp_rounding_warm_start(model)
-            if values is not None:
-                candidate = model.dense_values(values)
-                if not model.check_feasible(candidate):
-                    vec = candidate
+            candidate = lp_rounding_warm_start(model)
+            if candidate is not None and not model.check_feasible(candidate):
+                vec = candidate
         if vec is None and warm_vec is not None and not model.check_feasible(warm_vec):
             vec = warm_vec
 
@@ -128,15 +121,13 @@ class LpRoundBackend:
             if model.objective_sense is ObjectiveSense.MINIMIZE
             else objective >= bound - _TOL
         )
-        values = model.values_dict(vec) if keep_values else None
         return SolveResult(
             status=SolveStatus.OPTIMAL if closed else SolveStatus.FEASIBLE,
             objective=objective,
-            values=values,
             x=vec,
             bound=bound,
             wall_time=wall,
-            incumbents=[Incumbent(objective, 0.0, wall, values)],
+            incumbents=[Incumbent(objective, 0.0, wall, vec)],
             backend=self.name,
             phases=phases,
         )

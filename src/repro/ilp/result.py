@@ -1,10 +1,17 @@
-"""Solver result containers shared by all ILP backends."""
+"""Solver result containers shared by all ILP backends.
+
+A solution has one form: a dense NumPy vector in model column order
+(``Variable.index``).  HiGHS solutions arrive as floats and are snapped
+to exact integers on integer columns before they are stored.
+Both the final answer (:attr:`SolveResult.x`) and every incumbent
+(:attr:`Incumbent.x`) carry it; the mapping models decode it with their
+``mapping_from_x``.
+"""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -29,14 +36,14 @@ class Incumbent:
     ``det_time`` is the backend's deterministic work measure at the moment
     the incumbent was found (HiGHS: node-based units, see
     :data:`repro.ilp.highs_backend.DET_UNITS_PER_NODE`); ``wall_time`` is
-    elapsed solver seconds (0 for a warm start).  ``values`` maps variable *name* to value and may be
-    ``None`` when the backend was asked not to retain full assignments.
+    elapsed solver seconds (0 for a warm start).  ``x`` is the solution
+    as a dense index-ordered vector, integer columns snapped.
     """
 
     objective: float
     det_time: float
     wall_time: float
-    values: Mapping[str, float] | None = None
+    x: np.ndarray
 
 
 @dataclass
@@ -49,12 +56,9 @@ class SolveResult:
         Final :class:`SolveStatus`.
     objective:
         Objective value of the best solution (``None`` without a solution).
-    values:
-        Best assignment, variable name -> value (``None`` without one).
     x:
-        Best assignment as a dense index-ordered vector (``None`` without
-        one).  The preferred form for index-based consumers (mapping
-        extraction, warm-start chaining); ``values`` is derived from it.
+        Best assignment as a dense index-ordered vector, integer columns
+        snapped (``None`` without one).
     bound:
         Best proven dual bound on the objective, if known.
     det_time:
@@ -78,7 +82,6 @@ class SolveResult:
 
     status: SolveStatus
     objective: float | None = None
-    values: dict[str, float] | None = None
     x: np.ndarray | None = None
     bound: float | None = None
     det_time: float = 0.0
@@ -87,12 +90,6 @@ class SolveResult:
     node_count: int = 0
     backend: str = ""
     phases: tuple[tuple[str, float], ...] = ()
-
-    def value(self, name: str, default: float = 0.0) -> float:
-        """Value of variable ``name`` in the best solution."""
-        if self.values is None:
-            raise ValueError("solve produced no solution to read values from")
-        return self.values.get(name, default)
 
     def gap(self) -> float | None:
         """Relative optimality gap, if both objective and bound are known."""

@@ -117,8 +117,7 @@ class SolverSpec:
 def solve_model(
     model: Model,
     spec: SolverSpec,
-    warm_start: dict[str, float] | np.ndarray | None = None,
-    keep_values: bool = True,
+    warm_start: np.ndarray | None = None,
 ) -> SolveResult:
     """Solve ``model`` per ``spec``; never lets an interrupt escape empty.
 
@@ -129,7 +128,7 @@ def solve_model(
     """
     backend = spec.build()
     try:
-        return backend.solve(model, warm_start=warm_start, keep_values=keep_values)
+        return backend.solve(model, warm_start=warm_start)
     except KeyboardInterrupt:
         if warm_start is None:
             return SolveResult(
@@ -138,12 +137,10 @@ def solve_model(
             )
         x0 = model.dense_values(warm_start)
         objective = model.objective_of(x0)
-        values = model.values_dict(x0) if keep_values else None
         return SolveResult(
             status=SolveStatus.FEASIBLE,
             objective=objective,
-            values=values,
-            x=x0 if keep_values else None,
-            incumbents=[Incumbent(objective, 0.0, 0.0, values)],
+            x=x0,
+            incumbents=[Incumbent(objective, 0.0, 0.0, x0)],
             backend=f"{spec.backend}-interrupted",
         )

@@ -25,7 +25,7 @@ Warm starts flow through each stage index-based: the previous stage's
 mapping becomes a dense variable vector (``warm_start_from``), the
 backend checks and seeds it against the model's cached matrix form, and
 the solved vector comes back as :attr:`SolveResult.x` for dense mapping
-extraction — no name-keyed dict hops anywhere on the stage hot path.
+extraction.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping as MappingT, Protocol
+
+import numpy as np
 
 from .. import trace
 from ..ilp.highs_backend import HighsBackend, HighsOptions
@@ -52,12 +54,7 @@ from .solution import Mapping
 class SolverBackend(Protocol):
     """Anything that can solve a lowered model (HiGHS, lp_round, a portfolio)."""
 
-    def solve(
-        self,
-        model,
-        warm_start: dict[str, float] | None = None,
-        keep_values: bool = True,
-    ) -> SolveResult: ...
+    def solve(self, model, warm_start: np.ndarray | None = None) -> SolveResult: ...
 
 
 #: Maps a per-stage wall-time budget to a backend instance.  The default

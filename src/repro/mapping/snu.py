@@ -245,28 +245,16 @@ class RouteModel:
     def extract_mapping(self, result: SolveResult) -> Mapping:
         if not result.status.has_solution():
             raise ValueError(f"no solution to extract (status {result.status})")
-        if result.x is not None:
-            return self.mapping_from_x(result.x)
-        if result.values is None:
-            raise ValueError(f"no solution to extract (status {result.status})")
-        return self.mapping_from_values(result.values)
+        return self.mapping_from_x(result.x)
 
     def mapping_from_x(self, x: np.ndarray) -> Mapping:
         """Recover a placement from a dense index-ordered assignment.
 
-        Unlike the area model this does not police double placements (the
-        name-keyed path never did either); ``Mapping.validate`` still
-        rejects anything structurally inconsistent.
+        Unlike the area model this does not police double placements;
+        ``Mapping.validate`` still rejects anything structurally
+        inconsistent.
         """
         assignment, _counts = self._layout.placement_from_x(x)
-        return self._validated(assignment)
-
-    def mapping_from_values(self, values: MappingT[str, float]) -> Mapping:
-        """Recover a placement from a raw name-keyed assignment."""
-        assignment: dict[int, int] = {}
-        for (i, j), var in self.x.items():
-            if values.get(var.name, 0.0) > 0.5:
-                assignment[i] = j
         return self._validated(assignment)
 
     def _validated(self, assignment: dict[int, int]) -> Mapping:

@@ -153,7 +153,7 @@ class SpikeHardPacker:
             )
         assignment: dict[int, int] = {}
         for (m, j), var in z.items():
-            if result.value(var.name) > 0.5:
+            if result.x[var.index] > 0.5:
                 for neuron in mccs[m].neurons:
                     assignment[neuron] = j
         mapping = Mapping(self.problem, assignment)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dse.pareto import (
     crowding_distance,
@@ -131,13 +131,31 @@ class TestHypervolume:
         assert hypervolume(padded, ref) == pytest.approx(hypervolume(frontier, ref))
 
     @settings(max_examples=40, deadline=None)
-    @given(point_clouds())
+    @given(pts=point_clouds())
+    # The last three rows copy earlier ones one ulp lower in a single
+    # coordinate: the true gain is far below one ulp of the ~1.8e7
+    # volume, and the slicing sum of the full set rounds one ulp
+    # (3.7e-9) below the subset's.
+    @example(
+        pts=np.array(
+            [
+                [95.0, 77.57, 38.67, 83.72],
+                [8.89, 22.54, 51.96, 36.97],
+                [11.96, 67.49, 95.46, 75.55],
+                [95.0, 77.57, 38.669999999999995, 83.72],
+                [95.0, 77.57, 38.67, 83.71999999999998],
+                [11.96, 67.49, 95.45999999999998, 75.55],
+            ]
+        )
+    )
     def test_monotone_in_points(self, pts):
         """Adding points never shrinks the dominated volume."""
         ref = reference_point(pts)
         full = hypervolume(pts, ref)
         subset = hypervolume(pts[: max(1, len(pts) // 2)], ref)
-        assert full >= subset - 1e-9
+        # Equal volumes may differ by float rounding in the slicing sum,
+        # which scales with the volume: allow a relative 1e-12.
+        assert full >= subset - 1e-12 * max(1.0, subset)
 
     @settings(max_examples=30, deadline=None)
     @given(point_clouds())

@@ -1,5 +1,6 @@
 """Backend correctness: the exact HiGHS backend solves and streams."""
 
+import numpy as np
 import pytest
 
 from repro.ilp.expr import lin_sum
@@ -56,7 +57,7 @@ class TestBothBackends:
     def test_solution_is_feasible(self, backend_cls):
         model = knapsack_model()
         res = backend_cls().solve(model)
-        assert model.check_feasible(res.values) == []
+        assert model.check_feasible(res.x) == []
 
     def test_infeasible_detected(self, backend_cls):
         res = backend_cls().solve(infeasible_model())
@@ -65,7 +66,7 @@ class TestBothBackends:
 
     def test_warm_start_accepted(self, backend_cls):
         model = set_cover_model()
-        warm = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}  # cost 13, feasible
+        warm = np.ones(4)  # every set: cost 13, feasible
         res = backend_cls().solve(model, warm_start=warm)
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(5.0)
@@ -73,7 +74,7 @@ class TestBothBackends:
     def test_infeasible_warm_start_rejected(self, backend_cls):
         model = set_cover_model()
         with pytest.raises(ValueError, match="warm start infeasible"):
-            backend_cls().solve(model, warm_start={"a": 1.0})
+            backend_cls().solve(model, warm_start=np.array([1.0, 0.0, 0.0, 0.0]))
 
     def test_equality_constraints(self, backend_cls):
         m = Model()
@@ -99,12 +100,16 @@ class TestBothBackends:
         res = backend_cls().solve(knapsack_model())
         assert res.det_time > 0
 
-    def test_keep_values_false(self, backend_cls):
-        res = backend_cls().solve(knapsack_model(), keep_values=False)
-        assert res.values is None
-        assert res.objective == pytest.approx(19.0)
+    def test_incumbents_carry_feasible_x(self, backend_cls):
+        model = knapsack_model()
+        res = backend_cls().solve(model)
         assert res.incumbents
-        assert all(inc.values is None for inc in res.incumbents)
+        assert np.array_equal(res.incumbents[-1].x, res.x)
+        for inc in res.incumbents:
+            assert inc.x.shape == (model.num_vars,)
+            assert np.array_equal(inc.x, np.round(inc.x))  # snapped
+            assert model.check_feasible(inc.x) == []
+            assert model.objective_of(inc.x) == pytest.approx(inc.objective)
 
 
 class TestBnBSpecifics:
@@ -112,9 +117,7 @@ class TestBnBSpecifics:
     stream, its node limit and its dual bound."""
 
     def test_incumbent_stream_monotone(self):
-        res = HighsBackend().solve(
-            set_cover_model(), warm_start={"a": 1, "b": 1, "c": 1, "d": 1}
-        )
+        res = HighsBackend().solve(set_cover_model(), warm_start=np.ones(4))
         objectives = [inc.objective for inc in res.incumbents]
         # The warm start (cost 13) is the first, time-zero incumbent.
         assert objectives[0] == pytest.approx(13.0)
@@ -123,7 +126,9 @@ class TestBnBSpecifics:
         assert objectives[-1] == pytest.approx(5.0)
 
     def test_incumbent_det_times_nondecreasing(self):
-        res = HighsBackend().solve(knapsack_model(), warm_start={"x5": 1.0})
+        warm = np.zeros(7)
+        warm[5] = 1.0  # x5 alone
+        res = HighsBackend().solve(knapsack_model(), warm_start=warm)
         assert len(res.incumbents) >= 2
         det_times = [inc.det_time for inc in res.incumbents]
         wall_times = [inc.wall_time for inc in res.incumbents]
@@ -153,7 +158,7 @@ class TestHighsSpecifics:
     def test_cutoff_from_warm_start_keeps_solution(self):
         # Even with a tiny node budget, the warm start guarantees a result.
         model = set_cover_model()
-        warm = {"a": 1.0, "c": 1.0}  # cost 5 = optimal
+        warm = np.array([1.0, 0.0, 1.0, 0.0])  # a + c: cost 5 = optimal
         backend = HighsBackend(HighsOptions(node_limit=1))
         res = backend.solve(model, warm_start=warm)
         assert res.status.has_solution()

@@ -156,13 +156,10 @@ def test_evaluation_matches_matrix_form(spec, data):
             )
         )
     )
-    # objective_of (either input style) must equal matrix-form evaluation.
+    # objective_of must equal matrix-form evaluation in both models.
     expected_obj = form.sign * (float(form.c @ x) + form.offset)
     assert model_expr.objective_of(x) == pytest.approx(expected_obj, abs=1e-9)
     assert model_block.objective_of(x) == pytest.approx(expected_obj, abs=1e-9)
-    assert model_block.objective_of(model_block.values_dict(x)) == pytest.approx(
-        expected_obj, abs=1e-9
-    )
     # check_feasible must agree with a direct matrix-form check ...
     tol = 1e-6
     ax = form.a_matrix @ x
@@ -176,7 +173,6 @@ def test_evaluation_matches_matrix_form(spec, data):
     assert (model_expr.check_feasible(x) == []) == matrix_feasible
     # ... and both construction styles must report identical violations.
     assert model_expr.check_feasible(x) == model_block.check_feasible(x)
-    assert model_expr.check_feasible(model_expr.values_dict(x)) == model_block.check_feasible(x)
 
 
 def test_add_block_does_not_alias_caller_buffers():

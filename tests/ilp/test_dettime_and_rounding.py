@@ -29,5 +29,5 @@ class TestLpRoundingWarmStart:
         y = m.add_binary("y")
         m.add(x + y == 2)  # forces both to 1 even in the relaxation
         m.minimize(x)
-        values = lp_rounding_warm_start(m)
-        assert values == {"x": 1.0, "y": 1.0}
+        x = lp_rounding_warm_start(m)
+        assert x.tolist() == [1.0, 1.0]

@@ -33,9 +33,10 @@ class TestVariables:
             m.add_var("x", 2.0, 1.0)
 
     def test_lookup(self, simple_model):
-        assert simple_model.var("y").vartype is VarType.INTEGER
-        assert simple_model.has_var("z")
-        assert not simple_model.has_var("w")
+        x, y, z = simple_model.variables
+        assert (x.name, y.name, z.name) == ("x", "y", "z")
+        assert y.vartype is VarType.INTEGER
+        assert z.vartype is VarType.CONTINUOUS
 
     def test_indices_are_contiguous(self, simple_model):
         assert [v.index for v in simple_model.variables] == [0, 1, 2]
@@ -57,7 +58,7 @@ class TestConstraintsAndObjective:
 
     def test_objective_sense(self, simple_model):
         assert simple_model.objective_sense is ObjectiveSense.MINIMIZE
-        simple_model.maximize(simple_model.var("x"))
+        simple_model.maximize(simple_model.variables[0])
         assert simple_model.objective_sense is ObjectiveSense.MAXIMIZE
 
     def test_stats(self, simple_model):
@@ -73,35 +74,29 @@ class TestConstraintsAndObjective:
 
 class TestFeasibilityChecking:
     def test_feasible_assignment(self, simple_model):
-        values = {"x": 1.0, "y": 1.0, "z": 0.0}
-        assert simple_model.check_feasible(values) == []
+        # Dense vectors in column order: (x, y, z).
+        assert simple_model.check_feasible(np.array([1.0, 1.0, 0.0])) == []
 
     def test_bound_violation_reported(self, simple_model):
-        violations = simple_model.check_feasible({"x": 2.0, "y": 0, "z": 1})
+        violations = simple_model.check_feasible(np.array([2.0, 0.0, 1.0]))
         assert any("outside" in v for v in violations)
 
     def test_integrality_violation_reported(self, simple_model):
-        violations = simple_model.check_feasible({"x": 0.5, "y": 0, "z": 0.5})
+        violations = simple_model.check_feasible(np.array([0.5, 0.0, 0.5]))
         assert any("not integral" in v for v in violations)
 
     def test_constraint_violation_reported(self, simple_model):
-        violations = simple_model.check_feasible({"x": 1.0, "y": 5.0, "z": 0.0})
+        violations = simple_model.check_feasible(np.array([1.0, 5.0, 0.0]))
         assert any("cap" in v for v in violations)
 
-    def test_missing_vars_default_to_lower_bound(self, simple_model):
-        # x, y default to 0; z defaults to -1 -> eq constraint violated.
-        violations = simple_model.check_feasible({})
-        assert violations
+    def test_wrong_length_assignment_rejected(self, simple_model):
+        with pytest.raises(ValueError, match="shape"):
+            simple_model.check_feasible(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="shape"):
+            simple_model.objective_of(np.zeros(4))
 
     def test_objective_of(self, simple_model):
-        assert simple_model.objective_of({"x": 1, "y": 1, "z": 0}) == pytest.approx(3.0)
-
-
-class TestFixVar:
-    def test_fix_var_clamps_bounds(self, simple_model):
-        simple_model.fix_var("y", 3)
-        y = simple_model.var("y")
-        assert y.lb == y.ub == 3.0
+        assert simple_model.objective_of(np.array([1.0, 1.0, 0.0])) == pytest.approx(3.0)
 
 
 class TestLowering:
@@ -147,8 +142,3 @@ class TestLowering:
         m.minimize(x + 10)
         form = m.lower()
         assert form.objective_value(np.array([1.0])) == pytest.approx(11.0)
-
-    def test_values_by_index_defaults(self, simple_model):
-        by_index = simple_model.values_by_index({"x": 1.0})
-        assert by_index[0] == 1.0
-        assert by_index[2] == -1.0  # z lower bound

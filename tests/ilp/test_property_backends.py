@@ -69,9 +69,9 @@ def test_backends_agree_on_optimum(model):
 def test_returned_solutions_are_feasible(model):
     res = HighsBackend().solve(model)
     if res.status.has_solution():
-        assert model.check_feasible(res.values) == []
+        assert model.check_feasible(res.x) == []
         # Reported objective matches the assignment it came with.
-        assert model.objective_of(res.values) == pytest.approx(
+        assert model.objective_of(res.x) == pytest.approx(
             res.objective, abs=1e-6
         )
 

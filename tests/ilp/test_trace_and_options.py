@@ -78,7 +78,7 @@ class TestSolveWithTrace:
     """One HiGHS solve carries its own incumbent stream."""
 
     def test_warm_start_is_time_zero_incumbent(self):
-        warm = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}  # cost 13
+        warm = np.ones(4)  # every set: cost 13
         res = HighsBackend().solve(cover_model(), warm_start=warm)
         assert res.incumbents[0].det_time == 0.0
         assert res.incumbents[0].wall_time == 0.0
@@ -100,9 +100,8 @@ class TestSolveWithTrace:
         res = HighsBackend().solve(model)
         assert res.incumbents
         for inc in res.incumbents:
-            assert inc.values is not None
-            assert model.check_feasible(dict(inc.values)) == []
-            assert model.objective_of(dict(inc.values)) == pytest.approx(inc.objective)
+            assert model.check_feasible(inc.x) == []
+            assert model.objective_of(inc.x) == pytest.approx(inc.objective)
 
 
 class TestCallbacks:
@@ -169,7 +168,8 @@ class TestCallbacks:
     ):
         self._raise_on_first_incumbent(monkeypatch, KeyboardInterrupt())
         model = knapsack_model()
-        warm = {"x0": 1.0}
+        warm = np.zeros(model.num_vars)
+        warm[0] = 1.0  # x0 alone
         res = solve_model(model, SolverSpec("highs"), warm_start=warm)
         assert res.backend == "highs-interrupted"
         assert res.status is SolveStatus.FEASIBLE
@@ -180,14 +180,14 @@ class TestResultHelpers:
     def test_gap_and_value(self):
         res = HighsBackend().solve(cover_model())
         assert res.gap() == pytest.approx(0.0, abs=1e-6)
-        assert res.value("a") in (0.0, 1.0)
+        assert res.x[0] in (0.0, 1.0)  # column 0 is set "a"
 
-    def test_value_without_solution_raises(self):
+    def test_no_solution_has_no_x(self):
         m = Model()
         x = m.add_binary("x")
         m.add(x >= 0.4)
         m.add(x <= 0.6)
         m.minimize(x)
         res = HighsBackend().solve(m)
-        with pytest.raises(ValueError):
-            res.value("x")
+        assert res.x is None
+        assert res.incumbents == []

@@ -42,10 +42,12 @@ class TestBinPackingModel:
         model, z, _ = packer.build_model(mccs)
         # Find the inputs row for slot 0 and check its coefficients equal
         # each MCC's aggregate input count.
-        row = next(c for c in model.constraints if c.name == "inputs_0")
+        r = next(
+            r for r in range(model.num_constraints) if model.row_name(r) == "inputs_0"
+        )
+        row = model.row_system().a_matrix.getrow(r).toarray().ravel()
         for m, mcc in enumerate(mccs):
-            var = z[(m, 0)]
-            assert row.expr.coeffs.get(var.index, 0.0) == mcc.inputs
+            assert row[z[(m, 0)].index] == mcc.inputs
 
     def test_solution_places_every_mcc_once(self, problem):
         packer = SpikeHardPacker(problem)
@@ -55,7 +57,7 @@ class TestBinPackingModel:
         for m in range(len(mccs)):
             placed = sum(
                 1 for j in range(problem.num_slots)
-                if result.value(z[(m, j)].name) > 0.5
+                if result.x[z[(m, j)].index] > 0.5
             )
             assert placed == 1
 
