@@ -27,7 +27,6 @@ import time
 from pathlib import Path
 
 from bench_config import once
-from repro.batch.cache import ResultCache
 from repro.dse.explorer import Explorer
 from repro.dse.scenario import (
     ArchitectureSpec,
@@ -54,7 +53,7 @@ FLEET_SCENARIOS = (("C", 16), ("C", 18), ("A", 18), ("E", 18))
 TIME_LIMIT = 15.0
 
 #: Tracing workload: small real solves, re-run per mode on fresh
-#: store/cache so both modes do identical solver work.
+#: store so both modes do identical solver work.
 TRACE_SCENARIOS = (("C", 16), ("A", 18), ("E", 18))
 TRACE_REPEATS = 2
 
@@ -136,7 +135,6 @@ def _scenarios() -> list[Scenario]:
 def _run_single(tmp: Path) -> float:
     explorer = Explorer(
         store=RunStore(tmp / "single-store.jsonl"),
-        cache=ResultCache(),
         time_limit=TIME_LIMIT,
     )
     service = MappingService(explorer)
@@ -157,18 +155,11 @@ def _run_single(tmp: Path) -> float:
 def _run_fleet(tmp: Path) -> float:
     config = FleetConfig(
         store_path=str(tmp / "fleet-store.jsonl"),
-        cache_dir=str(tmp / "fleet-cache"),
         time_limit=TIME_LIMIT,
         heartbeat_interval=0.5,
         lease_ttl=30.0,
     )
-    explorer = Explorer(
-        store=RunStore(tmp / "fleet-store.jsonl"),
-        cache=ResultCache(),
-        time_limit=TIME_LIMIT,
-    )
     service = MappingService(
-        explorer,
         fleet=2,
         journal_path=tmp / "journal.jsonl",
         fleet_config=config,
@@ -201,10 +192,9 @@ def _trace_scenarios() -> list[Scenario]:
 
 
 def _run_batch(tmp: Path, tag: str, trace_dir: Path | None) -> float:
-    """One in-process service batch on a fresh store/cache; returns wall-clock."""
+    """One in-process service batch on a fresh store; returns wall-clock."""
     explorer = Explorer(
         store=RunStore(tmp / f"{tag}-store.jsonl"),
-        cache=ResultCache(),
         time_limit=TIME_LIMIT,
     )
     service = MappingService(explorer, trace_dir=trace_dir)

@@ -65,12 +65,6 @@ class BatchJob:
     ``pgo`` stage).  All fields are picklable, so a job can be shipped to a
     worker process as-is.
 
-    ``initial_assignment`` (a neuron->slot dict or pair sequence) is a
-    caller-supplied warm start used instead of greedy first-fit; it is
-    part of the job fingerprint.  A seed that does not form a valid
-    mapping of *this* problem is silently dropped in the worker (falling
-    back to greedy), so a seed from a differing pool is safe to pass.
-
     ``precision`` switches the area stage to the bit-slicing-aware
     :class:`~repro.mapping.precision.PrecisionAreaModel`.
 
@@ -89,7 +83,6 @@ class BatchJob:
     formulation: FormulationOptions = field(default_factory=FormulationOptions)
     area_time_limit: float | None = 30.0
     route_time_limit: float | None = 30.0
-    initial_assignment: tuple[tuple[int, int], ...] | None = None
     precision: PrecisionSpec | None = None
     solver_specs: tuple[SolverSpec, ...] | None = None
 
@@ -99,17 +92,6 @@ class BatchJob:
             raise ValueError(f"unknown stages {unknown}; valid: {STAGES}")
         if "pgo" in self.stages and self.profile is None:
             raise ValueError(f"job {self.name!r}: the pgo stage needs a profile")
-        if self.initial_assignment is not None:
-            pairs = (
-                self.initial_assignment.items()
-                if isinstance(self.initial_assignment, dict)
-                else self.initial_assignment
-            )
-            object.__setattr__(
-                self,
-                "initial_assignment",
-                tuple(sorted((int(i), int(j)) for i, j in pairs)),
-            )
 
     @classmethod
     def from_problem(cls, name: str, problem: MappingProblem, **kwargs) -> "BatchJob":
@@ -154,10 +136,6 @@ class BatchJob:
         # their historical fingerprints (and their on-disk cache entries).
         if self.precision is not None:
             parts.append(options_fingerprint(self.precision))
-        if self.initial_assignment is not None:
-            # A warm seed can steer which incumbent a budget-limited solve
-            # lands on, so it is part of the result's identity.
-            parts.append(digest([list(p) for p in self.initial_assignment]))
         if self.solver_specs is not None:
             # Arm composition changes which incumbent a race lands on, so
             # differently-tuned rungs must not share cache entries.
@@ -459,18 +437,8 @@ def _execute_job(job: BatchJob, portfolio: bool) -> dict:
             solver=solver,
             precision=job.precision,
         )
-        initial = None
-        if job.initial_assignment is not None:
-            try:
-                candidate = Mapping(problem, dict(job.initial_assignment))
-            except ValueError:
-                candidate = None
-            if candidate is not None and candidate.is_valid():
-                initial = candidate
         with trace.span("pipeline", job=job.name):
-            result = pipeline.run(
-                stages=job.stages, profile=job.profile, initial=initial
-            )
+            result = pipeline.run(stages=job.stages, profile=job.profile)
         stages = [
             {
                 "name": record.name,

@@ -14,8 +14,8 @@ Subcommands:
   x workload x formulation) grid, report the (area, energy, latency)
   Pareto frontier, resumable via a JSONL run store.
 - ``repro serve``    — run the long-lived mapping daemon: accept JSON
-  job submissions over HTTP, share one batch engine + result cache +
-  run store across every client.
+  job submissions over HTTP, share one batch engine + run store across
+  every client; ``--journal`` persists every job transition.
 - ``repro submit``   — client for ``repro serve``: submit one scenario
   (or a raw wire-format spec), stream/poll the result.
 - ``repro bench``    — run the benchmark scripts under ``benchmarks/``
@@ -267,17 +267,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     fleet = max(0, args.fleet)
     explorer = None
     if not fleet:
-        # Thread workers share one in-process solver stack.  A fleet
+        # Thread workers share one in-process solver stack, and its run
+        # store (in memory without --store) keeps every answer.  A fleet
         # daemon builds none: each worker process builds its own.
-        from .batch.cache import ResultCache
         from .dse import Explorer, RunStore
 
         explorer = Explorer(
             store=RunStore(args.store) if args.store else RunStore(),
             portfolio=args.portfolio,
-            # The shared cache is the point of the daemon: default to the
-            # always-on memory tier when no directory is given.
-            cache=ResultCache(args.cache_dir) if args.cache_dir else ResultCache(),
             time_limit=args.time_limit,
         )
     max_queue = args.max_queue
@@ -294,7 +291,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         explorer,
         workers=args.workers,
         journal_path=args.journal,
-        job_log_path=args.log_jobs,
         fleet=fleet,
         max_queue_depth=max_queue,
         admission=admission,
@@ -302,7 +298,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         aging_interval=args.aging_interval,
         fleet_config=FleetConfig(
             store_path=args.store,
-            cache_dir=args.cache_dir,
             portfolio=args.portfolio,
             time_limit=args.time_limit,
             lease_ttl=args.lease_ttl,
@@ -318,8 +313,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = make_server(service, host=args.host, port=args.port)
 
     # SIGTERM/SIGINT take the same clean-drain path as POST /shutdown:
-    # stop accepting, let leased jobs finish (or re-queue them), flush
-    # the journals — instead of dying mid-write on a bare KeyboardInterrupt.
+    # stop accepting, let leased jobs finish (or re-queue them), close
+    # the journal — instead of dying mid-write on a bare KeyboardInterrupt.
     def _graceful_shutdown(signum, frame) -> None:
         threading.Thread(target=server.shutdown, daemon=True).start()
 
@@ -333,8 +328,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.journal:
         replayed = len(service.registry.jobs())
         print(f"job journal {args.journal}: {replayed} job(s) replayed", flush=True)
-    if args.log_jobs:
-        print(f"structured job log -> {args.log_jobs}", flush=True)
     if args.trace_dir:
         print(f"span journals -> {args.trace_dir}", flush=True)
     print("POST /jobs to submit; POST /shutdown to stop", flush=True)
@@ -742,31 +735,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="long-lived mapping daemon sharing one engine/cache/run store",
+        help="long-lived mapping daemon sharing one engine and run store",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8100,
                        help="listen port (0 = pick a free one)")
     serve.add_argument("--workers", type=int, default=1,
                        help="in-process worker threads sharing the daemon's "
-                            "engine, cache and store; each runs one solve at "
+                            "engine and store; each runs one solve at "
                             "a time, in the thread that traces it (ignored "
                             "with --fleet)")
     serve.add_argument("--portfolio", action="store_true",
                        help="race HiGHS and lp_round per solve")
     serve.add_argument("--time-limit", type=float, default=10.0,
                        help="default per-stage solver budget in seconds")
-    serve.add_argument("--cache-dir", default=None,
-                       help="directory for the shared result cache "
-                            "(default: in-memory)")
     serve.add_argument("--journal", "--ledger", dest="journal", default=None,
                        help="persistent job journal (JSONL; default: in "
                             "memory): job status, results and leases "
                             "survive daemon and worker crashes, and jobs "
                             "a restart interrupted run again")
-    serve.add_argument("--log-jobs", default=None,
-                       help="structured per-job log (JSONL): one line per "
-                            "state transition and per scenario result")
     serve.add_argument("--store", default=None,
                        help="shared JSONL run store file (every worker "
                             "appends to it); submissions resume from it")

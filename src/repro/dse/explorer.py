@@ -113,8 +113,8 @@ class Explorer:
         self.store = store if store is not None else RunStore()
         # One BatchMapper for the explorer's whole life: the mapping
         # service hands many client jobs through a single explorer, and
-        # they must share one engine + result cache.  An explicit
-        # ``mapper`` wins over the (jobs, portfolio, cache) knobs.
+        # they must share one engine.  An explicit ``mapper`` wins over
+        # the (jobs, portfolio, cache) knobs.
         self.mapper = (
             mapper
             if mapper is not None
@@ -131,10 +131,6 @@ class Explorer:
     @property
     def portfolio(self) -> bool:
         return self.mapper.portfolio
-
-    @property
-    def cache(self) -> ResultCache | None:
-        return self.mapper.cache
 
     # ------------------------------------------------------------------
     def _safe_fingerprint(self, scenario: Scenario) -> tuple[str, str | None]:

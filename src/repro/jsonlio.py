@@ -1,8 +1,8 @@
 """Shared crash-tolerant JSONL primitives.
 
 Three subsystems persist append-only JSONL with the same contract —
-the run store (:mod:`repro.dse.store`), the service journals
-(:mod:`repro.service.metrics`) and the trace span journals
+the run store (:mod:`repro.dse.store`), the service's job journal
+(:mod:`repro.service.jobs`) and the trace span journals
 (:mod:`repro.trace.journal`):
 
 - appends go through a long-lived ``"a+b"`` handle under an advisory

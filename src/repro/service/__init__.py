@@ -2,14 +2,15 @@
 
 The step from CLI sweeps to many concurrent clients: a daemon
 (:mod:`~repro.service.daemon`) keeps one shared
-:class:`~repro.batch.engine.BatchMapper`, result cache and run store
-warm across HTTP job submissions; the wire format
+:class:`~repro.batch.engine.BatchMapper` and run store warm across HTTP
+job submissions; the wire format
 (:mod:`~repro.service.wire`) is the DSE scenario payload, so anything a
 sweep can evaluate a client can submit.  :mod:`~repro.service.client`
 is the matching stdlib HTTP client, and ``repro serve`` / ``repro
 submit`` expose both on the command line.  Every job lives in one
 table, :class:`~repro.service.jobs.JobRegistry` — the client view and
-the lease state of each job in one record, persisted to one journal.
+the lease state of each job in one record, persisted to one journal
+whose lines are on disk before each transition returns.
 
 >>> from repro.service import MappingService, make_server, run_server
 >>> server = make_server(MappingService(), port=8100)     # doctest: +SKIP
@@ -41,10 +42,9 @@ _EXPORTS = {
     "TERMINAL_STATES": ".jobs",
     "JobRegistry": ".jobs",
     "ServiceJob": ".jobs",
-    "JsonlWriter": ".metrics",
     "LoopLatencyProbe": ".metrics",
     "ServiceMetrics": ".metrics",
-    "read_jsonl": ".metrics",
+    "read_jsonl": "..jsonlio",
     "TIERS": ".wire",
     "WIRE_FORMAT": ".wire",
     "JobSpec": ".wire",
@@ -65,7 +65,6 @@ __all__ = [
     "FleetConfig",
     "JobRegistry",
     "JobSpec",
-    "JsonlWriter",
     "LEASE_DEAD_LETTER",
     "LEASE_FINISHED",
     "LEASE_LEASED",

@@ -2,8 +2,8 @@
 
 In thread mode (the default) a :class:`MappingService` owns exactly one
 :class:`~repro.dse.explorer.Explorer` — and through it one shared
-:class:`~repro.batch.engine.BatchMapper`, one :class:`~repro.batch.
-cache.ResultCache` and one :class:`~repro.dse.store.RunStore` — so every
+:class:`~repro.batch.engine.BatchMapper` and one :class:`~repro.dse.
+store.RunStore`, the one place the service keeps answers — so every
 client submission warms the same state: a job solved for one client is a
 zero-solve answer for every later client that asks the same question.
 In fleet mode (``fleet`` > 0) the daemon holds no explorer and never
@@ -24,7 +24,7 @@ Endpoints:
 ``GET /jobs/<id>/stream``   NDJSON event stream until the job finishes
 ``GET /jobs/<id>/trace``    every process's span records + live progress
 ``POST /jobs/<id>/cancel``  flag cancellation (queued: immediate)
-``GET /healthz``            liveness + shared cache/store statistics
+``GET /healthz``            liveness + shared store statistics
 ``GET /metrics``            lock-consistent counters/gauges/percentiles
 ``POST /shutdown``          stop accepting, stop serving, exit cleanly
 ==========================  =============================================
@@ -77,7 +77,7 @@ from .jobs import (
     JobRegistry,
     ServiceJob,
 )
-from .metrics import JsonlWriter, LoopLatencyProbe, ServiceMetrics
+from .metrics import LoopLatencyProbe, ServiceMetrics
 from .wire import (
     TERMINAL_STATUSES,
     WIRE_FORMAT,
@@ -118,14 +118,10 @@ class MappingService:
     ``self.explorer`` is ``None``); its ``store`` is a handle on
     ``fleet_config``'s run store that it only reads.
 
-    ``journal_path`` makes the registry persistent: every transition is
-    appended to one JSONL journal (accept, claim, requeue and terminal
-    records durably, the rest write-behind) that the next daemon pointed
-    at the same path replays, so ``GET /jobs/<id>`` survives a restart
-    and unfinished jobs run again.  ``job_log_path`` opts into
-    structured per-job logging: the client-visible records (one JSON
-    line per state transition and per scenario result), but to an
-    operator-owned log file.
+    ``journal_path`` makes the registry persistent: every transition
+    appends one line to a JSONL journal, on disk before the transition
+    returns, that the next daemon pointed at the same path replays, so
+    ``GET /jobs/<id>`` survives a restart and unfinished jobs run again.
     """
 
     def __init__(
@@ -134,7 +130,6 @@ class MappingService:
         workers: int = 1,
         max_finished_jobs: int = 512,
         journal_path: str | Path | None = None,
-        job_log_path: str | Path | None = None,
         fleet: int = 0,
         max_queue_depth: int | None = None,
         fleet_config: FleetConfig | None = None,
@@ -197,19 +192,10 @@ class MappingService:
                     trace_dir=str(self.trace_dir),
                     trace_slow_span=trace_slow_span,
                 )
-        self._journal = (
-            JsonlWriter(journal_path) if journal_path is not None else None
-        )
-        self._job_log = (
-            JsonlWriter(job_log_path) if job_log_path is not None else None
-        )
-        observers = [self.metrics.job_event, self._admission_release]
-        if self._job_log is not None:
-            observers.append(self._job_log.append)
         self.registry = JobRegistry(
             max_finished=max_finished_jobs,
-            journal=self._journal,
-            observers=tuple(observers),
+            journal=journal_path,
+            observers=(self.metrics.job_event, self._admission_release),
             max_attempts=self.fleet_config.max_attempts,
             lease_ttl=self.fleet_config.lease_ttl,
             backoff_base=self.fleet_config.backoff_base,
@@ -263,7 +249,7 @@ class MappingService:
         self.supervisor.start()
 
     def stop(self, wait: bool = True) -> None:
-        """Drain the workers, settle the backlog, flush the journals.
+        """Drain the workers, settle the backlog, close the journal.
 
         In-flight jobs get up to the configured ``drain_timeout`` to
         finish; the rest are re-queued without charging their retry
@@ -274,13 +260,11 @@ class MappingService:
         self._probe.stop()
         self._shed_stop.set()
         self.supervisor.stop(wait=wait)
-        if self._journal is None:
+        if self.registry.journal is None:
             for job in self.registry.jobs():
                 if not job.finished:
                     self.registry.cancel(job.id)
-        for writer in (self._journal, self._job_log):
-            if writer is not None:
-                writer.close()
+        self.registry.close()
         # Release the process-global sink this service installed (closing
         # flushes its journal), so a later service's client-traced jobs
         # never journal into this one's directory.  A runtime another
@@ -467,16 +451,6 @@ class MappingService:
             )
         return len(victims)
 
-    def _cache_stats(self) -> dict | None:
-        """The shared result cache's counters; ``None`` without one.
-
-        Fleet workers count hits in their own processes (the directory
-        they share holds entries, not counters), so a fleet daemon has
-        no cache to report.
-        """
-        cache = self.explorer.cache if self.explorer is not None else None
-        return cache.stats.snapshot() if cache is not None else None
-
     def _store_entries(self) -> int | None:
         """Entries in the shared run store, as the workers see it.
 
@@ -500,7 +474,6 @@ class MappingService:
             "workers": self.fleet or self.workers,
             "queued": self.registry.depth(),
             "jobs": self.registry.counts(),
-            "cache": self._cache_stats(),
             "store_entries": self._store_entries(),
             "store_path": str(store.path) if store.path is not None else None,
             "admission": self.admission.snapshot(),
@@ -520,13 +493,11 @@ class MappingService:
         Process-lifetime counters and histograms come from the
         :class:`ServiceMetrics` snapshot (one lock, so the scrape is
         self-consistent); live state — queue depth, per-state job
-        counts, cache totals, the workers holding a job
+        counts, store entries, the workers holding a job
         (``solves_in_flight``) — is read from its owners under *their*
-        locks at scrape time.  Within each section the invariants hold
-        exactly: ``cache.hits + cache.misses == cache.lookups``, and
-        ``counters.jobs_submitted`` covers every job this process
-        accepted (replayed jobs belong to the old process and appear
-        only in ``jobs.by_state``).
+        locks at scrape time.  ``jobs.submitted`` covers every job this
+        process accepted (replayed jobs belong to the old process and
+        appear only in ``jobs.by_state``).
         """
         snapshot = self.metrics.snapshot()
         counters = snapshot["counters"]
@@ -563,7 +534,6 @@ class MappingService:
             },
             "solves": {"ilp_solves": counters.get("ilp_solves", 0)},
             "portfolio": snapshot["portfolio"],
-            "cache": self._cache_stats(),
             "store_entries": self._store_entries(),
             "latency": snapshot["latency"],
             "solver_progress": snapshot["solver_progress"],
@@ -624,8 +594,8 @@ class Supervisor:
     idle workers.  Every worker runs :func:`~repro.service.worker.
     worker_loop` and speaks the same message protocol.  With an
     ``explorer``, workers are threads sharing it; otherwise they are
-    spawned processes (never forked — the daemon carries journal/probe/
-    handler threads) that own crash-safe state only, so ``kill -9`` on
+    spawned processes (never forked — the daemon carries probe, shedder
+    and handler threads) that own crash-safe state only, so ``kill -9`` on
     any of them costs one lease TTL, not data.  Each process imports and
     builds its own solver stack and announces ``ready`` only once that
     is loaded; the daemon never imports it, so at start-up the workers

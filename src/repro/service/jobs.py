@@ -27,14 +27,15 @@ re-queues leased jobs immediately *without* charging the retry budget.
 The registry owns one :class:`threading.Condition`: every transition
 runs under it, and stream readers block in
 :meth:`JobRegistry.events_since` until the next event.  With a
-``journal`` (a :class:`~repro.service.metrics.JsonlWriter`), every
-transition also appends one JSONL record, and a new registry pointed at
-the same file replays it in one pass.  Accept, claim, requeue and
-terminal records are on disk before the call returns, so a
-202-accepted id is *always* answerable; ``running``, ``result`` and
-heartbeat records stay write-behind.  Jobs that were terminal before a
-restart come back exactly as they finished; jobs the old process
-accepted but never finished come back ``queued`` and run again.
+``journal`` path, every transition also appends one JSONL record, and a
+new registry pointed at the same file replays it in one pass.  Records
+are buffered under the condition and written, in order, by the
+transition's own thread after it releases the condition, so each
+call's line is on disk before the call returns and a 202-accepted id is
+*always* answerable.  Heartbeats renew the lease in memory only: replay
+clears every unfinished job's lease anyway.  Jobs that were terminal
+before a restart come back exactly as they finished; jobs the old
+process accepted but never finished come back ``queued`` and run again.
 """
 
 from __future__ import annotations
@@ -46,14 +47,17 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import IO
 
+from .. import jsonlio
 from ..batch.queue import (
     DEFAULT_AGING_INTERVAL,
     PRIORITIES,
     CancelToken,
     effective_priority,
 )
-from .metrics import EventObserver, JsonlWriter, read_jsonl
+from .metrics import EventObserver
 from .wire import TERMINAL_STATUSES, JobSpec, WireError, parse_job
 
 JOB_QUEUED = "queued"
@@ -173,16 +177,17 @@ class JobRegistry:
     oldest-finished are forgotten first (the journal keeps them), and
     queued or running jobs never are, so the table stays bounded by the
     backlog plus ``max_finished``.  (Evaluation answers outlive the
-    eviction — they live in the shared run store/result cache.)  The
-    lease settings — ``max_attempts``, ``lease_ttl``, the backoff and
-    ``aging_interval`` — govern :meth:`claim` and :meth:`fail_attempt`.
-    All public methods take the condition; callers never hold it.
+    eviction — they live in the shared run store.)  The lease settings —
+    ``max_attempts``, ``lease_ttl``, the backoff and ``aging_interval`` —
+    govern :meth:`claim` and :meth:`fail_attempt`.  All public methods
+    take the condition; callers never hold it.  :meth:`close` releases
+    the journal; later transitions still run but journal nothing.
     """
 
     def __init__(
         self,
         max_finished: int = 512,
-        journal: JsonlWriter | None = None,
+        journal: str | Path | None = None,
         observers: tuple[EventObserver, ...] = (),
         *,
         max_attempts: int = 3,
@@ -221,9 +226,15 @@ class JobRegistry:
             "dead_letters": 0,
             "deadline_expired": 0,
         }
-        self.journal = journal
-        if journal is not None:
-            self._replay(journal.path)
+        self.journal = Path(journal) if journal is not None else None
+        #: Records appended under the condition, not yet on disk.
+        self._unwritten: list[dict] = []
+        #: Serialises journal writes so lines land in transition order.
+        self._write_lock = threading.Lock()
+        self._handle: IO[bytes] | None = None
+        self._closed = False
+        if self.journal is not None:
+            self._replay(self.journal)
 
     # -- client transitions ---------------------------------------------
     def create(self, spec: JobSpec) -> ServiceJob:
@@ -266,12 +277,14 @@ class JobRegistry:
             job.status = JOB_RUNNING
             job.started_at = time.time()
             self._append_event(job, {"event": JOB_RUNNING})
-            return True
+        self._sync()
+        return True
 
     def add_result(self, job: ServiceJob, result: dict) -> None:
         with self._cond:
             job.results.append(result)
             self._append_event(job, {"event": "result", **result})
+        self._sync()
 
     def finish(
         self,
@@ -344,21 +357,28 @@ class JobRegistry:
             best.attempts += 1
             best.lease_expires = now + self.lease_ttl
             self._lease_counters["leases_granted"] += 1
-            self._append_lease(
-                best,
-                "leased",
-                worker=worker,
-                attempt=best.attempts,
-                expires=best.lease_expires,
-            )
+            if self.journal is not None:
+                # Lease bookkeeping no client sees: journaled for replay,
+                # never put on the event stream or to observers.
+                self._unwritten.append(
+                    {
+                        "format": JOURNAL_FORMAT,
+                        "ts": time.time(),
+                        "job": best.id,
+                        "event": "leased",
+                        "worker": worker,
+                        "attempt": best.attempts,
+                        "expires": best.lease_expires,
+                    }
+                )
         self._sync()
         return best
 
     def heartbeat(self, job_id: str, now: float | None = None) -> bool:
         """Renew a lease; false if the job is no longer leased (stale).
 
-        Write-behind: losing a heartbeat line costs at most a spurious
-        lease expiry after a crash.
+        Not journaled: replay clears the lease of every unfinished job,
+        so a renewal line would never be read.
         """
         now = time.time() if now is None else now
         with self._cond:
@@ -366,7 +386,6 @@ class JobRegistry:
             if job is None or job.lease_state != LEASE_LEASED:
                 return False
             job.lease_expires = now + self.lease_ttl
-            self._append_lease(job, "heartbeat", expires=job.lease_expires)
             return True
 
     def fail_attempt(
@@ -589,9 +608,9 @@ class JobRegistry:
         lease: dict | None = None,
         notify_observers: bool = True,
     ) -> None:
-        # The journal append is write-behind (an O(1) enqueue) and
-        # observers are counter bumps / enqueues, so no disk I/O happens
-        # under the condition; durable transitions call _sync after it.
+        # The journal record is only buffered here and observers are
+        # counter bumps, so no disk I/O happens under the condition; every
+        # transition calls _sync after releasing it.
         entry = {"ts": time.time(), **event}
         job.events.append(entry)
         self._cond.notify_all()
@@ -612,30 +631,40 @@ class JobRegistry:
             # job on replay: the wire-format submission body.
             record["spec"] = job.spec.payload()
         if self.journal is not None:
-            self.journal.append(record)
+            self._unwritten.append(record)
         if notify_observers:
             for observer in self._observers:
                 observer(record)
 
-    def _append_lease(self, job: ServiceJob, event: str, **fields) -> None:
-        # Lease bookkeeping no client sees (claims, heartbeats): journaled
-        # for replay, never put on the event stream or to observers.
-        if self.journal is not None:
-            self.journal.append(
-                {
-                    "format": JOURNAL_FORMAT,
-                    "ts": time.time(),
-                    "job": job.id,
-                    "event": event,
-                    **fields,
-                }
-            )
-
     def _sync(self) -> None:
-        # Block until the journal holds every record queued so far; runs
-        # after the condition is released so readers never wait on disk.
-        if self.journal is not None:
-            self.journal.flush()
+        # Write every buffered record, in transition order.  Runs after
+        # the condition is released, so readers never wait on disk; the
+        # write lock makes a caller whose record another thread took wait
+        # until that thread's write is done.  Disk trouble never fails a
+        # transition, and a closed journal drops the records.
+        if self.journal is None:
+            return
+        with self._write_lock:
+            with self._cond:
+                records, self._unwritten = self._unwritten, []
+            if not records or self._closed:
+                return
+            try:
+                if self._handle is None:
+                    self._handle = jsonlio.open_append(self.journal)
+                jsonlio.append_records(
+                    self._handle, b"".join(map(jsonlio.dump_line, records))
+                )
+            except OSError:
+                pass
+
+    def close(self) -> None:
+        """Release the journal; later transitions journal nothing."""
+        with self._write_lock:
+            self._closed = True
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     # -- replay ---------------------------------------------------------
     @property
@@ -656,7 +685,7 @@ class JobRegistry:
         max_counter = 0
         replayed: dict[str, ServiceJob] = {}
         retired: list[str] = []
-        for record in read_jsonl(path):
+        for record in jsonlio.read_jsonl(path):
             if record.get("format") != JOURNAL_FORMAT:
                 self._replay_skipped += 1
                 continue

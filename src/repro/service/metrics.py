@@ -4,8 +4,7 @@ Everything the ``GET /metrics`` endpoint reports lives here:
 
 - :class:`ServiceMetrics` — monotonic counters and bounded
   histograms behind **one** lock, so a scrape sees a consistent snapshot
-  (``hits + misses == lookups`` holds even while worker threads hammer
-  the counters).  The registry reports job state transitions and
+  even while worker threads hammer the counters.  The registry reports job state transitions and
   scenario results into it (via :meth:`ServiceMetrics.job_event`) —
   the solve counters, per-arm portfolio wins and ``solve_*`` histograms
   are read off those results — and the supervisor reports queue-wait
@@ -15,12 +14,6 @@ Everything the ``GET /metrics`` endpoint reports lives here:
   event-loop-lag measurement: under load the scheduler hands the probe
   its slice late, and the p50/p90/p99 of that drift is how overloaded
   the daemon's thread pool is.
-- :class:`JsonlWriter` — a write-behind JSONL appender (one line per
-  record, flushed by a background thread under the same flock-guarded
-  append idiom as :class:`repro.dse.store.RunStore`, torn-tail healing
-  included).  The job registry's persistent journal and the
-  ``--log-jobs`` structured log are both instances of it: appends never
-  block a request thread on disk I/O.
 """
 
 from __future__ import annotations
@@ -29,11 +22,7 @@ import re
 import threading
 import time
 from collections import deque
-from pathlib import Path
-from typing import IO, Callable, Iterator
-
-from .. import jsonlio
-from ..jsonlio import read_jsonl as _read_jsonl
+from typing import Callable
 
 #: Samples kept per histogram; percentiles are over this sliding window.
 HISTOGRAM_WINDOW = 2048
@@ -86,7 +75,7 @@ class ServiceMetrics:
     All mutation and the :meth:`snapshot` read happen under a single
     mutex, so a scrape never observes a half-applied update (a result
     counted whose solves are not).  Counters are monotonic and cover
-    *this process's lifetime*; per-state job counts, cache totals and
+    *this process's lifetime*; per-state job counts, store entries and
     busy workers are scraped live from their owners at request time,
     under those owners' own locks.
     """
@@ -252,111 +241,6 @@ class LoopLatencyProbe(threading.Thread):
 
     def stop(self) -> None:
         self._stop.set()
-
-
-# ----------------------------------------------------------------------
-class JsonlWriter:
-    """Write-behind JSONL appender: enqueue now, flush on a writer thread.
-
-    :meth:`append` is O(1) and never touches the disk — records drain
-    through a single background thread that appends them through one
-    long-lived handle under an advisory ``flock`` (healing a crashed
-    sibling's torn tail first), exactly the :class:`repro.dse.store.
-    RunStore` idiom.  :meth:`flush` blocks until everything queued so
-    far is on disk; :meth:`close` flushes and releases the handle.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._pending: deque[dict] = deque()
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._written = 0
-        self._enqueued = 0
-        self._closed = False
-        self._handle: IO[bytes] | None = None
-        self._thread = threading.Thread(
-            target=self._drain_loop, name=f"jsonl-writer-{self.path.name}", daemon=True
-        )
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    def append(self, record: dict) -> None:
-        """Queue one record for the writer thread (never blocks on I/O).
-
-        Appends after :meth:`close` are dropped silently: a worker
-        racing a non-waiting shutdown must not crash over a log line.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._pending.append(record)
-            self._enqueued += 1
-            self._wakeup.notify_all()
-
-    def flush(self, timeout: float | None = 10.0) -> bool:
-        """Block until every record queued so far is on disk."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            target = self._enqueued
-            while self._written < target:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._wakeup.wait(timeout=remaining)
-        return True
-
-    def close(self, timeout: float | None = 10.0) -> None:
-        """Flush, stop the writer thread and release the file handle."""
-        self.flush(timeout=timeout)
-        with self._lock:
-            self._closed = True
-            self._wakeup.notify_all()
-        self._thread.join(timeout=timeout)
-        with self._lock:
-            if self._handle is not None and not self._handle.closed:
-                self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JsonlWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def _drain_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._pending and not self._closed:
-                    self._wakeup.wait(timeout=1.0)
-                if not self._pending and self._closed:
-                    return
-                batch = list(self._pending)
-                self._pending.clear()
-            lines = [jsonlio.dump_line(record) for record in batch]
-            try:
-                self._write_locked(b"".join(lines))
-            except OSError:  # disk trouble must not kill the daemon
-                pass
-            with self._lock:
-                self._written += len(batch)
-                self._wakeup.notify_all()
-
-    def _write_locked(self, data: bytes) -> None:
-        jsonlio.append_records(self._ensure_handle(), data)
-
-    def _ensure_handle(self) -> IO[bytes]:
-        if self._handle is None or self._handle.closed:
-            self._handle = jsonlio.open_append(self.path)
-        return self._handle
-
-
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Tolerant JSONL iterator (see :func:`repro.jsonlio.read_jsonl`)."""
-    return _read_jsonl(path)
 
 
 #: The observer signature the registry calls with each journal record.

@@ -4,17 +4,16 @@
 is.  An in-process worker is a daemon thread running it over the
 daemon's own :class:`~repro.dse.explorer.Explorer`.  A fleet worker is a
 separate OS process (:func:`worker_main`) spawned by the supervisor
-(spawn context, never fork — the daemon carries journal/probe/handler
-threads that fork would duplicate mid-lock).  Importing this module
+(spawn context, never fork — the daemon carries probe, shedder and
+handler threads that fork would duplicate mid-lock).  Importing this module
 loads no solver code, so a fleet daemon that imports it stays light;
 the stack is imported inside :func:`worker_main`, before the worker
 announces ``ready``.  A fleet worker owns its *own*
 :class:`~repro.dse.explorer.Explorer` stack — its own handle on the
-shared :class:`~repro.dse.store.RunStore` file and its own
-:class:`~repro.batch.cache.ResultCache` over the shared cache
-directory — so SIGKILLing it can never corrupt the supervisor's state:
-the store's flock'd appends are crash-safe, the cache publishes entries
-atomically, and everything else dies with the process.
+shared :class:`~repro.dse.store.RunStore` file, where every worker's
+answers meet — so SIGKILLing it can never corrupt the supervisor's
+state: the store's flock'd appends are crash-safe, and everything else
+dies with the process.
 
 Protocol, over queues (tasks in, messages out)::
 
@@ -49,7 +48,6 @@ import traceback
 from dataclasses import dataclass, field
 
 from .. import trace
-from ..batch.cache import ResultCache
 from ..dse.store import TIER_GREEDY, RunStore
 from .wire import WireError, parse_job, result_payload
 
@@ -93,7 +91,6 @@ class FleetConfig:
     """
 
     store_path: str | None = None
-    cache_dir: str | None = None
     portfolio: bool = False
     time_limit: float | None = 10.0
     lease_ttl: float = 15.0
@@ -110,19 +107,14 @@ class FleetConfig:
     trace_slow_span: float | None = None
 
     def build_mapper(self, worker_id: int):
-        """The worker's private engine (factory-injected in chaos tests).
-
-        Every worker's cache reads and writes the one shared directory,
-        so a mapping solved by one worker is a disk hit for every other.
-        """
-        cache = ResultCache(self.cache_dir) if self.cache_dir is not None else None
+        """The worker's private engine (factory-injected in chaos tests)."""
         if self.mapper_factory is not None:
             factory = _load_factory(self.mapper_factory)
-            return factory(cache=cache, **dict(self.mapper_kwargs))
+            return factory(**dict(self.mapper_kwargs))
         from ..batch.engine import BatchMapper
 
         # One solve at a time: a daemonic worker may not start a pool.
-        return BatchMapper(portfolio=self.portfolio, cache=cache)
+        return BatchMapper(portfolio=self.portfolio)
 
     def build_store(self) -> RunStore:
         return RunStore(self.store_path)

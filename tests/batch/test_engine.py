@@ -145,46 +145,6 @@ class TestJobValidation:
         assert record.final().metrics.global_packets is not None
 
 
-class TestUserSeed:
-    """``initial_assignment``: a caller-supplied warm start."""
-
-    def test_dict_and_pair_forms_normalize_alike(self, batch_jobs):
-        base = batch_jobs[0]
-        as_dict = BatchJob(base.name, base.network, base.architecture,
-                           initial_assignment={1: 0, 0: 2})
-        as_pairs = BatchJob(base.name, base.network, base.architecture,
-                            initial_assignment=[(0, 2), (1, 0)])
-        assert as_dict.initial_assignment == as_pairs.initial_assignment
-        assert as_dict.initial_assignment == ((0, 2), (1, 0))
-        assert as_dict.fingerprint() == as_pairs.fingerprint()
-
-    def test_seed_is_part_of_the_fingerprint(self, batch_jobs):
-        base = batch_jobs[0]
-        seeded = BatchJob(base.name, base.network, base.architecture,
-                          stages=base.stages, initial_assignment={0: 0})
-        assert seeded.fingerprint() != base.fingerprint()
-
-    def test_invalid_seed_falls_back_to_greedy(self, batch_jobs):
-        base = batch_jobs[0]
-        out_of_range = base.build_problem().num_slots
-        seeded = BatchJob(
-            "seeded", base.network, base.architecture,
-            stages=base.stages,
-            area_time_limit=base.area_time_limit,
-            route_time_limit=base.route_time_limit,
-            initial_assignment={
-                i: out_of_range for i in base.network.neuron_ids()
-            },
-        )
-        unseeded, record = BatchMapper(jobs=1).map_all([base, seeded])
-        assert record.status == JOB_OK, record.error
-        assert record.final().mapping.is_valid()
-        assert (
-            record.final().mapping.assignment
-            == unseeded.final().mapping.assignment
-        )
-
-
 @pytest.mark.slow
 class TestPooledAtScale:
     def test_wider_pool_matches_serial(self):

@@ -150,7 +150,6 @@ class TestFingerprints:
         assert job.stages == ("area",)
         assert job.precision == PrecisionSpec(4, 2)
         assert job.area_time_limit == 7.0
-        assert job.initial_assignment is None
         assert job.profile is not None
 
 

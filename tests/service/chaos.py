@@ -84,14 +84,13 @@ class FaultInjectingMapper(BatchMapper):
 
     def __init__(
         self,
-        cache=None,
         attempts_dir: str | Path | None = None,
         fail_first: int = 1,
         mode: str = "raise",
         key: str = "fault",
         delay: float = 30.0,
     ) -> None:
-        super().__init__(jobs=1, portfolio=False, cache=cache)
+        super().__init__(jobs=1, portfolio=False)
         if attempts_dir is None:
             raise ValueError("attempts_dir is required (faults must persist)")
         if mode not in ("raise", "exit", "sleep"):
@@ -130,11 +129,10 @@ class CountingMapper(BatchMapper):
 
     def __init__(
         self,
-        cache=None,
         attempts_dir: str | Path | None = None,
         key: str = "invocations",
     ) -> None:
-        super().__init__(jobs=1, portfolio=False, cache=cache)
+        super().__init__(jobs=1, portfolio=False)
         if attempts_dir is None:
             raise ValueError("attempts_dir is required (counts must persist)")
         self.attempts_dir = attempts_dir
@@ -146,24 +144,24 @@ class CountingMapper(BatchMapper):
 
 
 # -- factories (FleetConfig.mapper_factory targets) ---------------------
-def flaky_mapper(cache=None, **kwargs):
+def flaky_mapper(**kwargs):
     """First ``fail_first`` attempts raise; later attempts solve."""
-    return FaultInjectingMapper(cache=cache, mode="raise", **kwargs)
+    return FaultInjectingMapper(mode="raise", **kwargs)
 
 
-def crashing_mapper(cache=None, **kwargs):
+def crashing_mapper(**kwargs):
     """First ``fail_first`` attempts hard-kill the worker process."""
-    return FaultInjectingMapper(cache=cache, mode="exit", **kwargs)
+    return FaultInjectingMapper(mode="exit", **kwargs)
 
 
-def stalling_mapper(cache=None, **kwargs):
+def stalling_mapper(**kwargs):
     """First ``fail_first`` attempts stall ``delay`` seconds, then solve."""
-    return FaultInjectingMapper(cache=cache, mode="sleep", **kwargs)
+    return FaultInjectingMapper(mode="sleep", **kwargs)
 
 
-def counting_mapper(cache=None, **kwargs):
+def counting_mapper(**kwargs):
     """Counts every ``map_all`` call in the attempts dir, then solves."""
-    return CountingMapper(cache=cache, **kwargs)
+    return CountingMapper(**kwargs)
 
 
 class TracedStallingMapper(BatchMapper):
@@ -178,13 +176,12 @@ class TracedStallingMapper(BatchMapper):
 
     def __init__(
         self,
-        cache=None,
         attempts_dir: str | Path | None = None,
         fail_first: int = 1,
         key: str = "traced-stall",
         delay: float = 60.0,
     ) -> None:
-        super().__init__(jobs=1, portfolio=False, cache=cache)
+        super().__init__(jobs=1, portfolio=False)
         if attempts_dir is None:
             raise ValueError("attempts_dir is required (faults must persist)")
         self.attempts_dir = attempts_dir
@@ -214,7 +211,7 @@ class TracedStallingMapper(BatchMapper):
         return super().map_all(batch_jobs, should_cancel=should_cancel)
 
 
-def highs_portfolio_mapper(cache=None, **kwargs):
+def highs_portfolio_mapper(**kwargs):
     """Race only the HiGHS arm, so every stage reports live progress.
 
     The ``lp_round`` arm of the default portfolio reports no progress
@@ -227,11 +224,10 @@ def highs_portfolio_mapper(cache=None, **kwargs):
     return BatchMapper(
         jobs=1,
         portfolio=portfolio_solver_factory(specs=(SolverSpec("highs"),)),
-        cache=cache,
         **kwargs,
     )
 
 
-def traced_stalling_mapper(cache=None, **kwargs):
+def traced_stalling_mapper(**kwargs):
     """Journals an attempt span then stalls; later attempts solve."""
-    return TracedStallingMapper(cache=cache, **kwargs)
+    return TracedStallingMapper(**kwargs)

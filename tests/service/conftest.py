@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from repro.batch.cache import ResultCache
 from repro.dse.explorer import Explorer
 from repro.dse.scenario import (
     ArchitectureSpec,
@@ -63,7 +62,7 @@ def tiny_scenario() -> Scenario:
 @pytest.fixture
 def live_service():
     """A running daemon on a free port; yields (service, client)."""
-    explorer = Explorer(cache=ResultCache(), time_limit=5.0)
+    explorer = Explorer(time_limit=5.0)
     service = MappingService(explorer)
     server = make_server(service, port=0)
     port = server.server_address[1]

@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.batch.cache import ResultCache
 from repro.dse.explorer import Explorer
 from repro.service.admission import AdmissionController, AdmissionDenied
 from repro.service.client import ServiceClient, ServiceError
@@ -136,7 +135,7 @@ class TestClientCardinality:
 @pytest.fixture
 def throttled_service():
     """A live daemon whose clients get one submission each, ever."""
-    explorer = Explorer(cache=ResultCache(), time_limit=5.0)
+    explorer = Explorer(time_limit=5.0)
     service = MappingService(
         explorer,
         admission=AdmissionController(rate=0.001, burst=1.0),

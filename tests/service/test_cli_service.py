@@ -90,7 +90,7 @@ class TestServeWiring:
         import signal
 
         from repro.service import daemon
-        from repro.service.metrics import read_jsonl
+        from repro.jsonlio import read_jsonl
         from repro.service.wire import JobSpec
 
         served = []

@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from repro.batch.cache import ResultCache
 from repro.batch.engine import BatchMapper
 from repro.batch.queue import QueueFull
 from repro.dse.explorer import Explorer
@@ -20,10 +19,10 @@ from repro.dse.scenario import (
     WorkloadSpec,
     default_space,
 )
+from repro.jsonlio import read_jsonl
 from repro.service.client import ServiceError
 from repro.service.daemon import MappingService, Supervisor
 from repro.service.jobs import JOB_CANCELLED, JOB_DONE, JOB_QUEUED
-from repro.service.metrics import read_jsonl
 from repro.service.wire import JobSpec
 from repro.service.worker import FleetConfig
 
@@ -87,7 +86,6 @@ class TestLifecycle:
         _, client = live_service
         health = client.health()
         assert health["status"] == "ok"
-        assert health["cache"] is not None
         job = client.submit(scenarios=[tiny_scenario])
         client.wait(job["id"], timeout=60)
         listed = client.jobs()
@@ -377,7 +375,7 @@ class TestOneExecutionPath:
         """Dispatch is event-driven: an idle service never waits out a
         poll tick between accepting a job and running it."""
         monkeypatch.setattr(Supervisor, "POLL_INTERVAL", 5.0)
-        service = MappingService(Explorer(cache=ResultCache(), time_limit=5.0))
+        service = MappingService(Explorer(time_limit=5.0))
         service.start()
         try:
             deadline = time.monotonic() + 10.0
@@ -459,7 +457,7 @@ class TestOneExecutionPath:
         assert first.registry.get(job_id).status == JOB_QUEUED
 
         second = MappingService(
-            Explorer(cache=ResultCache(), time_limit=5.0), journal_path=journal
+            Explorer(time_limit=5.0), journal_path=journal
         )
         try:
             assert second.registry.get(job_id).status == JOB_QUEUED
@@ -472,7 +470,7 @@ class TestOneExecutionPath:
         events = [
             record["event"]
             for record in read_jsonl(journal)
-            if record.get("job") == job_id and record["event"] != "heartbeat"
+            if record.get("job") == job_id
         ]
         assert events == ["queued", "leased", "running", "result", "done"]
 

@@ -32,7 +32,6 @@ from repro.service.jobs import (
     LEASE_FINISHED,
     JobRegistry,
 )
-from repro.service.metrics import JsonlWriter
 from repro.service.wire import JobSpec, parse_job
 from repro.service.worker import (
     MIN_DEADLINE_BUDGET,
@@ -294,14 +293,12 @@ class TestLedgerPriorityClaims:
 
     def test_replay_preserves_priority_and_deadline(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
-        first_journal = JsonlWriter(path)
-        first = JobRegistry(journal=first_journal)
+        first = JobRegistry(journal=path)
         lane_job = first.create(_spec(priority="batch", deadline_ms=500_000))
         plain = first.create(_spec())
-        first_journal.close()
+        first.close()
 
-        journal = JsonlWriter(path)
-        replayed = JobRegistry(journal=journal)
+        replayed = JobRegistry(journal=path)
         lane_job = replayed.get(lane_job.id)
         assert lane_job.spec.priority == "batch"
         assert lane_job.deadline_at == pytest.approx(lane_job.submitted_at + 500.0)
@@ -313,7 +310,7 @@ class TestLedgerPriorityClaims:
         lane_job.submitted_at = 100.0
         plain.submitted_at = 100.0
         assert replayed.claim("w", now=101.0) is plain
-        journal.close()
+        replayed.close()
 
     def test_lane_snapshot_counts_pending_by_lane(self):
         registry = JobRegistry()

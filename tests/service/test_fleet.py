@@ -19,14 +19,12 @@ from pathlib import Path
 import chaos
 import pytest
 
-from repro.batch.cache import ResultCache
 from repro.batch.queue import QueueFull
 from repro.dse.explorer import Explorer
 from repro.dse.scenario import (
     ArchitectureSpec,
     FormulationSpec,
     Scenario,
-    ScenarioRegistry,
     WorkloadSpec,
 )
 from repro.dse.store import RunStore
@@ -41,7 +39,6 @@ from repro.service.jobs import (
     LEASE_PENDING,
     JobRegistry,
 )
-from repro.service.metrics import JsonlWriter
 from repro.service.wire import JobSpec, result_payload
 from repro.service.worker import FleetConfig, worker_main
 
@@ -78,7 +75,6 @@ def _spec(*scenarios: Scenario) -> JobSpec:
 def _fleet_config(tmp_path: Path, **overrides) -> FleetConfig:
     settings = dict(
         store_path=str(tmp_path / "store.jsonl"),
-        cache_dir=str(tmp_path / "cache"),
         time_limit=5.0,
         lease_ttl=5.0,
         heartbeat_interval=0.2,
@@ -92,9 +88,7 @@ def _fleet_config(tmp_path: Path, **overrides) -> FleetConfig:
 
 
 def _service(tmp_path: Path, fleet: int, config: FleetConfig, **kwargs):
-    explorer = Explorer(
-        store=RunStore(tmp_path / "store.jsonl"), cache=ResultCache()
-    )
+    explorer = Explorer(store=RunStore(tmp_path / "store.jsonl"))
     return MappingService(
         explorer,
         fleet=fleet,
@@ -175,21 +169,28 @@ class TestWorkerMain:
         assert result["cancelled"] is True
 
 
-class TestSharedCache:
-    def test_workers_answer_each_others_jobs_from_one_directory(self, tmp_path):
-        """A mapping one worker solved is a disk hit for every other."""
-        cache_dir = tmp_path / "cache"
-        config = FleetConfig(cache_dir=str(cache_dir))
-        job = ScenarioRegistry().to_job(_scenario(), time_limit=5.0)
-        (fresh,) = config.build_mapper(0).map_all([job])
-        (cached,) = config.build_mapper(1).map_all([job])
-        assert fresh.ok and not fresh.from_cache
-        assert cached.from_cache
-        assert (
-            cached.final().mapping.assignment == fresh.final().mapping.assignment
-        )
-        # One flat directory of entries: no per-worker or merged subtree.
-        assert all(entry.is_file() for entry in cache_dir.iterdir())
+class TestSharedStore:
+    def test_workers_answer_each_others_jobs_from_one_store(self, tmp_path):
+        """A mapping one worker solved is a store hit for every other."""
+        config = FleetConfig(store_path=str(tmp_path / "store.jsonl"))
+        explorers = [
+            Explorer(
+                store=config.build_store(),
+                mapper=config.build_mapper(worker),
+                time_limit=5.0,
+            )
+            for worker in (0, 1)
+        ]
+        try:
+            (fresh,) = explorers[0].evaluate_ilp([_scenario()])
+            explorers[1].store.reload()
+            (hit,) = explorers[1].evaluate_ilp([_scenario()])
+        finally:
+            for explorer in explorers:
+                explorer.store.close()
+        assert fresh.ok and not fresh.from_store
+        assert hit.from_store and hit.stages == ()
+        assert hit.assignment == fresh.assignment
 
 
 # ----------------------------------------------------------------------
@@ -259,9 +260,8 @@ class TestFleetEndToEnd:
     def test_health_and_metrics_see_worker_store_appends(
         self, tmp_path, wait_drained
     ):
-        """Workers append to the store file through their own handles and
-        count cache hits in their own processes: the daemon's endpoints
-        must count the store on disk and report no daemon-side cache."""
+        """Workers append to the store file through their own handles:
+        the daemon's endpoints must count the store on disk."""
         scenarios = (_scenario(dimension=12), _scenario(dimension=10))
         service = _service(tmp_path, fleet=2, config=_fleet_config(tmp_path))
         assert service.explorer is None
@@ -278,7 +278,6 @@ class TestFleetEndToEnd:
                     assert job.results[0]["cached"] is repeat
             for body in (client.health(), client.metrics()):
                 assert body["store_entries"] == 2
-                assert body["cache"] is None
         finally:
             server.shutdown()
             server.server_close()
@@ -437,10 +436,11 @@ class TestRestartAndDrain:
 
         # The in-flight job was handed back, not lost and not charged.
         assert service.registry.get(job_id).status == JOB_QUEUED
-        with JsonlWriter(tmp_path / "journal.jsonl") as journal:
-            replayed = JobRegistry(journal=journal).get(job_id)
-            assert replayed.lease_state == LEASE_PENDING
-            assert replayed.attempts == 0
+        reborn = JobRegistry(journal=tmp_path / "journal.jsonl")
+        replayed = reborn.get(job_id)
+        reborn.close()
+        assert replayed.lease_state == LEASE_PENDING
+        assert replayed.attempts == 0
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import threading
+import time
 
 import pytest
 
+from repro import jsonlio
 from repro.dse.scenario import (
     ArchitectureSpec,
     FormulationSpec,
@@ -19,6 +22,7 @@ from repro.dse.scenario import (
     WorkloadSpec,
 )
 from repro.service.jobs import (
+    JOB_CANCELLED,
     JOB_DONE,
     JOB_ERROR,
     JOB_QUEUED,
@@ -29,7 +33,6 @@ from repro.service.jobs import (
     LEASE_PENDING,
     JobRegistry,
 )
-from repro.service.metrics import JsonlWriter
 from repro.service.wire import JobSpec
 
 pytestmark = pytest.mark.service
@@ -50,14 +53,13 @@ class _Journaled:
     """A registry over one journal file, closed on exit like a daemon."""
 
     def __init__(self, path, **kwargs) -> None:
-        self.writer = JsonlWriter(path)
-        self.registry = JobRegistry(journal=self.writer, **kwargs)
+        self.registry = JobRegistry(journal=path, **kwargs)
 
     def __enter__(self) -> JobRegistry:
         return self.registry
 
     def __exit__(self, *exc_info) -> None:
-        self.writer.close()
+        self.registry.close()
 
 
 def _replay(path, **kwargs) -> JobRegistry:
@@ -287,12 +289,53 @@ class TestJournalReplay:
             registry.claim("w0", now=job.submitted_at)
             registry.heartbeat(job.id, now=job.submitted_at + 500.0)
         events = [json.loads(line)["event"] for line in path.read_text().splitlines()]
-        assert events == ["queued", "leased", "heartbeat"]
-        # Replay sees the renewed expiry before deciding the job was
-        # leased (then requeues it, because this process owns no worker).
+        # The renewal stays in memory: replay clears the lease anyway
+        # (and requeues the job, because this process owns no worker).
+        assert events == ["queued", "leased"]
         replayed = _replay(path)
         assert replayed.get(job.id).lease_state == LEASE_PENDING
         assert replayed.get(job.id).lease_expires is None
+
+
+class TestSynchronousJournal:
+    def test_every_transition_is_on_disk_when_it_returns(
+        self, tmp_path, monkeypatch
+    ):
+        """No flush and no close: once a transition returns, its line is
+        already the journal's last.  A write from any other thread is
+        held back, so a write-behind line could not be there yet."""
+        caller = threading.get_ident()
+        append = jsonlio.append_records
+
+        def held_back(handle, data):
+            if threading.get_ident() != caller:
+                time.sleep(0.2)
+            return append(handle, data)
+
+        monkeypatch.setattr(jsonlio, "append_records", held_back)
+        path = tmp_path / "jobs.jsonl"
+        registry = JobRegistry(journal=path, max_attempts=2)
+
+        def last_line() -> tuple[str, str]:
+            record = list(jsonlio.read_jsonl(path))[-1]
+            return record["job"], record["event"]
+
+        job = registry.create(SPEC)
+        assert last_line() == (job.id, JOB_QUEUED)
+        assert registry.claim("w0") is job
+        assert last_line() == (job.id, "leased")
+        assert registry.start(job)
+        assert last_line() == (job.id, "running")
+        registry.add_result(job, {"status": "ok", "scenario": "s"})
+        assert last_line() == (job.id, "result")
+        assert registry.fail_attempt(job.id, "worker died") == LEASE_PENDING
+        assert last_line() == (job.id, "requeued")
+        registry.finish(job, JOB_DONE)
+        assert last_line() == (job.id, JOB_DONE)
+        other = registry.create(SPEC)
+        registry.cancel(other.id)
+        assert last_line() == (other.id, JOB_CANCELLED)
+        registry.close()
 
 
 def _ledger_hammer(path: str, worker: int, jobs: int) -> None:

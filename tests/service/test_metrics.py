@@ -1,5 +1,5 @@
-"""Metrics spine: lock-consistent counters, histograms, the JSONL writer,
-and the ``GET /metrics`` scrape end to end."""
+"""Metrics spine: lock-consistent counters, histograms, the journal's
+JSONL writer, and the ``GET /metrics`` scrape end to end."""
 
 from __future__ import annotations
 
@@ -12,14 +12,10 @@ import pytest
 
 from repro.batch.engine import BatchMapper
 from repro.dse.explorer import Explorer
+from repro.jsonlio import read_jsonl
 from repro.service.daemon import MappingService
 from repro.service.jobs import JobRegistry
-from repro.service.metrics import (
-    HISTOGRAM_WINDOW,
-    JsonlWriter,
-    ServiceMetrics,
-    read_jsonl,
-)
+from repro.service.metrics import HISTOGRAM_WINDOW, ServiceMetrics
 from repro.service.wire import JobSpec
 from repro.service.worker import FleetConfig
 
@@ -206,21 +202,29 @@ class TestHistograms:
 
 
 class TestJsonlWriter:
-    def test_append_flush_read_round_trip(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        with JsonlWriter(path) as writer:
-            for index in range(50):
-                writer.append({"index": index})
-            assert writer.flush(timeout=30)
-        records = list(read_jsonl(path))
-        assert [record["index"] for record in records] == list(range(50))
+    """The service's one JSONL writer is the job registry's own journal
+    append; :func:`repro.jsonlio.read_jsonl` reads it back."""
 
-    def test_appends_after_close_are_dropped_not_raised(self, tmp_path):
-        writer = JsonlWriter(tmp_path / "log.jsonl")
-        writer.append({"index": 0})
-        writer.close()
-        writer.append({"index": 1})  # a racing worker must not crash
-        assert [r["index"] for r in read_jsonl(writer.path)] == [0]
+    def test_append_flush_read_round_trip(self, tmp_path, tiny_scenario):
+        path = tmp_path / "log.jsonl"
+        registry = JobRegistry(journal=path)
+        spec = JobSpec(scenarios=(tiny_scenario,))
+        ids = [registry.create(spec).id for _ in range(50)]
+        registry.close()
+        assert [record["job"] for record in read_jsonl(path)] == ids
+
+    def test_appends_after_close_are_dropped_not_raised(
+        self, tmp_path, tiny_scenario
+    ):
+        path = tmp_path / "log.jsonl"
+        registry = JobRegistry(journal=path)
+        spec = JobSpec(scenarios=(tiny_scenario,))
+        first = registry.create(spec)
+        registry.close()
+        late = registry.create(spec)  # a racing worker must not crash
+        registry.finish(first, "done")
+        assert late.status == "queued" and first.status == "done"
+        assert [r["job"] for r in read_jsonl(path)] == [first.id]
 
     def test_reader_skips_torn_and_garbage_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -237,40 +241,42 @@ class TestJsonlWriter:
     def test_missing_file_reads_as_empty(self, tmp_path):
         assert list(read_jsonl(tmp_path / "never-written.jsonl")) == []
 
-    def test_writer_heals_a_torn_tail_before_appending(self, tmp_path):
+    def test_writer_heals_a_torn_tail_before_appending(
+        self, tmp_path, tiny_scenario
+    ):
         path = tmp_path / "log.jsonl"
         path.write_text('{"torn": ')  # crashed sibling, no newline
-        with JsonlWriter(path) as writer:
-            writer.append({"fresh": True})
-            assert writer.flush(timeout=30)
+        registry = JobRegistry(journal=path)
+        job = registry.create(JobSpec(scenarios=(tiny_scenario,)))
+        registry.close()
         lines = path.read_text().splitlines()
         assert lines[0] == '{"torn": '  # terminated, not merged into ours
-        assert json.loads(lines[1]) == {"fresh": True}
+        assert json.loads(lines[1])["job"] == job.id
 
-    def test_concurrent_appenders_never_tear_lines(self, tmp_path):
+    def test_concurrent_appenders_never_tear_lines(self, tmp_path, tiny_scenario):
         path = tmp_path / "log.jsonl"
-        with JsonlWriter(path) as writer:
-            threads = [
-                threading.Thread(
-                    target=lambda worker=worker: [
-                        writer.append({"worker": worker, "index": index})
-                        for index in range(100)
-                    ]
-                )
-                for worker in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert writer.flush(timeout=30)
+        registry = JobRegistry(journal=path)
+        spec = JobSpec(scenarios=(tiny_scenario,))
+        threads = [
+            threading.Thread(
+                target=lambda: [registry.create(spec) for _ in range(100)]
+            )
+            for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        registry.close()
         records = list(read_jsonl(path))
         assert len(records) == 400  # every line parsed — nothing torn
+        # Lines land in transition order: ids were minted in that order.
+        assert [r["job"] for r in records] == [j.id for j in registry.jobs()]
 
 
 class TestRegistryObservers:
     def test_observers_see_one_record_per_transition(self, tiny_scenario):
-        """The --log-jobs seam: observers get the journal-shaped records."""
+        """Observers get the journal-shaped records."""
         seen: list[dict] = []
         registry = JobRegistry(observers=(seen.append,))
         job = registry.create(JobSpec(scenarios=(tiny_scenario,)))
@@ -302,9 +308,9 @@ class TestMetricsEndpoint:
     def test_scrape_is_consistent_after_real_work(
         self, live_service, tiny_scenario
     ):
-        """End to end: two submissions (one a cache hit), then a scrape
+        """End to end: two submissions (one a store hit), then a scrape
         whose sections balance exactly — the acceptance invariants."""
-        _, client = live_service
+        service, client = live_service
         first = client.wait(
             client.submit(scenarios=[tiny_scenario])["id"], timeout=60
         )
@@ -312,6 +318,12 @@ class TestMetricsEndpoint:
             client.submit(scenarios=[tiny_scenario])["id"], timeout=60
         )
         assert first["status"] == "done" and second["status"] == "done"
+        # The loop-lag probe samples only after its first interval; wait
+        # for that sample so a scrape under load cannot race it.
+        deadline = time.monotonic() + 30.0
+        while "loop_lag" not in service.metrics.snapshot()["latency"]:
+            assert time.monotonic() < deadline, "the loop-lag probe never sampled"
+            time.sleep(0.01)
 
         body = client.metrics()
         assert body["status"] == "ok"
@@ -330,13 +342,6 @@ class TestMetricsEndpoint:
         assert scenarios["total"] == 2
         assert scenarios["ok"] == 2
         assert scenarios["cached"] == 1  # the repeat was a zero-solve hit
-
-        cache = body["cache"]
-        assert cache["hits"] + cache["misses"] == cache["lookups"]
-        # The repeat was answered upstream, from the shared run store, so
-        # the result cache saw exactly the first run's miss-then-store.
-        assert cache["misses"] >= 1
-        assert cache["stores"] >= 1
 
         assert body["solves"] == {"ilp_solves": 1}  # the repeat ran none
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.jsonlio import read_jsonl
 from repro.service.jobs import (
     JOB_DONE,
     JOB_QUEUED,
@@ -13,15 +14,15 @@ from repro.service.jobs import (
     RESTART_REASON,
     JobRegistry,
 )
-from repro.service.metrics import JsonlWriter, read_jsonl
 from repro.service.wire import JobSpec
 
 pytestmark = pytest.mark.service
 
 
-def _registry(path, **kwargs) -> tuple[JobRegistry, JsonlWriter]:
-    journal = JsonlWriter(path)
-    return JobRegistry(journal=journal, **kwargs), journal
+def _registry(path, **kwargs) -> tuple[JobRegistry, JobRegistry]:
+    # The registry writes and closes its own journal.
+    registry = JobRegistry(journal=path, **kwargs)
+    return registry, registry
 
 
 class TestJournalReplay:
@@ -197,13 +198,12 @@ class TestServiceLevelRestart:
     def test_daemon_restart_preserves_a_done_job(self, tmp_path, tiny_scenario):
         """The acceptance scenario: solve, stop, restart on the same
         journal, and query the pre-restart job id."""
-        from repro.batch.cache import ResultCache
         from repro.dse.explorer import Explorer
         from repro.service.daemon import MappingService
 
         path = tmp_path / "jobs.jsonl"
         service = MappingService(
-            Explorer(cache=ResultCache(), time_limit=5.0),
+            Explorer(time_limit=5.0),
             journal_path=path,
         )
         service.start()
@@ -214,7 +214,7 @@ class TestServiceLevelRestart:
         service.stop(wait=True)
 
         reborn = MappingService(
-            Explorer(cache=ResultCache(), time_limit=5.0),
+            Explorer(time_limit=5.0),
             journal_path=path,
         )
         try:

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro import trace
-from repro.batch.cache import ResultCache
 from repro.dse.explorer import Explorer
 from repro.dse.scenario import (
     ArchitectureSpec,
@@ -59,7 +58,6 @@ def _spec(*scenarios: Scenario, trace_context: str | None = None) -> JobSpec:
 def _fleet_config(tmp_path: Path, **overrides) -> FleetConfig:
     settings = dict(
         store_path=str(tmp_path / "store.jsonl"),
-        cache_dir=str(tmp_path / "cache"),
         time_limit=5.0,
         lease_ttl=5.0,
         heartbeat_interval=0.2,
@@ -73,9 +71,7 @@ def _fleet_config(tmp_path: Path, **overrides) -> FleetConfig:
 
 
 def _service(tmp_path: Path, fleet: int, config: FleetConfig, **kwargs):
-    explorer = Explorer(
-        store=RunStore(tmp_path / "store.jsonl"), cache=ResultCache()
-    )
+    explorer = Explorer(store=RunStore(tmp_path / "store.jsonl"))
     kwargs.setdefault("trace_dir", tmp_path / "trace")
     return MappingService(
         explorer,
@@ -347,14 +343,14 @@ class TestTraceHTTP:
         """A client-traced job on a later untraced service in the same
         process journals nothing into a stopped service's directory."""
         traced = MappingService(
-            Explorer(store=RunStore(tmp_path / "a.jsonl"), cache=ResultCache()),
+            Explorer(store=RunStore(tmp_path / "a.jsonl")),
             trace_dir=tmp_path / "trace",
         )
         traced.start()
         traced.stop(wait=True)
 
         untraced = MappingService(
-            Explorer(store=RunStore(tmp_path / "b.jsonl"), cache=ResultCache())
+            Explorer(store=RunStore(tmp_path / "b.jsonl"))
         )
         server, thread, client = self._serve(untraced)
         supplied = trace.mint_context().encode()
@@ -415,9 +411,7 @@ class TestPhaseTimingsWithoutTracing:
         self, tmp_path, wait_drained
     ):
         """Satellite: per-phase timings feed /metrics even with tracing off."""
-        explorer = Explorer(
-            store=RunStore(tmp_path / "store.jsonl"), cache=ResultCache()
-        )
+        explorer = Explorer(store=RunStore(tmp_path / "store.jsonl"))
         service = MappingService(explorer)  # no trace_dir anywhere
         try:
             service.start()
