@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Batch sweep: map a fleet of networks in parallel with a solver portfolio.
+"""Batch sweep: map a fleet of networks in parallel and cache the answers.
 
 Walks the sweep-scale API end to end:
 
@@ -7,7 +7,7 @@ Walks the sweep-scale API end to end:
 2. build one area+SNU mapping job per network,
 3. run them serially, then across a process pool (same results, less wall
    clock on multi-core machines),
-4. race HiGHS and the lp_round heuristic per stage (portfolio),
+4. read each stage's exact HiGHS solve off the records (status, nodes),
 5. re-run the sweep against a result cache and watch every job hit.
 
 Run:  python examples/batch_sweep.py
@@ -67,12 +67,14 @@ def main() -> None:
     print(f"pooled == serial: {identical}; "
           f"speedup {serial_wall / max(pooled_wall, 1e-9):.2f}x")
 
-    # 3. Portfolio: each stage races HiGHS and lp_round.
-    portfolio, _ = timed(
-        "portfolio", BatchMapper(jobs=4, portfolio=True), jobs[:4]
-    )
-    winners = {r.name: r.final().solve_result.backend for r in portfolio}
-    print(f"stage winners: {winners}")
+    # 3. Solve report: every stage is one exact HiGHS solve.
+    for record in serial:
+        solves = ", ".join(
+            f"{name} {stage.solve_result.status.value} "
+            f"({stage.solve_result.node_count} nodes)"
+            for name, stage in record.stages.items()
+        )
+        print(f"{record.name}: {solves}")
 
     # 4. Cached re-run: the fingerprint turns the second sweep into lookups.
     cache = ResultCache()

@@ -7,18 +7,17 @@ Public API tour
 - :mod:`repro.snn` — networks, statistics, simulation, generators.
 - :mod:`repro.mca` — crossbar types/pools (Table II), NoC, processor model.
 - :mod:`repro.ilp` — ILP modeling layer with the HiGHS backend (the
-  CP-SAT stand-in) and the ``lp_round`` heuristic, plus picklable
-  :class:`~repro.ilp.solve.SolverSpec` solve entries for worker processes.
+  CP-SAT stand-in), plus picklable :class:`~repro.ilp.solve.SolverSpec`
+  solve limits for worker processes.
 - :mod:`repro.mapping` — the paper's formulations (area / SNU / PGO), the
   SpikeHard baseline, approximate baselines, the staged pipeline, and
   process-stable problem fingerprints.
 - :mod:`repro.batch` — the sweep-scale layer: :class:`BatchMapper` runs
-  many pipelines at once across a process pool, optionally racing solver
-  backends per stage and caching solved instances by fingerprint.
+  many pipelines at once across a process pool, caching solved
+  instances by fingerprint.
 - :mod:`repro.profile` — synthetic SmartPixel data and spike profiling.
 - :mod:`repro.experiments` — one module per paper table/figure; the
-  multi-network sweeps route through :mod:`repro.batch` (``--jobs N``,
-  ``--portfolio``).
+  multi-network sweeps route through :mod:`repro.batch` (``--jobs N``).
 
 Quickstart
 ----------
@@ -88,15 +87,10 @@ __all__ = [
     "quick_map",
 ]
 
-#: Backends :func:`quick_map` understands.
-QUICK_MAP_BACKENDS = ("highs", "portfolio")
-
-
 def quick_map(
     network: Network,
     heterogeneous: bool = True,
     time_limit: float = 10.0,
-    backend: str = "highs",
     seed: int | None = None,
 ) -> Mapping:
     """One-call mapping: area-optimize a network onto a default pool.
@@ -105,9 +99,7 @@ def quick_map(
     returns the best mapping found within ``time_limit`` seconds, warm-
     started by greedy first-fit so a valid mapping is always returned.
 
-    ``backend`` picks the solver: ``"highs"`` (default) or
-    ``"portfolio"`` (HiGHS, then the ``lp_round`` heuristic; the best
-    incumbent is kept).  ``seed`` — when given — shuffles the
+    ``seed`` — when given — shuffles the
     greedy warm-start's placement order reproducibly, which diversifies
     the starting incumbent across calls.
     """
@@ -123,10 +115,6 @@ def quick_map(
         homogeneous_architecture,
     )
 
-    if backend not in QUICK_MAP_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {QUICK_MAP_BACKENDS}"
-        )
     if heterogeneous:
         arch = heterogeneous_architecture(network.num_neurons)
     else:
@@ -138,14 +126,7 @@ def quick_map(
     else:
         greedy = greedy_first_fit(problem, order="random", seed=seed)
     warm = handle.warm_start_from(greedy)
-
-    if backend == "portfolio":
-        from .batch.portfolio import portfolio_solver_factory
-
-        # The factory splits the budget across the sequential race's
-        # members, so the documented time_limit holds as a total.
-        solver = portfolio_solver_factory()(time_limit)
-    else:
-        solver = SolverSpec(backend, time_limit=time_limit).build()
-    result = solver.solve(handle.model, warm_start=warm)
+    result = SolverSpec(time_limit=time_limit).build().solve(
+        handle.model, warm_start=warm
+    )
     return handle.extract_mapping(result)

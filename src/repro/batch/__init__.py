@@ -1,10 +1,10 @@
-"""Parallel batch mapping: process pools, solver portfolios, result cache.
+"""Parallel batch mapping: process pools, per-job solver specs, result cache.
 
 The sweep-scale layer above :mod:`repro.mapping`: a :class:`BatchMapper`
 runs many independent mapping pipelines at once across worker processes,
-optionally racing solver backends per stage (:mod:`~repro.batch.
-portfolio`) and skipping instances already solved in earlier sweeps via a
-deterministic problem fingerprint (:mod:`~repro.batch.cache`).
+optionally solving each job under its own solver spec (:mod:`~repro.
+batch.portfolio`) and skipping instances already solved in earlier sweeps
+via a deterministic problem fingerprint (:mod:`~repro.batch.cache`).
 
 >>> from repro.batch import BatchJob, BatchMapper
 >>> jobs = [BatchJob(f"net-{i}", net, arch, stages=("area", "snu"))
@@ -24,8 +24,6 @@ _EXPORTS = {
     "BatchResult": ".engine",
     "JobRecord": ".engine",
     "parallel_map": ".engine",
-    "DEFAULT_SPECS": ".portfolio",
-    "PortfolioOptions": ".portfolio",
     "PortfolioSolver": ".portfolio",
     "portfolio_solver_factory": ".portfolio",
     "CancelToken": ".queue",
@@ -38,11 +36,9 @@ __all__ = [
     "BatchResult",
     "CacheStats",
     "CancelToken",
-    "DEFAULT_SPECS",
     "JOB_ERROR",
     "JOB_OK",
     "JobRecord",
-    "PortfolioOptions",
     "PortfolioSolver",
     "ResultCache",
     "parallel_map",

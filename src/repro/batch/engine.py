@@ -7,8 +7,9 @@ job across a :class:`concurrent.futures.ProcessPoolExecutor`:
 
 - ``jobs=1`` executes serially in-process through the *same* code path the
   workers run, so serial and pooled results are bit-for-bit identical;
-- ``portfolio=True`` swaps each stage's solver for a racing
-  :class:`~repro.batch.portfolio.PortfolioSolver`;
+- ``portfolio=True`` solves each stage with a
+  :class:`~repro.batch.portfolio.PortfolioSolver` under the job's own
+  :class:`~repro.ilp.solve.SolverSpec`;
 - an optional :class:`~repro.batch.cache.ResultCache` keyed by the
   deterministic job fingerprint (network + pool + formulation options +
   stages + profile + solver mode) makes repeated sweeps skip solved
@@ -68,11 +69,11 @@ class BatchJob:
     ``precision`` switches the area stage to the bit-slicing-aware
     :class:`~repro.mapping.precision.PrecisionAreaModel`.
 
-    ``solver_specs`` overrides the portfolio's arm composition for this
-    job (a tuple of :class:`~repro.ilp.solve.SolverSpec`); it only takes
-    effect when the engine runs with ``portfolio=True`` and is how the
-    DSE adaptive driver runs cheap fidelity rungs on loose-gap arms (see
-    :mod:`repro.dse.fidelity`).
+    ``solver_spec`` sets the gap, node cap and emphasis of this job's
+    solves (a :class:`~repro.ilp.solve.SolverSpec`; its time limit is
+    replaced by the stage budget).  It only takes effect when the engine
+    runs with ``portfolio=True`` and is how the DSE adaptive driver runs
+    cheap fidelity rungs (see :mod:`repro.dse.fidelity`).
     """
 
     name: str
@@ -84,7 +85,7 @@ class BatchJob:
     area_time_limit: float | None = 30.0
     route_time_limit: float | None = 30.0
     precision: PrecisionSpec | None = None
-    solver_specs: tuple[SolverSpec, ...] | None = None
+    solver_spec: SolverSpec | None = None
 
     def __post_init__(self) -> None:
         unknown = [s for s in self.stages if s not in STAGES]
@@ -136,12 +137,10 @@ class BatchJob:
         # their historical fingerprints (and their on-disk cache entries).
         if self.precision is not None:
             parts.append(options_fingerprint(self.precision))
-        if self.solver_specs is not None:
-            # Arm composition changes which incumbent a race lands on, so
-            # differently-tuned rungs must not share cache entries.
-            parts.append(
-                digest([sorted(asdict(spec).items()) for spec in self.solver_specs])
-            )
+        if self.solver_spec is not None:
+            # The spec's gap and node cap change which incumbent a solve
+            # lands on, so differently-tuned rungs must not share entries.
+            parts.append(digest(sorted(asdict(self.solver_spec).items())))
         return combine(*parts)
 
 
@@ -228,12 +227,9 @@ class BatchMapper:
         Pool processes carry no trace runtime, so a pooled batch records
         no ``stage:*``/``phase:*`` spans; only in-process runs trace them.
     portfolio:
-        Race HiGHS and the ``lp_round`` heuristic per stage and keep the
-        best incumbent (see :mod:`repro.batch.portfolio`).  May also
-        be a :data:`~repro.mapping.pipeline.SolverFactory` for a custom
-        per-stage solver (e.g. a different portfolio composition) —
-        callable factories are serial-only (``jobs=1``): closures do not
-        cross the process pool.
+        Solve each stage under the job's :attr:`BatchJob.solver_spec`
+        (default limits when it has none) and tag each solve
+        ``portfolio[<backend>]`` (see :mod:`repro.batch.portfolio`).
     cache:
         Optional :class:`ResultCache`; hits skip the solve entirely and
         rehydrate the stored solution.
@@ -271,20 +267,13 @@ class BatchMapper:
             raise ValueError("job names must be unique within a batch")
 
         records: dict[int, JobRecord] = {}
-        pending: list[tuple[int, BatchJob, str]] = []
-        with trace.span("cache-lookup", jobs=len(batch_jobs)):
-            for idx, job in enumerate(batch_jobs):
-                key = job.fingerprint(self.portfolio)
-                payload = self.cache.get(key) if self.cache is not None else None
-                if payload is not None and not _cache_entry_satisfies(job, payload):
-                    # The cached solve limited out under a smaller budget than
-                    # this job brings: re-solve rather than pin the old quality.
-                    self.cache.stats.reclassify_hit_as_miss()
-                    payload = None
-                if payload is not None:
-                    records[idx] = _rehydrate(job, key, payload, from_cache=True)
-                else:
-                    pending.append((idx, job, key))
+        pending = [
+            (idx, job, job.fingerprint(self.portfolio))
+            for idx, job in enumerate(batch_jobs)
+        ]
+        if self.cache is not None:
+            with trace.span("cache-lookup", jobs=len(batch_jobs)):
+                pending = self._lookup(pending, records)
 
         for idx, job, key, payload in self._execute(pending, should_cancel):
             cacheable = (
@@ -296,6 +285,22 @@ class BatchMapper:
             records[idx] = _rehydrate(job, key, payload, from_cache=False)
 
         return BatchResult([records[i] for i in range(len(batch_jobs))])
+
+    def _lookup(self, pending, records):
+        """Fill ``records`` with cache hits; return the jobs left to solve."""
+        misses = []
+        for idx, job, key in pending:
+            payload = self.cache.get(key)
+            if payload is not None and not _cache_entry_satisfies(job, payload):
+                # The cached solve limited out under a smaller budget than
+                # this job brings: re-solve rather than pin the old quality.
+                self.cache.stats.reclassify_hit_as_miss()
+                payload = None
+            if payload is not None:
+                records[idx] = _rehydrate(job, key, payload, from_cache=True)
+            else:
+                misses.append((idx, job, key))
+        return misses
 
     # ------------------------------------------------------------------
     def _execute(self, pending, should_cancel=None):
@@ -421,14 +426,11 @@ def _execute_job(job: BatchJob, portfolio: bool) -> dict:
     start = time.perf_counter()
     try:
         problem = job.build_problem()
-        if callable(portfolio):
-            solver = portfolio
-        elif portfolio and job.solver_specs is not None:
-            # Per-job arm tuning (DSE fidelity rungs): race exactly the
-            # requested composition instead of the default portfolio.
-            solver = portfolio_solver_factory(job.solver_specs)
-        else:
-            solver = portfolio_solver_factory() if portfolio else None
+        solver = (
+            portfolio_solver_factory(job.solver_spec or SolverSpec())
+            if portfolio
+            else None
+        )
         pipeline = MappingPipeline(
             problem,
             area_time_limit=job.area_time_limit,

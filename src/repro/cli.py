@@ -5,7 +5,7 @@ Subcommands:
 - ``repro map``      — map a network JSON onto a crossbar pool and save
   the mapping (area ILP, optional SNU stage).
 - ``repro batch``    — map many network JSONs at once across a process
-  pool, with optional solver portfolio and result cache.
+  pool, with an optional result cache.
 - ``repro inspect``  — print Table-I statistics and structure of a network.
 - ``repro simulate`` — run a saved mapping on the processor model and
   report traffic/energy.
@@ -143,7 +143,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
 
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    mapper = BatchMapper(jobs=args.jobs, portfolio=args.portfolio, cache=cache)
+    mapper = BatchMapper(jobs=args.jobs, cache=cache)
     result = mapper.map_all(jobs)
     print(result.report())
     if cache is not None:
@@ -274,7 +274,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         explorer = Explorer(
             store=RunStore(args.store) if args.store else RunStore(),
-            portfolio=args.portfolio,
             time_limit=args.time_limit,
         )
     max_queue = args.max_queue
@@ -298,7 +297,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         aging_interval=args.aging_interval,
         fleet_config=FleetConfig(
             store_path=args.store,
-            portfolio=args.portfolio,
             time_limit=args.time_limit,
             lease_ttl=args.lease_ttl,
             heartbeat_interval=args.heartbeat_interval,
@@ -615,8 +613,6 @@ def _cmd_exhibits(args: argparse.Namespace) -> int:
         forwarded.append("--full")
     if args.jobs is not None:
         forwarded += ["--jobs", str(args.jobs)]
-    if args.portfolio:
-        forwarded.append("--portfolio")
     return runner.main(forwarded)
 
 
@@ -649,8 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("networks", nargs="+", help="network JSON files")
     batch.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1 = serial)")
-    batch.add_argument("--portfolio", action="store_true",
-                       help="race HiGHS and lp_round per solve")
     batch.add_argument("--snu", action="store_true",
                        help="run SNU route minimization after area")
     batch.add_argument("--homogeneous", action="store_true",
@@ -693,8 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--jobs", type=int, default=1,
                      help="worker processes (1 = serial)")
     dse.add_argument("--portfolio", action="store_true",
-                     help="grid: race HiGHS and lp_round per solve; "
-                          "adaptive: one HiGHS arm tuned to each rung")
+                     help="adaptive: tune each rung's HiGHS solve to the "
+                          "rung (loose gap and node cap on cheap rungs, "
+                          "exact on the top rung); grid: no effect on "
+                          "the solve")
     dse.add_argument("--time-limit", type=float, default=10.0,
                      help="per-stage solver budget in seconds")
     dse.add_argument("--cache-dir", default=None,
@@ -745,8 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "engine and store; each runs one solve at "
                             "a time, in the thread that traces it (ignored "
                             "with --fleet)")
-    serve.add_argument("--portfolio", action="store_true",
-                       help="race HiGHS and lp_round per solve")
     serve.add_argument("--time-limit", type=float, default=10.0,
                        help="default per-stage solver budget in seconds")
     serve.add_argument("--journal", "--ledger", dest="journal", default=None,
@@ -895,7 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
     exhibits.add_argument("--exhibit", default="all")
     exhibits.add_argument("--full", action="store_true")
     exhibits.add_argument("--jobs", type=int, default=None)
-    exhibits.add_argument("--portfolio", action="store_true")
     exhibits.set_defaults(func=_cmd_exhibits)
 
     return parser

@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from .explorer import ExplorationResult, Explorer, ScenarioResult
-from .fidelity import rung_solver_specs
+from .fidelity import rung_solver_spec
 from .objectives import objective_matrix
 from .pareto import crowding_distance, pareto_rank
 from .scenario import DesignSpace, Scenario
@@ -151,20 +151,15 @@ def explore_adaptive(
         if not promote:
             break
         # Portfolio runs scale solver fidelity with the rung: one HiGHS
-        # arm per rung, loose-gap and node-capped on cheap rungs, exact on
-        # the top rung (see dse.fidelity).  Area-only scenarios get their
-        # route tie-break from the pipeline's polish, not from a racer.
-        # Single-backend runs keep their historical configuration.
-        specs = (
-            rung_solver_specs(rung, max_rungs)
-            if explorer.portfolio and not callable(explorer.portfolio)
-            else None
-        )
+        # spec per rung, loose-gap and node-capped on cheap rungs, exact
+        # on the top rung (see dse.fidelity).  Single-backend runs keep
+        # their historical configuration.
+        spec = rung_solver_spec(rung, max_rungs) if explorer.portfolio else None
         batch = explorer.evaluate_ilp(
             [remaining[fp][0] for fp in promote],
             time_limit=time_limit,
             meta={"rung": rung},
-            solver_specs=specs,
+            solver_spec=spec,
         )
         for fingerprint, result in zip(promote, batch):
             ilp_results[fingerprint] = result

@@ -8,7 +8,7 @@ cost tiers:
   decide where real solver budget is worth spending.
 - :meth:`evaluate_ilp` — the full staged mapping pipeline through
   :class:`~repro.batch.engine.BatchMapper` (``jobs`` worker processes,
-  optional solver portfolio), one ``map_all`` call per evaluation.
+  optional per-rung solver specs), one ``map_all`` call per evaluation.
   Every scenario is its own ILP: warm starts flow between the stages of
   one pipeline, never between scenarios, so an answer depends only on
   its scenario — not on what the explorer solved before it.
@@ -30,7 +30,6 @@ import numpy as np
 from .. import trace
 from ..batch.cache import ResultCache
 from ..batch.engine import BatchMapper, solve_summary
-from ..batch.portfolio import winning_arm
 from ..mapping.greedy import greedy_first_fit
 from ..mapping.problem import MappingProblem
 from .objectives import ObjectivePoint, evaluate_objectives, objective_matrix
@@ -45,8 +44,7 @@ class ScenarioResult:
 
     ``stages`` holds one entry per stage solve actually run for this
     result: the engine's :func:`~repro.batch.engine.solve_summary` plus
-    the ``stage`` name and the winning portfolio ``arm`` (``None`` outside
-    a race).  Cache hits, store resumes and greedy results carry ``()``.
+    the ``stage`` name.  Cache hits, store resumes and greedy results carry ``()``.
     The entries travel with the result to the service, never into the
     run store.
     """
@@ -256,7 +254,7 @@ class Explorer:
         time_limit: float | None = None,
         meta: dict | None = None,
         should_cancel=None,
-        solver_specs=None,
+        solver_spec=None,
     ) -> list[ScenarioResult]:
         """Full pipeline evaluation, store-first, one batch per call.
 
@@ -269,11 +267,11 @@ class Explorer:
         engine (see :meth:`BatchMapper.map_all`); cancelled scenarios are
         recorded as errors, never as answers.
 
-        ``solver_specs`` (a tuple of :class:`~repro.ilp.solve.SolverSpec`)
-        overrides the portfolio arm composition for every job of this
-        call — the adaptive driver's per-rung fidelity knob.  It only
-        takes effect when the mapper races portfolios, and it changes the
-        job fingerprints, so rungs tuned differently cache separately.
+        ``solver_spec`` (a :class:`~repro.ilp.solve.SolverSpec`) sets the
+        solver limits of every job of this call — the adaptive driver's
+        per-rung fidelity knob.  It only takes effect when the mapper runs
+        with ``portfolio=True``, and it changes the job fingerprints, so
+        rungs tuned differently cache separately.
         """
         limit = self.time_limit if time_limit is None else time_limit
         fingerprints: list[str] = []
@@ -302,10 +300,8 @@ class Explorer:
                     # profile; record a failure against the scenario rather
                     # than aborting its siblings.
                     job = self.registry.to_job(scenario, time_limit=limit)
-                    if solver_specs is not None:
-                        job = dataclasses.replace(
-                            job, solver_specs=tuple(solver_specs)
-                        )
+                    if solver_spec is not None:
+                        job = dataclasses.replace(job, solver_spec=solver_spec)
                 except Exception as exc:
                     by_fingerprint[fingerprint] = self._construction_error(
                         scenario,
@@ -348,11 +344,7 @@ class Explorer:
             )
         mapping = record.final().mapping
         stages = tuple(
-            {
-                "stage": name,
-                **solve_summary(stage.solve_result),
-                "arm": winning_arm(stage.solve_result.backend),
-            }
+            {"stage": name, **solve_summary(stage.solve_result)}
             for name, stage in record.stages.items()
             if stage.solve_result is not None and not record.from_cache
         )

@@ -40,9 +40,8 @@ def snu_rows(
 ) -> list[SnuRow]:
     """Shared Fig. 5 / Fig. 6 protocol: area -> SNU over each instance.
 
-    The whole sweep runs through the batch engine, so ``config.jobs`` and
-    ``config.portfolio`` parallelize and harden it without changing the
-    serial (default) results.
+    The whole sweep runs through the batch engine, so ``config.jobs``
+    parallelizes it without changing the serial (default) results.
     """
     records = batch_pipeline_records(named_problems, config, stages=("area", "snu"))
     rows: list[SnuRow] = []

@@ -34,7 +34,6 @@ class ExperimentConfig:
     num_samples: int = 400
     encoding: str = "ttfs"  # detector hits are single spikes per pixel
     jobs: int = 1  # worker processes for multi-network sweeps
-    portfolio: bool = False  # race HiGHS and lp_round per solve
 
     def full_scale(self) -> "ExperimentConfig":
         """Paper-scale variant (hours of solver time)."""
@@ -146,11 +145,6 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs", type=int, default=None,
         help="worker processes for multi-network sweeps (default 1 = serial)",
     )
-    parser.add_argument(
-        "--portfolio", action="store_true",
-        help="race HiGHS and lp_round per ILP solve and keep the best "
-             "(evolution traces always read one plain HiGHS solve)",
-    )
     args = parser.parse_args(argv)
 
     config = ExperimentConfig()
@@ -167,8 +161,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides["route_time_limit"] = args.route_time_limit
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
-    if args.portfolio:
-        overrides["portfolio"] = True
     if overrides:
         config = replace(config, **overrides)
 

@@ -11,7 +11,7 @@ through :meth:`Model.add_block` — lands in shared COO triplet buffers
 :meth:`Model.lower` assembles those buffers into one CSR matrix in O(nnz)
 NumPy work; there is no per-constraint Python loop anywhere on the
 lowering path, and the assembled system is cached until the model mutates,
-so warm-start feasibility checks and portfolio racers share a single
+so a warm-start feasibility check and the solve share a single
 assembly.  No per-row :class:`Constraint` is kept: an assignment is
 checked against the assembled matrix (:meth:`Model.check_feasible`) as
 one dense vector.
@@ -488,7 +488,7 @@ class Model:
 
         O(nnz) NumPy/SciPy work; the result is reused until the model
         gains variables or rows, so repeated lowers (warm-start checks,
-        portfolio racers) pay for assembly once.
+        the portfolio solver's up-front lower) pay for assembly once.
         """
         cached = self._system_cache
         if cached is not None and cached[0] == self._version:

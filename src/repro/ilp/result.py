@@ -68,7 +68,7 @@ class SolveResult:
     incumbents:
         Improving-solution trace in discovery order.
     node_count:
-        Branch-and-bound nodes processed (0 for single-shot backends).
+        Branch-and-bound nodes processed.
     backend:
         Name of the backend that produced the result.
     phases:

@@ -3,13 +3,13 @@
 The batch engine runs solves inside worker processes, which needs two
 things the backend classes alone don't give it:
 
-1. a *picklable* description of "which solver, with which limits" that can
-   cross a process boundary cheaply — :class:`SolverSpec`;
+1. a *picklable* description of a solve's limits that can cross a
+   process boundary cheaply — :class:`SolverSpec`;
 2. a *cancellation-safe* module-level entry — :func:`solve_model` — that
    turns a ``KeyboardInterrupt`` (pool shutdown, Ctrl-C) into a best-effort
    result instead of a poisoned worker.
 
-Every backend's option object is a plain frozen dataclass and every
+The backend's option object is a plain frozen dataclass and every
 :class:`~repro.ilp.result.SolveResult` contains only plain data, so the
 full request/response cycle pickles without custom reducers.
 """
@@ -21,12 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .highs_backend import HighsBackend, HighsOptions
-from .lp_round import LpRoundBackend, LpRoundOptions
 from .model import Model
 from .result import Incumbent, SolveResult, SolveStatus
-
-#: Names accepted by :attr:`SolverSpec.backend`.
-BACKEND_NAMES = ("highs", "lp_round")
 
 #: Values accepted by :attr:`SolverSpec.emphasis` (``None`` = balanced).
 EMPHASIS_MODES = ("speed", "quality")
@@ -38,12 +34,10 @@ SPEED_EMPHASIS_GAP = 0.05
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """A picklable (backend, limits) pair — one portfolio *arm*.
+    """The picklable limits of one HiGHS solve.
 
-    ``build()`` instantiates the concrete backend; the spec itself is what
-    travels between processes.  Fields that a backend does not understand
-    are simply ignored by it (e.g. ``node_limit`` and ``mip_rel_gap`` for
-    ``lp_round``).
+    ``build()`` instantiates the :class:`HighsBackend`; the spec itself is
+    what travels between processes.
 
     Tuning knobs (all optional, all picklable):
 
@@ -58,24 +52,14 @@ class SolverSpec:
       default would apply (top rungs / final answers), ``None`` keeps the
       backend's balanced defaults.  Explicit ``mip_rel_gap`` always wins
       over ``"speed"``.
-
-    Backends: ``"highs"`` (exact, HiGHS through SciPy's bundled binding)
-    and ``"lp_round"`` (heuristic LP-relaxation rounding — returns a
-    feasible incumbent and a true LP dual bound fast, never a proof; see
-    :mod:`repro.ilp.lp_round`).
     """
 
-    backend: str = "highs"
     time_limit: float | None = None  # wall seconds
     mip_rel_gap: float | None = None  # relative-gap stop
     node_limit: int | None = None  # branch-and-bound node cap
     emphasis: str | None = None  # "speed" | "quality" | None (balanced)
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {BACKEND_NAMES}"
-            )
         if self.emphasis is not None and self.emphasis not in EMPHASIS_MODES:
             raise ValueError(
                 f"unknown emphasis {self.emphasis!r}; choose from {EMPHASIS_MODES}"
@@ -97,19 +81,13 @@ class SolverSpec:
             return 0.0
         return default
 
-    def build(self):
+    def build(self) -> HighsBackend:
         """Instantiate the backend this spec describes."""
-        if self.backend == "highs":
-            return HighsBackend(
-                HighsOptions(
-                    time_limit=self.time_limit,
-                    mip_rel_gap=self.effective_gap(),
-                    node_limit=self.node_limit,
-                )
-            )
-        return LpRoundBackend(
-            LpRoundOptions(
-                time_limit=self.time_limit if self.time_limit is not None else 5.0
+        return HighsBackend(
+            HighsOptions(
+                time_limit=self.time_limit,
+                mip_rel_gap=self.effective_gap(),
+                node_limit=self.node_limit,
             )
         )
 
@@ -133,7 +111,7 @@ def solve_model(
         if warm_start is None:
             return SolveResult(
                 status=SolveStatus.NO_SOLUTION,
-                backend=f"{spec.backend}-interrupted",
+                backend=f"{backend.name}-interrupted",
             )
         x0 = model.dense_values(warm_start)
         objective = model.objective_of(x0)
@@ -142,5 +120,5 @@ def solve_model(
             objective=objective,
             x=x0,
             incumbents=[Incumbent(objective, 0.0, 0.0, x0)],
-            backend=f"{spec.backend}-interrupted",
+            backend=f"{backend.name}-interrupted",
         )

@@ -1,7 +1,7 @@
 """Incremental (delta) evaluation of the mapping objectives.
 
 The move engine (:mod:`repro.mapping.local_search`, which runs the area
-stage's route polish and the ``lp_round`` arm) tries thousands of
+stage's route polish) tries thousands of
 candidate moves per round; paying a full O(V + E) re-evaluation of
 ``(area, global routes)`` per candidate is what made refinement the
 wall-clock hot spot.  :class:`DeltaEvaluator` maintains the objective

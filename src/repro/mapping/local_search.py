@@ -7,15 +7,10 @@ validated with our data" as a route toward finding optimal solutions
 faster.  This module is the one implementation of that idea in the repo:
 the search runs on :class:`MoveEngine` over a
 :class:`~repro.mapping.delta.DeltaEvaluator`, under the policy of each of
-its two callers:
-
-- :func:`polish_routes`, the area stage's route tie-break
-  (:class:`~repro.mapping.pipeline.MappingPipeline` runs it when the area
-  stage ends the pipeline): every pool slot as a destination,
-  ``(area, routes)`` as the score, a fixed trial count and no deadline;
-- the ``lp_round`` arm (:mod:`repro.mapping.rounding`): the model's slot
-  universe as destinations, ``(area, routes)`` or ``(routes, area)`` as
-  the score, the model's area budget and a wall-clock deadline.
+its one caller, :func:`polish_routes`, the area stage's route tie-break
+(:class:`~repro.mapping.pipeline.MappingPipeline` runs it when the area
+stage ends the pipeline): every pool slot as a destination,
+``(area, routes)`` as the score and a fixed trial count.
 
 The engine's moves:
 
@@ -30,22 +25,18 @@ The engine's moves:
 
 Every candidate is scored by the read-only :meth:`DeltaEvaluator.probe`
 (O(fan-in), no move and undo), and a move is accepted only when both
-slots stay within capacity and the area within the budget, so a search
-started from a valid mapping ends on one.
+slots stay within capacity, so a search started from a valid mapping
+ends on one.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 from .delta import DeltaEvaluator
 from .solution import Mapping
-
-#: Slack on the area budget, so a float re-sum equal to it still fits.
-AREA_TOL = 1e-9
 
 #: Ruin-and-recreate trials of :func:`polish_routes`.
 POLISH_TRIALS = 20
@@ -58,14 +49,11 @@ class MoveEngine:
     ``slots`` are the destinations a move may use, in candidate order.
     The score minimized is ``(area, global routes)``, or ``(global
     routes, area)`` with ``routes_first``; both are compared as float
-    pairs.  No accepted state exceeds ``budget`` in area, and the search
-    stops early once ``time.perf_counter()`` passes ``deadline``.
+    pairs.
     """
 
     slots: Sequence[int]
     routes_first: bool = False
-    budget: float | None = None
-    deadline: float | None = None
 
     def key(self, ev: DeltaEvaluator) -> tuple[float, float]:
         """The score of the evaluator's current state."""
@@ -76,16 +64,11 @@ class MoveEngine:
         self, ev: DeltaEvaluator, neuron: int, dst: int
     ) -> tuple[float, float] | None:
         """The score after relocating ``neuron`` to ``dst``, or ``None``
-        when the move breaks a capacity or the area budget."""
+        when the move breaks a capacity."""
         feasible, area, routes = ev.probe(neuron, dst)
-        if not feasible or (
-            self.budget is not None and area > self.budget + AREA_TOL
-        ):
+        if not feasible:
             return None
         return (float(routes), area) if self.routes_first else (area, float(routes))
-
-    def _timed_out(self) -> bool:
-        return self.deadline is not None and time.perf_counter() > self.deadline
 
     def improve(
         self, ev: DeltaEvaluator, neurons: Sequence[int], max_rounds: int = 20
@@ -109,8 +92,6 @@ class MoveEngine:
                 if best is not None:
                     ev.move(i, best[1])
                     improved = True
-            if self._timed_out():
-                return
             for a in neurons:
                 for b in neurons:
                     if b <= a:
@@ -126,7 +107,7 @@ class MoveEngine:
                         improved = True
                     else:
                         ev.move(a, ja)
-            if not improved or self._timed_out():
+            if not improved:
                 return
 
     def ruin_recreate(
@@ -145,8 +126,6 @@ class MoveEngine:
         best = ev.assignment()
         best_score = self.key(ev)
         for _ in range(max_trials):
-            if self._timed_out():
-                break
             trial = DeltaEvaluator(ev.problem, dict(best), verify=ev.verify)
             occupied = sorted(trial.occupied_slots())
             if len(occupied) < 2:

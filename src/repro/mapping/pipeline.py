@@ -52,14 +52,15 @@ from .solution import Mapping
 
 
 class SolverBackend(Protocol):
-    """Anything that can solve a lowered model (HiGHS, lp_round, a portfolio)."""
+    """Anything that can solve a lowered model: HiGHS, or the batch
+    engine's one-spec :class:`~repro.batch.portfolio.PortfolioSolver`."""
 
     def solve(self, model, warm_start: np.ndarray | None = None) -> SolveResult: ...
 
 
 #: Maps a per-stage wall-time budget to a backend instance.  The default
 #: factory builds a :class:`HighsBackend`; the batch engine substitutes a
-#: solver-portfolio factory here.
+#: :func:`~repro.batch.portfolio.portfolio_solver_factory` here.
 SolverFactory = Callable[[float | None], SolverBackend]
 
 
@@ -97,7 +98,7 @@ class MappingPipeline:
 
     ``solver`` swaps the per-stage backend: it receives the stage's wall
     budget and returns any :class:`SolverBackend` (the default is plain
-    HiGHS; the batch engine injects a racing portfolio here).
+    HiGHS; the batch engine injects a one-spec portfolio solver here).
 
     ``precision`` swaps the area stage's model for the bit-slicing-aware
     :class:`~repro.mapping.precision.PrecisionAreaModel`.  The later route

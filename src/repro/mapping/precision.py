@@ -58,11 +58,6 @@ class PrecisionAreaModel(AreaModel):
         self._slices = neuron_slices(problem, spec)
         super().__init__(problem, options)
         self._replace_output_capacity()
-        # The mapping-aware rounding guide the base class attaches knows
-        # nothing about sliced output capacity, so its "repaired" mappings
-        # can violate the rows added above.  Drop it: the lp_round backend
-        # then falls back to the generic (row-exact) LP fix-and-round.
-        self.model.rounding_guide = None
 
     @property
     def slices(self) -> dict[int, int]:

@@ -142,13 +142,6 @@ class RouteModel:
             name="area_budget",
         )
 
-        # Duck-typed hook for the LP-rounding backend (see
-        # repro.mapping.rounding): route models repair/improve incumbents
-        # under the global-routes score within the frozen area budget.
-        from .rounding import MappingRoundingGuide
-
-        model.rounding_guide = MappingRoundingGuide(handle=self, objective="routes")
-
         # Objective support: sources with nonzero weight ("hot").  Silent
         # sources (weight 0) vanish from the objective — and, below, need
         # no b variables at all (the PGO variable-elimination speedup).

@@ -533,7 +533,6 @@ class MappingService:
                 "cached": counters.get("scenarios_cached", 0),
             },
             "solves": {"ilp_solves": counters.get("ilp_solves", 0)},
-            "portfolio": snapshot["portfolio"],
             "store_entries": self._store_entries(),
             "latency": snapshot["latency"],
             "solver_progress": snapshot["solver_progress"],

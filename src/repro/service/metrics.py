@@ -6,7 +6,7 @@ Everything the ``GET /metrics`` endpoint reports lives here:
   histograms behind **one** lock, so a scrape sees a consistent snapshot
   even while worker threads hammer the counters.  The registry reports job state transitions and
   scenario results into it (via :meth:`ServiceMetrics.job_event`) —
-  the solve counters, per-arm portfolio wins and ``solve_*`` histograms
+  the solve counters and ``solve_*`` histograms
   are read off those results — and the supervisor reports queue-wait
   and job-duration samples.
 - :class:`LoopLatencyProbe` — a background thread that repeatedly
@@ -85,7 +85,6 @@ class ServiceMetrics:
         self._started = time.time()
         self._counters: dict[str, int] = {}
         self._histograms: dict[str, _Histogram] = {}
-        self._portfolio_wins: dict[str, int] = {}
         #: job id -> latest in-flight solver progress (gap gauge et al).
         self._solver_progress: dict[str, dict] = {}
 
@@ -130,10 +129,8 @@ class ServiceMetrics:
 
         Thread and process workers alike return every result through the
         registry, so its ``stages`` entries (see :func:`~repro.service.
-        wire.result_payload`) are the one source of the solve counters,
-        the per-arm portfolio wins and the ``solve_*`` histograms.  The
-        winning arm arrives precomputed: parsing backend tags here would
-        load the solver stack into a fleet daemon that never needs it.
+        wire.result_payload`) are the one source of the solve counters
+        and the ``solve_*`` histograms.
         """
         keys = [
             "scenarios_total",
@@ -147,10 +144,6 @@ class ServiceMetrics:
                 self._inc_locked(key)
             for solve in solves:
                 self._inc_locked("ilp_solves")
-                if solve.get("arm") is not None:
-                    arm = str(solve["arm"])
-                    self._inc_locked("portfolio_races")
-                    self._portfolio_wins[arm] = self._portfolio_wins.get(arm, 0) + 1
                 for phase, seconds in solve.get("phases") or ():
                     name = _PHASE_NAME.sub("_", str(phase).lower()) or "unknown"
                     self._observe_locked(f"solve_phase_{name}", float(seconds))
@@ -189,20 +182,9 @@ class ServiceMetrics:
     def snapshot(self) -> dict:
         """One consistent view of every counter and histogram."""
         with self._lock:
-            wins = dict(self._portfolio_wins)
-            races = self._counters.get("portfolio_races", 0)
             return {
                 "uptime": time.time() - self._started,
                 "counters": dict(self._counters),
-                "portfolio": {
-                    "races": races,
-                    "wins": wins,
-                    "win_rates": (
-                        {arm: count / races for arm, count in wins.items()}
-                        if races
-                        else {}
-                    ),
-                },
                 "latency": {
                     name: histogram.snapshot()
                     for name, histogram in self._histograms.items()

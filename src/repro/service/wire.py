@@ -235,7 +235,7 @@ def result_payload(result: ScenarioResult) -> dict:
     shared component already knew the answer — the run store (resume) or
     the batch engine's result cache.  ``stages`` lists the stage solves
     this evaluation ran (see :class:`~repro.dse.explorer.ScenarioResult`),
-    each with its backend, arm, status, objective, bound, node count and
+    each with its backend, status, objective, bound, node count and
     phase timings; it is how ``/metrics`` counts solves in both worker
     modes.
     """

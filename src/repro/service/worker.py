@@ -91,7 +91,6 @@ class FleetConfig:
     """
 
     store_path: str | None = None
-    portfolio: bool = False
     time_limit: float | None = 10.0
     lease_ttl: float = 15.0
     heartbeat_interval: float = 3.0
@@ -114,7 +113,7 @@ class FleetConfig:
         from ..batch.engine import BatchMapper
 
         # One solve at a time: a daemonic worker may not start a pool.
-        return BatchMapper(portfolio=self.portfolio)
+        return BatchMapper()
 
     def build_store(self) -> RunStore:
         return RunStore(self.store_path)

@@ -5,7 +5,7 @@ minted at ``POST /jobs`` (or accepted from the ``X-Repro-Trace``
 header), rides the job spec through the registry and its lease, crosses
 to fleet workers in the task protocol, and is re-activated ambiently
 (:func:`activate`) wherever the job's work actually runs — so the batch
-engine, the solver portfolio and the ILP backends record spans and
+engine, the mapping pipeline and the HiGHS backend record spans and
 progress events without any of their signatures changing.
 
 Each span is recorded once, by the process that times it, into that

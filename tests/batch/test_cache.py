@@ -125,22 +125,22 @@ class TestCacheHits:
         assert not record.records[0].from_cache
 
     def test_solver_specs_key_separately(self, batch_jobs):
-        """Per-rung arm tuning must not collide with untuned (or other
-        rungs') cache entries — the specs are part of the job key."""
+        """Per-rung solver tuning must not collide with untuned (or other
+        rungs') cache entries — the spec is part of the job key."""
         from repro.ilp.solve import SolverSpec
 
         job = batch_jobs[0]
         tuned = BatchJob(
             job.name, job.network, job.architecture, stages=job.stages,
-            solver_specs=(SolverSpec("lp_round", time_limit=5.0),),
+            solver_spec=SolverSpec(node_limit=200),
         )
         other = BatchJob(
             job.name, job.network, job.architecture, stages=job.stages,
-            solver_specs=(SolverSpec("highs", emphasis="speed"),),
+            solver_spec=SolverSpec(node_limit=5_000),
         )
         assert tuned.fingerprint() != job.fingerprint()
         assert tuned.fingerprint() != other.fingerprint()
-        # Absent specs reproduce the historical key exactly.
+        # An absent spec reproduces the historical key exactly.
         plain = BatchJob(
             job.name, job.network, job.architecture, stages=job.stages
         )
@@ -266,3 +266,34 @@ class TestDiskTier:
         assert errors == []
         assert [p.name for p in cache_dir.iterdir()] == ["shared.json"]
         assert ResultCache(cache_dir).get("shared") is not None
+
+
+class TestCacheLookupSpan:
+    """The ``cache-lookup`` span marks a real lookup, and only that."""
+
+    def _span_names(self, tmp_path, mapper, job) -> list[str]:
+        from repro import trace
+
+        trace.install(trace.TraceRuntime(tmp_path, "test-proc"))
+        try:
+            context = trace.mint_context()
+            with trace.activate(context):
+                mapper.map_all([job])
+        finally:
+            trace.uninstall()
+        return [
+            r["name"]
+            for r in trace.read_trace_dir(tmp_path, context.trace_id)
+            if r.get("kind") == "span"
+        ]
+
+    def test_cached_mapper_records_the_lookup(self, tmp_path, batch_jobs):
+        mapper = BatchMapper(jobs=1, cache=ResultCache())
+        names = self._span_names(tmp_path, mapper, batch_jobs[0])
+        assert names.count("cache-lookup") == 1
+        assert "stage:area" in names
+
+    def test_cacheless_mapper_records_no_lookup(self, tmp_path, batch_jobs):
+        names = self._span_names(tmp_path, BatchMapper(jobs=1), batch_jobs[0])
+        assert "cache-lookup" not in names
+        assert "stage:area" in names

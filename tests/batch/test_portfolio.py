@@ -1,4 +1,4 @@
-"""Solver-portfolio semantics: winner selection, determinism, racing."""
+"""The batch engine's one-spec solver, its backend tag and ``SolverSpec``."""
 
 from __future__ import annotations
 
@@ -7,13 +7,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.batch import portfolio
 from repro.batch.portfolio import (
-    PortfolioOptions,
     PortfolioSolver,
     portfolio_solver_factory,
     winning_arm,
 )
+from repro.ilp.highs_backend import HighsBackend
 from repro.ilp.model import Model
 from repro.ilp.result import SolveStatus
 from repro.ilp.solve import SolverSpec, solve_model
@@ -28,20 +27,6 @@ from repro.snn.generators import random_network
 pytestmark = pytest.mark.batch
 
 
-@pytest.fixture
-def members(monkeypatch) -> list:
-    """Every member result the portfolio's races produce, in run order."""
-    seen: list = []
-
-    def recording(model, spec, warm_start=None):
-        result = solve_model(model, spec, warm_start)
-        seen.append(result)
-        return result
-
-    monkeypatch.setattr(portfolio, "solve_model", recording)
-    return seen
-
-
 def _area_instance():
     net = random_network(10, 20, seed=18, max_fan_in=5)
     arch = custom_architecture([(CrossbarType(4, 4), 4), (CrossbarType(8, 8), 2)])
@@ -52,61 +37,23 @@ def _area_instance():
 
 
 class TestWinnerSelection:
-    def test_picks_the_better_incumbent(self):
-        """A crippled arm (0 nodes = warm start only) must lose to HiGHS."""
-        handle, warm = _area_instance()
-        crippled = PortfolioSolver(
-            PortfolioOptions(
-                specs=(
-                    SolverSpec("highs", node_limit=0),
-                    SolverSpec("highs", time_limit=5.0),
-                ),
-                stop_on_optimal=False,
-            )
-        )
-        result = crippled.solve(handle.model, warm_start=warm)
-        alone = SolverSpec("highs", time_limit=5.0).build().solve(
-            handle.model, warm_start=warm
-        )
-        assert result.objective == pytest.approx(alone.objective)
-        assert "highs" in result.backend
-        assert result.backend.startswith("portfolio[")
+    """What the one-spec portfolio solver returns."""
 
-    def test_det_time_charges_every_member(self):
+    def test_one_spec_matches_solve_model(self):
+        """The solver adds a tag and the ``lower`` phase, nothing else."""
         handle, warm = _area_instance()
-        solver = PortfolioSolver(
-            PortfolioOptions(
-                specs=(
-                    SolverSpec("highs", time_limit=5.0),
-                    SolverSpec("highs", node_limit=0),
-                ),
-                stop_on_optimal=False,
-            )
-        )
-        result = solver.solve(handle.model, warm_start=warm)
-        alone = SolverSpec("highs", time_limit=5.0).build().solve(
-            handle.model, warm_start=warm
-        )
-        assert result.det_time > alone.det_time
-
-    def test_stop_on_optimal_skips_remaining_members(self):
-        handle, warm = _area_instance()
-        solver = PortfolioSolver(
-            PortfolioOptions(
-                specs=(
-                    SolverSpec("highs", time_limit=5.0),
-                    SolverSpec("highs", node_limit=0),
-                ),
-                stop_on_optimal=True,
-            )
-        )
-        result = solver.solve(handle.model, warm_start=warm)
-        alone = SolverSpec("highs", time_limit=5.0).build().solve(
-            handle.model, warm_start=warm
-        )
-        if alone.status is SolveStatus.OPTIMAL:
-            # The second arm never ran, so no extra effort was charged.
-            assert result.det_time == pytest.approx(alone.det_time)
+        spec = SolverSpec(time_limit=5.0)
+        result = PortfolioSolver(spec).solve(handle.model, warm_start=warm)
+        alone = solve_model(handle.model, spec, warm)
+        assert result.status is alone.status
+        assert result.objective == alone.objective
+        assert np.array_equal(result.x, alone.x)
+        assert result.node_count == alone.node_count
+        assert result.backend == "portfolio[highs]"
+        assert result.phases[0][0] == "lower"
+        assert [name for name, _ in result.phases[1:]] == [
+            name for name, _ in alone.phases
+        ]
 
     def test_sequential_solve_is_deterministic(self):
         handle, warm = _area_instance()
@@ -116,84 +63,14 @@ class TestWinnerSelection:
         assert first.objective == pytest.approx(second.objective)
         assert first.backend == second.backend
 
-    def test_every_member_runs_and_the_winner_is_one_of_them(self, members):
-        handle, warm = _area_instance()
-        solver = PortfolioSolver(PortfolioOptions(stop_on_optimal=False))
-        returned = solver.solve(handle.model, warm_start=warm)
-        assert len(members) == len(solver.options.specs)
-        assert any(member is returned for member in members)
-        assert winning_arm(returned.backend) is not None
-
-    def test_maximize_models_pick_the_larger_objective(self, members):
-        """Winner selection must honor the objective sense."""
-        # A 0/1 knapsack HiGHS presolve cannot close, so the 0-node arm
-        # below really is stuck at its warm start.
-        model = Model("maximize")
-        weights = [3, 4, 5, 8, 9, 2, 7]
-        values = [4, 5, 6, 10, 12, 1, 9]
-        xs = [model.add_binary(f"x{i}") for i in range(len(weights))]
-        model.add(lin_sum(w * x for w, x in zip(weights, xs)) <= 15, name="cap")
-        model.maximize(lin_sum(v * x for v, x in zip(values, xs)))
-        warm = np.zeros(len(weights))
-        warm[0] = 1.0  # x0 alone: objective 4; the optimum is 19
-        solver = PortfolioSolver(
-            PortfolioOptions(
-                specs=(
-                    SolverSpec("highs", node_limit=0),  # stuck at the warm start
-                    SolverSpec("highs", time_limit=5.0),
-                ),
-                stop_on_optimal=False,
-            )
-        )
-        result = solver.solve(model, warm_start=warm)
-        assert [r.objective for r in members] == pytest.approx([4.0, 19.0])
-        assert result.objective == pytest.approx(19.0)
-
     def test_infeasible_model_reports_conclusively(self):
         model = Model("infeasible")
         x = model.add_binary("x")
         y = model.add_binary("y")
         model.add(lin_sum([x, y]) >= 3, name="impossible")
         model.minimize(lin_sum([x, y]))
-        result = PortfolioSolver().solve(model)
+        result = PortfolioSolver(SolverSpec()).solve(model)
         assert result.status is SolveStatus.INFEASIBLE
-
-
-class TestProofSharing:
-    """A heuristic winner takes the status and bound of an arm that
-    proved the same objective, but keeps its own placement and tag."""
-
-    def _race(self, exact: SolverSpec):
-        handle, warm = _area_instance()
-        alone = SolverSpec("lp_round", time_limit=5.0).build().solve(
-            handle.model, warm_start=warm
-        )
-        solver = PortfolioSolver(
-            PortfolioOptions(specs=(SolverSpec("lp_round", time_limit=5.0), exact))
-        )
-        return solver.solve(handle.model, warm_start=warm), alone
-
-    def test_winner_borrows_the_exact_arms_proof(self, members):
-        result, alone = self._race(SolverSpec("highs", time_limit=5.0))
-        exact = members[1]
-        # The rounding arm alone cannot close its LP bound (40 < 48) ...
-        assert alone.status is SolveStatus.FEASIBLE
-        assert alone.bound < alone.objective
-        # ... HiGHS proves the same objective, and loses the tie on det time.
-        assert exact.status is SolveStatus.OPTIMAL
-        assert exact.objective == pytest.approx(alone.objective)
-        assert result.backend == "portfolio[lp_round]"
-        assert (result.x == alone.x).all()
-        assert result.objective == alone.objective
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.bound == exact.bound
-
-    def test_no_proof_to_borrow_keeps_the_winners_own(self, members):
-        result, alone = self._race(SolverSpec("highs", node_limit=0))
-        assert members[1].status is not SolveStatus.OPTIMAL
-        assert result.backend == "portfolio[lp_round]"
-        assert result.status is SolveStatus.FEASIBLE
-        assert result.bound == alone.bound
 
 
 class TestWinningArm:
@@ -213,73 +90,35 @@ class TestWinningArm:
         assert winning_arm(backend) == arm
 
 
-class TestIncumbentSharing:
-    def _race(self, share: bool) -> float:
-        """Race with sharing on or off; returns the seed's objective."""
-        handle, warm = _area_instance()
-        solver = PortfolioSolver(
-            PortfolioOptions(
-                specs=(
-                    SolverSpec("highs", time_limit=5.0),
-                    # Crippled arm: 0 nodes = it can only echo its seed.
-                    SolverSpec("highs", node_limit=0),
-                ),
-                stop_on_optimal=False,
-                share_incumbents=share,
-            )
-        )
-        solver.solve(handle.model, warm_start=warm)
-        return handle.model.objective_of(warm)
-
-    def test_earlier_arms_donate_their_incumbent(self, members):
-        self._race(share=True)
-        # The crippled arm received the first arm's solution as its warm
-        # start and echoes it back — donation reached the next member.
-        assert members[1].objective == pytest.approx(members[0].objective)
-
-    def test_sharing_disabled_keeps_the_original_seed(self, members):
-        seed_objective = self._race(share=False)
-        assert members[1].objective == pytest.approx(seed_objective)
-
-
 class TestSolverSpecKnobs:
     def test_emphasis_maps_to_a_gap(self):
-        assert SolverSpec("highs", emphasis="speed").effective_gap() == (
+        assert SolverSpec(emphasis="speed").effective_gap() == (
             pytest.approx(0.05)
         )
-        assert SolverSpec("highs", emphasis="quality").effective_gap() == 0.0
-        assert SolverSpec("highs").effective_gap() is None
-        assert SolverSpec("highs").effective_gap(0.01) == pytest.approx(0.01)
+        assert SolverSpec(emphasis="quality").effective_gap() == 0.0
+        assert SolverSpec().effective_gap() is None
+        assert SolverSpec().effective_gap(0.01) == pytest.approx(0.01)
 
     def test_explicit_gap_beats_emphasis(self):
-        spec = SolverSpec("highs", mip_rel_gap=0.2, emphasis="speed")
+        spec = SolverSpec(mip_rel_gap=0.2, emphasis="speed")
         assert spec.effective_gap() == pytest.approx(0.2)
 
     def test_unknown_emphasis_rejected(self):
         with pytest.raises(ValueError, match="emphasis"):
-            SolverSpec("highs", emphasis="ludicrous")
+            SolverSpec(emphasis="ludicrous")
 
-    def test_lp_round_spec_builds_its_backend(self):
-        from repro.ilp.lp_round import LpRoundBackend
-
-        backend = SolverSpec("lp_round", time_limit=2.0).build()
-        assert isinstance(backend, LpRoundBackend)
+    def test_spec_builds_a_highs_backend(self):
+        backend = SolverSpec(time_limit=2.0, node_limit=7).build()
+        assert isinstance(backend, HighsBackend)
         assert backend.options.time_limit == pytest.approx(2.0)
+        assert backend.options.node_limit == 7
 
 
 class TestOptionsValidation:
-    def test_empty_portfolio_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            PortfolioOptions(specs=())
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            SolverSpec("cplex")
-
     def test_specs_and_results_pickle(self):
         """The pool ships specs out and results back; both must pickle."""
         handle, warm = _area_instance()
-        spec = SolverSpec("highs", time_limit=5.0)
+        spec = SolverSpec(time_limit=5.0)
         assert pickle.loads(pickle.dumps(spec)) == spec
         result = spec.build().solve(handle.model, warm_start=warm)
         clone = pickle.loads(pickle.dumps(result))

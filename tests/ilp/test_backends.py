@@ -188,15 +188,3 @@ class TestHighsSpecifics:
         m.maximize(x)
         res = HighsBackend().solve(m)
         assert res.status in (SolveStatus.UNBOUNDED, SolveStatus.NO_SOLUTION)
-
-
-class TestLpRoundBound:
-    def test_maximize_bound_is_reported_in_the_models_sense(self):
-        # The knapsack maximizes: its LP bound sits above the optimum 19,
-        # and an incumbent below that bound is feasible, not optimal.
-        from repro.ilp.lp_round import LpRoundBackend
-
-        res = LpRoundBackend().solve(knapsack_model())
-        assert res.status is SolveStatus.FEASIBLE
-        assert res.bound >= 19.0
-        assert res.objective <= res.bound

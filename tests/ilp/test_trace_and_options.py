@@ -170,7 +170,7 @@ class TestCallbacks:
         model = knapsack_model()
         warm = np.zeros(model.num_vars)
         warm[0] = 1.0  # x0 alone
-        res = solve_model(model, SolverSpec("highs"), warm_start=warm)
+        res = solve_model(model, SolverSpec(), warm_start=warm)
         assert res.backend == "highs-interrupted"
         assert res.status is SolveStatus.FEASIBLE
         assert res.objective == pytest.approx(model.objective_of(warm))

@@ -1,7 +1,7 @@
 """Delta-evaluated objectives must equal full re-evaluation, move by move.
 
-The DeltaEvaluator underpins every move-engine decision of the lp_round
-arm; any drift between its incremental ``(area, global routes)`` and a
+The DeltaEvaluator underpins every move-engine decision of the route
+polish; any drift between its incremental ``(area, global routes)`` and a
 from-scratch :class:`Mapping` evaluation silently corrupts the search.  Every evaluator test here
 checks the equality after *each* individual move.
 """

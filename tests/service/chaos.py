@@ -211,23 +211,6 @@ class TracedStallingMapper(BatchMapper):
         return super().map_all(batch_jobs, should_cancel=should_cancel)
 
 
-def highs_portfolio_mapper(**kwargs):
-    """Race only the HiGHS arm, so every stage reports live progress.
-
-    The ``lp_round`` arm of the default portfolio reports no progress
-    events; racing HiGHS alone gives traced fleet tests one arm span per
-    stage and its incumbent/bound events deterministically.
-    """
-    from repro.batch.portfolio import portfolio_solver_factory
-    from repro.ilp.solve import SolverSpec
-
-    return BatchMapper(
-        jobs=1,
-        portfolio=portfolio_solver_factory(specs=(SolverSpec("highs"),)),
-        **kwargs,
-    )
-
-
 def traced_stalling_mapper(**kwargs):
     """Journals an attempt span then stalls; later attempts solve."""
     return TracedStallingMapper(**kwargs)

@@ -23,7 +23,7 @@ class TestParser:
         assert args.port == 8100
         assert args.workers == 1
         assert args.store is None
-        assert not args.portfolio
+        assert "portfolio" not in vars(args)
 
     def test_serve_fleet_defaults(self):
         args = build_parser().parse_args(["serve"])

@@ -93,7 +93,7 @@ class TestServiceMetricsCounters:
 
 
 class TestSolveHooks:
-    def test_result_records_parse_portfolio_arms(self):
+    def test_result_records_feed_the_solve_figures(self):
         """Solve figures are read off the ``stages`` of result records —
         the one shape thread and process workers both return."""
         metrics = ServiceMetrics()
@@ -106,13 +106,11 @@ class TestSolveHooks:
                     {
                         "stage": "area",
                         "backend": "portfolio[highs]",
-                        "arm": "highs",
                         "phases": [["build", 0.1], ["solve", 0.3]],
                     },
                     {
                         "stage": "snu",
-                        "backend": "portfolio[lp_round-interrupted]",
-                        "arm": "lp_round",
+                        "backend": "portfolio[highs-interrupted]",
                         "phases": [["Solve", 0.05]],
                     },
                 ],
@@ -123,7 +121,7 @@ class TestSolveHooks:
                 "event": "result",
                 "status": "ok",
                 "wall_time": 0.25,
-                "stages": [{"stage": "area", "backend": "highs", "arm": None}, None],
+                "stages": [{"stage": "area", "backend": "highs"}, None],
             }
         )
         metrics.job_event({"event": "result", "status": "error", "stages": None})
@@ -134,9 +132,7 @@ class TestSolveHooks:
         counters = snapshot["counters"]
         assert counters["scenarios_total"] == 4
         assert counters["ilp_solves"] == 3  # the None stage is not a solve
-        assert snapshot["portfolio"]["races"] == 2
-        assert snapshot["portfolio"]["wins"] == {"highs": 1, "lp_round": 1}
-        assert snapshot["portfolio"]["win_rates"] == {"highs": 0.5, "lp_round": 0.5}
+        assert "portfolio" not in snapshot
         latency = snapshot["latency"]
         # One wall-time sample per result that ran a solve.
         assert latency["solve_wall_time"]["count"] == 2
@@ -357,7 +353,7 @@ class TestMetricsEndpoint:
         assert body["jobs"]["submitted"] == 0
         assert body["jobs"]["by_state"] == {}
         assert body["scenarios"]["total"] == 0
-        assert body["portfolio"] == {"races": 0, "wins": {}, "win_rates": {}}
+        assert "portfolio" not in body
         assert body["solves_in_flight"] == 0
 
     def test_fleet_and_thread_workers_count_the_same_solve(

@@ -2,7 +2,7 @@
 
 The contract: a traced job yields ONE trace — a single trace id whose
 span tree stitches the HTTP accept, queue wait, lease, and worker solve
-(with per-arm ILP phase spans and live branch-and-bound progress)
+(with per-stage ILP phase spans and live branch-and-bound progress)
 across every process it crossed, and that story survives worker murder
 and daemon restarts exactly like the job itself does.
 """
@@ -94,10 +94,8 @@ class TestFleetTraceEndToEnd:
         self, tmp_path, wait_drained
     ):
         """The acceptance walk: accept -> queue -> lease -> worker solve,
-        one trace id, per-arm phase spans, live HiGHS progress events."""
-        config = _fleet_config(
-            tmp_path, mapper_factory=f"{CHAOS}:highs_portfolio_mapper"
-        )
+        one trace id, per-stage phase spans, live HiGHS progress events."""
+        config = _fleet_config(tmp_path)
         service = _service(tmp_path, fleet=1, config=config)
         try:
             service.start()
@@ -121,14 +119,16 @@ class TestFleetTraceEndToEnd:
                 "queue",
                 "lease",
                 "worker-solve",
-                "cache-lookup",
-                "arm:highs",
                 "stage:area",
                 "phase:solve",
             ):
                 assert name in spans, f"missing span {name!r}:\n" + render_tree(
                     records
                 )
+            # The worker's mapper has no cache and races no arms, so the
+            # trace shows neither step.
+            assert "cache-lookup" not in spans, render_tree(records)
+            assert "arm:highs" not in spans, render_tree(records)
             # The hops parent to the root "job" span...
             root = spans["job"]
             assert root.get("parent") is None
@@ -137,7 +137,7 @@ class TestFleetTraceEndToEnd:
             # ...and the tree really crosses the process boundary.
             assert spans["queue"]["proc"].startswith("daemon-")
             assert spans["worker-solve"]["proc"].startswith("worker-")
-            assert spans["arm:highs"]["proc"] == spans["worker-solve"]["proc"]
+            assert spans["stage:area"]["proc"] == spans["worker-solve"]["proc"]
 
             # Live solver progress: HiGHS incumbent/bound events, the last
             # one of a solve carrying objective, bound and gap.

@@ -16,7 +16,7 @@ def _checker():
 def test_slug_matches_github_anchors():
     slug = _checker().slug
     assert slug("Running a fleet") == "running-a-fleet"
-    assert slug("The `lp_round` arm (ILP)") == "the-lp_round-arm-ilp"
+    assert slug("The `solver_spec` field (ILP)") == "the-solver_spec-field-ilp"
     assert slug("[Solver](solver.md) notes") == "solver-notes"
 
 

@@ -121,7 +121,6 @@ class TestLightFleetDaemon:
         stage = {
             "stage": "area",
             "backend": "portfolio[highs]",
-            "arm": "highs",
             "phases": [["build", 0.01], ["solve", 0.02]],
         }
         code = (
@@ -134,7 +133,6 @@ class TestLightFleetDaemon:
             f"    'wall_time': 0.05, 'stages': [{stage!r}]}})\n"
             "body = service.metrics_payload()\n"
             "assert body['solves']['ilp_solves'] == 1, body\n"
-            "assert body['portfolio']['wins'] == {'highs': 1}, body\n"
             "assert body['latency']['solve_phase_solve']['count'] == 1, body\n"
         )
         assert _heavy_after(code) == []

@@ -20,18 +20,6 @@ class TestQuickMap:
         assert first.is_valid()
         assert first.assignment == again.assignment
 
-    def test_portfolio_backend_choice(self):
-        network = random_network(12, 24, seed=3, max_fan_in=4)
-        mapping = repro.quick_map(
-            network, heterogeneous=False, time_limit=5.0, backend="portfolio"
-        )
-        assert mapping.is_valid()
-
-    def test_unknown_backend_rejected(self):
-        network = random_network(12, 24, seed=3, max_fan_in=4)
-        with pytest.raises(ValueError, match="unknown backend"):
-            repro.quick_map(network, backend="gurobi")
-
     def test_homogeneous_variant(self):
         network = random_network(20, 40, seed=3, max_fan_in=6)
         mapping = repro.quick_map(network, heterogeneous=False, time_limit=5.0)
