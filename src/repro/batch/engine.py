@@ -12,8 +12,11 @@ job across a :class:`concurrent.futures.ProcessPoolExecutor`:
   :class:`~repro.ilp.solve.SolverSpec`;
 - an optional :class:`~repro.batch.cache.ResultCache` keyed by the
   deterministic job fingerprint (network + pool + formulation options +
-  stages + profile + solver mode) makes repeated sweeps skip solved
-  instances;
+  stages + solver mode, and the profile only when the ``pgo`` stage reads
+  it) makes repeated sweeps skip solved instances;
+- jobs of one ``map_all`` call that share a fingerprint and budgets are
+  solved once: every twin is rehydrated against its own job, so its
+  metrics use its own profile;
 - every job yields a :class:`JobRecord` whose per-stage entries are real
   :class:`~repro.mapping.pipeline.StageRecord` objects, so downstream code
   written against ``PipelineResult`` consumes batch output unchanged.
@@ -107,8 +110,12 @@ class BatchJob:
         """Deterministic cache key for this job under a solver mode.
 
         Covers everything that changes the *result*: network structure,
-        crossbar pool, formulation options, stage prefix, spike profile and
-        solver mode.  Time budgets are deliberately excluded from the key;
+        crossbar pool, formulation options, stage prefix and solver mode.
+        The spike profile joins the key only when ``pgo`` is among the
+        stages: the area and SNU models are purely structural, so jobs
+        that differ only in profile share one solve and differ only in
+        the metrics their mappings are scored with.  Time budgets are
+        deliberately excluded from the key;
         instead the engine records the producing budgets in the cached
         payload and re-solves on a hit whose solves limited out under a
         smaller budget than the new request brings (see
@@ -125,7 +132,7 @@ class BatchJob:
             options_fingerprint(self.formulation),
         )
         profile_part = (
-            digest(sorted(self.profile.items())) if self.profile is not None else "-"
+            digest(sorted(self.profile.items())) if "pgo" in self.stages else "-"
         )
         parts = [
             problem_part,
@@ -150,7 +157,9 @@ class JobRecord:
 
     ``stages`` holds genuine :class:`StageRecord` objects (mapping +
     metrics + solve summary) in execution order; ``status`` is ``"ok"`` or
-    ``"error"``; ``from_cache`` marks fingerprint hits.
+    ``"error"``; ``from_cache`` marks answers reused by fingerprint rather
+    than freshly solved: cache hits, and twins of a job solved earlier in
+    the same batch.
     """
 
     name: str
@@ -261,6 +270,11 @@ class BatchMapper:
         of executed — the service layer hands a job's
         :class:`~repro.batch.queue.CancelToken` straight in here.
         Cancelled records are never cached, mirroring Ctrl-C handling.
+
+        Jobs sharing a ``(fingerprint, area_time_limit, route_time_limit)``
+        are solved once; each twin is rehydrated from that one payload
+        against its own job (so its metrics use its own profile) and
+        comes back ``from_cache``.
         """
         names = [job.name for job in batch_jobs]
         if len(set(names)) != len(names):
@@ -275,7 +289,19 @@ class BatchMapper:
             with trace.span("cache-lookup", jobs=len(batch_jobs)):
                 pending = self._lookup(pending, records)
 
-        for idx, job, key, payload in self._execute(pending, should_cancel):
+        leader_of: dict[tuple, int] = {}
+        twins: dict[int, list[tuple[int, BatchJob]]] = {}
+        leaders = []
+        for idx, job, key in pending:
+            solve = (key, job.area_time_limit, job.route_time_limit)
+            if solve in leader_of:
+                twins[leader_of[solve]].append((idx, job))
+            else:
+                leader_of[solve] = idx
+                twins[idx] = []
+                leaders.append((idx, job, key))
+
+        for idx, job, key, payload in self._execute(leaders, should_cancel):
             cacheable = (
                 payload.get("status") == JOB_OK
                 and not payload.get("interrupted", False)
@@ -283,6 +309,8 @@ class BatchMapper:
             if cacheable and self.cache is not None:
                 self.cache.put(key, payload)
             records[idx] = _rehydrate(job, key, payload, from_cache=False)
+            for twin_idx, twin in twins[idx]:
+                records[twin_idx] = _rehydrate(twin, key, payload, from_cache=True)
 
         return BatchResult([records[i] for i in range(len(batch_jobs))])
 

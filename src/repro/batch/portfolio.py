@@ -10,8 +10,6 @@ carries the backend tag ``portfolio[<backend>]``, which
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..ilp.model import Model
@@ -44,16 +42,10 @@ class PortfolioSolver:
     def solve(self, model: Model, warm_start: np.ndarray | None = None) -> SolveResult:
         """Solve ``model`` per the spec, tagged ``portfolio[<backend>]``.
 
-        The model is lowered up front; that lowering is prepended to the
-        result's phases as ``lower``, so phase histograms account for
-        every second the solve spent.
+        The phases are the backend's own: it times the one ``lower``.
         """
-        lower_entry = time.perf_counter()
-        model.lower()
-        lower_wall = time.perf_counter() - lower_entry
         result = solve_model(model, self.spec, warm_start)
         result.backend = f"{self.name}[{result.backend}]"
-        result.phases = (("lower", lower_wall),) + tuple(result.phases)
         return result
 
 

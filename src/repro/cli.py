@@ -338,14 +338,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     import json
 
-    from .dse.scenario import (
-        ArchitectureSpec,
-        FormulationSpec,
-        Scenario,
-        WorkloadSpec,
-    )
     from .service.client import ServiceClient, ServiceError, StreamInterrupted
-    from .service.wire import JobSpec
 
     try:
         if args.spec:
@@ -358,6 +351,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                     f"got {type(payload).__name__}"
                 )
         else:
+            from .dse.scenario import (
+                ArchitectureSpec,
+                FormulationSpec,
+                Scenario,
+                WorkloadSpec,
+            )
+            from .service.wire import JobSpec
+
             scenario = Scenario(
                 architecture=(
                     ArchitectureSpec(kind="homogeneous", dimension=args.dimension)
@@ -392,11 +393,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     trace_context = None
     if args.trace is not None:
-        from . import trace as trace_mod
+        from .trace.context import mint_context, valid_encoded
 
         if args.trace == "new":
-            trace_context = trace_mod.mint_context().encode()
-        elif trace_mod.valid_encoded(args.trace):
+            trace_context = mint_context().encode()
+        elif valid_encoded(args.trace):
             trace_context = args.trace
         else:
             print(

@@ -17,6 +17,12 @@ store that makes every sweep resumable (:mod:`~repro.dse.store`).
 
 from .._lazy import lazy_exports
 
+#: Evaluation tiers of a run-store entry: the adaptive driver's greedy
+#: bound and a real ILP answer.  Defined here, not in .store, so the
+#: service client and wire format get them without loading the store.
+TIER_GREEDY = "greedy"
+TIER_ILP = "ilp"
+
 _EXPORTS = {
     "DRIVERS": ".drivers",
     "explore_adaptive": ".drivers",
@@ -44,8 +50,6 @@ _EXPORTS = {
     "default_space": ".scenario",
     "formulation_from_payload": ".scenario",
     "scenario_from_payload": ".scenario",
-    "TIER_GREEDY": ".store",
-    "TIER_ILP": ".store",
     "RunEntry": ".store",
     "RunStore": ".store",
 }

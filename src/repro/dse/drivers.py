@@ -16,7 +16,10 @@ and return an :class:`~repro.dse.explorer.ExplorationResult`.
   so its ``area`` sibling's point is a heuristic bound), and candidates
   whose optimistic bound a confirmed point dominates are pruned
   outright.  Total ILP spend is hard-capped at ``budget_fraction`` of
-  what the exhaustive grid would pay — met by construction, not by luck.
+  the grid's stage count (one solve per stage per scenario) — met by
+  construction, not by luck.  The grid itself can pay less: scenarios
+  that share a solve (profile variants of a pgo-free formulation) cost
+  it one solve between them.
 
 Both drivers are resumable for free: every evaluation goes store-first
 through the explorer, so re-running a finished sweep costs zero solves
@@ -89,9 +92,9 @@ def explore_adaptive(
     """Successive-halving sweep: greedy bounds first, ILP on the band.
 
     ``budget_fraction`` is a hard ceiling on ILP stage-solves relative to
-    what :func:`explore_grid` would spend on the same grid (estimated as
-    one solve per pipeline stage per scenario); promotion never exceeds
-    it.  ``keep`` is each rung's share of the *remaining* budget (the
+    the grid's stage count (one solve per pipeline stage per scenario,
+    what :func:`explore_grid` spends when no two scenarios share a
+    solve); promotion never exceeds it.  ``keep`` is each rung's share of the *remaining* budget (the
     final rung drains it), so early rungs probe broadly with cheap
     pipelines and later rungs concentrate on refinement.
 

@@ -16,7 +16,11 @@ cost tiers:
 Both tiers are **resumable**: every finished evaluation lands in the
 :class:`~repro.dse.store.RunStore` keyed by scenario fingerprint, and a
 scenario whose fingerprint already has a successful entry at the
-requested tier is rehydrated from the store instead of re-solved.
+requested tier is rehydrated from the store instead of re-solved.  An
+ILP scenario that misses is looked up once more by its solve key (the
+batch-job fingerprint, which leaves out a profile no ``pgo`` stage
+reads): a proven-optimal entry under that key is re-scored under this
+scenario's profile and NoC, at zero solves.
 """
 
 from __future__ import annotations
@@ -30,12 +34,15 @@ import numpy as np
 from .. import trace
 from ..batch.cache import ResultCache
 from ..batch.engine import BatchMapper, solve_summary
+from ..ilp.result import SolveStatus
 from ..mapping.greedy import greedy_first_fit
 from ..mapping.problem import MappingProblem
+from ..mapping.solution import Mapping
+from . import TIER_GREEDY, TIER_ILP
 from .objectives import ObjectivePoint, evaluate_objectives, objective_matrix
 from .pareto import hypervolume, nondominated_mask, reference_point
 from .scenario import Scenario, ScenarioRegistry
-from .store import TIER_GREEDY, TIER_ILP, RunEntry, RunStore
+from .store import RunEntry, RunStore
 
 
 @dataclass
@@ -44,9 +51,13 @@ class ScenarioResult:
 
     ``stages`` holds one entry per stage solve actually run for this
     result: the engine's :func:`~repro.batch.engine.solve_summary` plus
-    the ``stage`` name.  Cache hits, store resumes and greedy results carry ``()``.
-    The entries travel with the result to the service, never into the
-    run store.
+    the ``stage`` name.  Cache hits, store resumes, re-scored solve-key
+    hits and greedy results carry ``()``.  The entries travel with the
+    result to the service, never into the run store.
+
+    ``solve_key`` is the batch-job fingerprint an ILP answer was solved
+    under and ``optimal`` whether every stage closed ``optimal``; both
+    go into the run store's entry.
     """
 
     scenario: Scenario
@@ -59,6 +70,8 @@ class ScenarioResult:
     wall_time: float = 0.0
     error: str | None = None
     from_store: bool = False
+    solve_key: str | None = None
+    optimal: bool = False
 
     @property
     def ok(self) -> bool:
@@ -85,6 +98,8 @@ class ScenarioResult:
             wall_time=self.wall_time,
             error=self.error,
             meta=meta or {},
+            solve_key=self.solve_key,
+            optimal=self.optimal,
         )
 
 
@@ -259,9 +274,11 @@ class Explorer:
         """Full pipeline evaluation, store-first, one batch per call.
 
         Scenarios already answered in the store are returned without a
-        solve; the rest run through a single :meth:`BatchMapper.map_all`
-        call.  Each job is built from its scenario alone, so the answer
-        does not depend on its siblings in this call or on earlier calls.
+        solve, and so are scenarios whose solve key has a proven-optimal
+        entry (re-scored, see :meth:`_rescore`); the rest run through a
+        single :meth:`BatchMapper.map_all` call.  Each job is built from
+        its scenario alone, so the answer does not depend on its siblings
+        in this call or on earlier calls.
 
         ``should_cancel`` is polled at job boundaries inside the batch
         engine (see :meth:`BatchMapper.map_all`); cancelled scenarios are
@@ -311,6 +328,12 @@ class Explorer:
                         meta,
                     )
                     continue
+                solved = self.store.solved(job.fingerprint(self.portfolio))
+                if solved is not None:
+                    by_fingerprint[fingerprint] = self._rescore(
+                        scenario, fingerprint, job, solved, meta
+                    )
+                    continue
                 jobs.append(job)
                 built.append((scenario, fingerprint))
         if jobs:
@@ -329,6 +352,39 @@ class Explorer:
                 self.store.record(result.entry(meta))
                 by_fingerprint[fingerprint] = result
         return [by_fingerprint[fp] for fp in fingerprints]
+
+    def _rescore(
+        self,
+        scenario: Scenario,
+        fingerprint: str,
+        job,
+        solved: RunEntry,
+        meta: dict | None,
+    ) -> ScenarioResult:
+        """Answer ``scenario`` with a proven optimum of the same solve.
+
+        The stored assignment is re-scored under this scenario's own
+        profile and NoC, and recorded with 0 solves and
+        ``meta["solved_as"]`` naming the scenario that was solved.
+        """
+        start = time.perf_counter()
+        assignment = {int(i): int(j) for i, j in solved.assignment.items()}
+        mapping = Mapping(job.build_problem(), assignment)
+        result = ScenarioResult(
+            scenario=scenario,
+            fingerprint=fingerprint,
+            tier=TIER_ILP,
+            status="ok",
+            objectives=self._score(scenario, mapping),
+            assignment=assignment,
+            wall_time=time.perf_counter() - start,
+            from_store=True,
+            solve_key=solved.solve_key,
+            optimal=True,
+        )
+        source = solved.meta.get("solved_as", solved.fingerprint)
+        self.store.record(result.entry({**(meta or {}), "solved_as": source}))
+        return result
 
     def _result_from_record(
         self, scenario: Scenario, fingerprint: str, record
@@ -357,6 +413,12 @@ class Explorer:
             assignment=dict(mapping.assignment),
             stages=stages,
             wall_time=record.wall_time,
+            solve_key=record.fingerprint,
+            optimal=all(
+                stage.solve_result is not None
+                and stage.solve_result.status is SolveStatus.OPTIMAL
+                for stage in record.stages.values()
+            ),
         )
 
 

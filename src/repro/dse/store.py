@@ -12,6 +12,13 @@ mid-write leaves at most one torn final line, which the loader skips
 append again; the *last* entry per key wins, so the store doubles as a
 history of the sweep.
 
+An ILP entry also names the batch-job fingerprint it was solved under
+(``solve_key``: the scenario minus what only scores the mapping, such as
+a profile no ``pgo`` stage reads) and whether every stage closed
+``optimal``.  Proven-optimal entries are indexed by that key
+(:meth:`RunStore.solved`), so a scenario that differs from a solved one
+only in its profile or NoC is answered by re-scoring, not re-solving.
+
 Concurrent writers are safe: a store keeps **one** append handle open
 for its whole life (instead of re-opening per entry) and appends under
 the :mod:`repro.jsonlio` protocol — an exclusive advisory ``flock``,
@@ -31,12 +38,10 @@ from pathlib import Path
 from typing import IO
 
 from ..jsonlio import append_records, dump_line, flock, funlock, open_append
+from . import TIER_GREEDY, TIER_ILP
 
 #: Bump when the entry schema changes; older entries are ignored on load.
 STORE_FORMAT = 1
-
-TIER_GREEDY = "greedy"
-TIER_ILP = "ilp"
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,8 @@ class RunEntry:
     wall_time: float = 0.0
     error: str | None = None
     meta: dict = field(default_factory=dict)  # driver breadcrumbs (rung, ...)
+    solve_key: str | None = None  # BatchJob.fingerprint of the ILP solve
+    optimal: bool = False  # every stage closed ``optimal``
 
     @property
     def ok(self) -> bool:
@@ -75,6 +82,8 @@ class RunEntry:
             "wall_time": self.wall_time,
             "error": self.error,
             "meta": self.meta,
+            "solve_key": self.solve_key,
+            "optimal": self.optimal,
         }
 
     @classmethod
@@ -90,6 +99,8 @@ class RunEntry:
             wall_time=float(payload.get("wall_time", 0.0)),
             error=payload.get("error"),
             meta=payload.get("meta") or {},
+            solve_key=payload.get("solve_key"),
+            optimal=bool(payload.get("optimal", False)),
         )
 
 
@@ -125,6 +136,7 @@ class RunStore:
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._entries: dict[tuple[str, str], RunEntry] = {}
+        self._solved: dict[str, RunEntry] = {}  # solve_key -> optimal entry
         self._skipped_lines = 0
         self._offset = 0  # bytes of the file already folded into _entries
         self._lock = threading.Lock()
@@ -159,6 +171,7 @@ class RunStore:
             try:
                 if handle.seek(0, 2) < self._offset:
                     self._entries.clear()
+                    self._solved.clear()
                     self._skipped_lines = 0
                     self._offset = 0
                 handle.seek(self._offset)
@@ -173,7 +186,12 @@ class RunStore:
             if entry is None:
                 self._skipped_lines += 1
                 continue
-            self._entries[entry.key] = entry
+            self._add(entry)
+
+    def _add(self, entry: RunEntry) -> None:
+        self._entries[entry.key] = entry
+        if entry.solve_key is not None and entry.ok and entry.optimal:
+            self._solved[entry.solve_key] = entry
 
     def reload(self) -> int:
         """Fold in entries appended by other writers since the last read.
@@ -198,6 +216,16 @@ class RunStore:
 
     def get(self, fingerprint: str, tier: str = TIER_ILP) -> RunEntry | None:
         return self._entries.get((fingerprint, tier))
+
+    def solved(self, solve_key: str) -> RunEntry | None:
+        """The last ok, proven-optimal entry solved under ``solve_key``.
+
+        A proof holds whatever budget produced it, so such an entry
+        answers every scenario with the same solve key; entries that
+        closed ``feasible`` (a node-capped rung, a timed-out solve) and
+        entries written without a ``solve_key`` serve only exact hits.
+        """
+        return self._solved.get(solve_key)
 
     def entries(self) -> list[RunEntry]:
         return list(self._entries.values())
@@ -226,7 +254,7 @@ class RunStore:
         next :meth:`reload` reads both.
         """
         with self._lock:
-            self._entries[entry.key] = entry
+            self._add(entry)
             if self.path is None:
                 return
             if self._handle is None or self._handle.closed:

@@ -19,6 +19,18 @@ whose lines are on disk before each transition returns.
 
 from .._lazy import lazy_exports
 
+# Plain wire constants live here, not in .wire, so ``repro submit`` and
+# the client reach them without loading dataclasses (and inspect).
+
+#: Bump when the request/response schema changes incompatibly.
+WIRE_FORMAT = 1
+
+#: Client id every unattributed submission is accounted under.
+DEFAULT_CLIENT = "anonymous"
+
+#: Job statuses a stream/poll ends on (client-visible terminal states).
+TERMINAL_STATUSES = ("done", "error", "cancelled", "deadline", "shed")
+
 _EXPORTS = {
     "QueueFull": "..batch.queue",
     "ServiceClient": ".client",
@@ -46,7 +58,6 @@ _EXPORTS = {
     "ServiceMetrics": ".metrics",
     "read_jsonl": "..jsonlio",
     "TIERS": ".wire",
-    "WIRE_FORMAT": ".wire",
     "JobSpec": ".wire",
     "WireError": ".wire",
     "parse_job": ".wire",

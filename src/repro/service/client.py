@@ -23,9 +23,9 @@ from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 from ..batch.queue import PRIORITY_NORMAL
-from ..dse.store import TIER_ILP
+from ..dse import TIER_ILP
 from ..trace import TRACE_HEADER
-from .wire import DEFAULT_CLIENT, TERMINAL_STATUSES, WIRE_FORMAT, JobSpec
+from . import DEFAULT_CLIENT, TERMINAL_STATUSES, WIRE_FORMAT
 
 if TYPE_CHECKING:
     from ..dse.scenario import Scenario
@@ -179,6 +179,8 @@ class ServiceClient:
             raise ValueError("pass exactly one of scenarios= or payload=")
         if payload is None:
             assert scenarios is not None
+            from .wire import JobSpec
+
             payload = JobSpec(
                 scenarios=tuple(scenarios),
                 tier=tier,

@@ -39,23 +39,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..batch.queue import PRIORITIES, PRIORITY_NORMAL
-from ..dse.store import TIER_GREEDY, TIER_ILP
-from ..trace import valid_encoded as _valid_trace
+from ..dse import TIER_GREEDY, TIER_ILP
+from ..trace.context import valid_encoded as _valid_trace
+from . import DEFAULT_CLIENT, TERMINAL_STATUSES, WIRE_FORMAT
 
 if TYPE_CHECKING:
     from ..dse.explorer import ScenarioResult
     from ..dse.scenario import Scenario
 
-#: Bump when the request/response schema changes incompatibly.
-WIRE_FORMAT = 1
-
 TIERS = (TIER_ILP, TIER_GREEDY)
-
-#: Client id every unattributed submission is accounted under.
-DEFAULT_CLIENT = "anonymous"
-
-#: Job statuses a stream/poll ends on (client-visible terminal states).
-TERMINAL_STATUSES = ("done", "error", "cancelled", "deadline", "shed")
 
 #: Ceiling on ``deadline_ms``: anything past a day is a config error,
 #: not a deadline — reject it at submit instead of scheduling it.

@@ -48,7 +48,8 @@ import traceback
 from dataclasses import dataclass, field
 
 from .. import trace
-from ..dse.store import TIER_GREEDY, RunStore
+from ..dse import TIER_GREEDY
+from ..dse.store import RunStore
 from .wire import WireError, parse_job, result_payload
 
 #: Smallest solver budget (seconds) the deadline watchdog will grant; a

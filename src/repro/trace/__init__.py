@@ -18,32 +18,46 @@ per-process JSONL journals and their reader, and :mod:`.export` for the
 span-tree / Chrome-trace renderers behind ``repro trace``.
 """
 
-from .context import (
-    TRACE_HEADER,
-    TraceContext,
-    mint_context,
-    new_span_id,
-    new_trace_id,
-    parse_context,
-    valid_encoded,
-)
-from .export import chrome_trace, render_tree, slowest_spans, trace_ids
-from .journal import SpanJournal, read_trace_dir
-from .runtime import (
-    TraceRuntime,
-    activate,
-    annotate,
-    current_context,
-    current_job,
-    event,
-    get_runtime,
-    install,
-    progress,
-    record_span,
-    span,
-    uninstall,
-)
-from .spans import SPAN_FORMAT, Span, TraceEvent, parse_record
+from .._lazy import lazy_exports
+
+#: The HTTP header a client uses to supply (and the daemon echoes back)
+#: a trace context on ``POST /jobs``.  Defined here so the service
+#: client needs no trace submodule at all.
+TRACE_HEADER = "X-Repro-Trace"
+
+# Resolved lazily (see repro._lazy), so importing the package loads
+# neither the runtime (logging, inspect) nor the renderers.
+_EXPORTS = {
+    "TraceContext": ".context",
+    "mint_context": ".context",
+    "new_span_id": ".context",
+    "new_trace_id": ".context",
+    "parse_context": ".context",
+    "valid_encoded": ".context",
+    "chrome_trace": ".export",
+    "render_tree": ".export",
+    "slowest_spans": ".export",
+    "trace_ids": ".export",
+    "SpanJournal": ".journal",
+    "read_trace_dir": ".journal",
+    "TraceRuntime": ".runtime",
+    "activate": ".runtime",
+    "annotate": ".runtime",
+    "current_context": ".runtime",
+    "current_job": ".runtime",
+    "event": ".runtime",
+    "get_runtime": ".runtime",
+    "install": ".runtime",
+    "progress": ".runtime",
+    "record_span": ".runtime",
+    "span": ".runtime",
+    "uninstall": ".runtime",
+    "SPAN_FORMAT": ".spans",
+    "Span": ".spans",
+    "TraceEvent": ".spans",
+    "parse_record": ".spans",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "TRACE_HEADER",

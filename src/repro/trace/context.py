@@ -17,10 +17,6 @@ import re
 import secrets
 from dataclasses import dataclass
 
-#: The HTTP header a client uses to supply (and the daemon echoes back)
-#: a trace context on ``POST /jobs``.
-TRACE_HEADER = "X-Repro-Trace"
-
 #: Hex ids: 16 chars for traces, 8 for spans (sizes are conventions,
 #: parsing accepts 8-32 so foreign tooling can interoperate).
 _ID_PATTERN = re.compile(r"^[0-9a-f]{8,32}$")

@@ -272,3 +272,50 @@ class TestAnswerDependsOnlyOnItsScenario:
         explorer.evaluate_ilp([scenarios[0]])
         (target,) = explorer.evaluate_ilp([scenarios[1]])
         assert target.objectives == fresh
+
+
+class TestProfileVariantIsReScored:
+    """Area and SNU never read the profile, so a scenario that differs
+    from a solved one only in its profile family shares that solve: a
+    proven-optimal store entry under the same solve key is re-scored
+    under the new profile, at zero solves, with the same assignment and
+    objectives a fresh explorer's solve gets."""
+
+    SOLVED = "Ex0.12-uniform/het8/area+snu"
+    VARIANT = "Ex0.12-hotspot/het8/area+snu"
+
+    @pytest.fixture(scope="class")
+    def scenarios(self):
+        by_name = {s.name: s for s in default_space().scenarios()}
+        return by_name[self.SOLVED], by_name[self.VARIANT]
+
+    def test_variant_costs_zero_solves(self, scenarios):
+        solved, variant = scenarios
+        explorer = Explorer(time_limit=TIME_LIMIT)
+        (first,) = explorer.evaluate_ilp([solved])
+        assert first.optimal and first.solves == 2
+        (reused,) = explorer.evaluate_ilp([variant])
+        (fresh,) = Explorer(time_limit=TIME_LIMIT).evaluate_ilp([variant])
+        assert reused.solves == 0 and reused.from_store
+        assert fresh.solves == 2 and not fresh.from_store
+        assert reused.assignment == fresh.assignment
+        assert reused.objectives == fresh.objectives
+        # The profile only scores the mapping: energy moves, area does not.
+        assert reused.objectives.area == first.objectives.area
+        assert reused.objectives.energy != first.objectives.energy
+        entry = explorer.store.get(reused.fingerprint)
+        assert entry.solves == 0 and entry.optimal
+        assert entry.solve_key == first.solve_key
+        assert entry.meta["solved_as"] == first.fingerprint
+
+    def test_feasible_entry_is_never_served_by_solve_key(self, scenarios):
+        from repro.dse.fidelity import rung_solver_spec
+
+        solved, variant = scenarios
+        spec = rung_solver_spec(1, 3)  # gap 0.10, 200-node cap
+        explorer = Explorer(time_limit=TIME_LIMIT, portfolio=True)
+        (first,) = explorer.evaluate_ilp([solved], solver_spec=spec)
+        assert first.ok and not first.optimal
+        assert explorer.store.get(first.fingerprint).solve_key == first.solve_key
+        (second,) = explorer.evaluate_ilp([variant], solver_spec=spec)
+        assert second.solves == 2 and not second.from_store

@@ -222,6 +222,42 @@ class TestRunStore:
         completed = store.completed(TIER_ILP)
         assert set(completed) == {"good"}
 
+    def test_solve_key_and_optimal_roundtrip(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        RunStore(path).record(_entry("abc", solve_key="k1", optimal=True))
+        entry = RunStore(path).get("abc")
+        assert (entry.solve_key, entry.optimal) == ("k1", True)
+
+    def test_entry_without_the_new_fields_loads(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        payload = _entry("abc").to_json()
+        del payload["solve_key"], payload["optimal"]
+        path.write_text(json.dumps(payload) + "\n")
+        entry = RunStore(path).get("abc")
+        assert entry is not None and entry.solve_key is None
+        assert not entry.optimal
+
+    def test_only_ok_optimal_keyed_entries_are_solved(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        store = RunStore(path)
+        store.record(_entry("feasible", solve_key="k1", optimal=False))
+        store.record(_entry("failed", solve_key="k2", optimal=True,
+                            status="error", objectives=None, error="boom"))
+        store.record(_entry("keyless", optimal=True))
+        store.record(_entry("proven", solve_key="k3", optimal=True))
+        for view in (store, RunStore(path)):
+            assert view.solved("k1") is None
+            assert view.solved("k2") is None
+            assert view.solved("k3").fingerprint == "proven"
+
+    def test_reload_indexes_a_siblings_solve(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        reader = RunStore(path)
+        RunStore(path).record(_entry("proven", solve_key="k", optimal=True))
+        assert reader.solved("k") is None
+        reader.reload()
+        assert reader.solved("k").fingerprint == "proven"
+
     def test_memory_store_never_touches_disk(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         store = RunStore()

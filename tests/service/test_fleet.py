@@ -60,10 +60,10 @@ DETERMINISTIC_FIELDS = (
 )
 
 
-def _scenario(dimension: int = 12) -> Scenario:
+def _scenario(dimension: int = 12, profile: str = "uniform") -> Scenario:
     return Scenario(
         architecture=ArchitectureSpec(kind="homogeneous", dimension=dimension),
-        workload=WorkloadSpec(network="C", scale=0.1, profile="uniform"),
+        workload=WorkloadSpec(network="C", scale=0.1, profile=profile),
         formulation=FormulationSpec(stages=("area",)),
     )
 
@@ -191,6 +191,37 @@ class TestSharedStore:
         assert fresh.ok and not fresh.from_store
         assert hit.from_store and hit.stages == ()
         assert hit.assignment == fresh.assignment
+
+    def test_worker_re_scores_a_siblings_solve_under_its_own_profile(
+        self, tmp_path
+    ):
+        """A sibling's proven optimum answers a profile variant once the
+        worker has reloaded the store: zero solves, re-scored energy."""
+        config = FleetConfig(store_path=str(tmp_path / "store.jsonl"))
+        explorers = [
+            Explorer(
+                store=config.build_store(),
+                mapper=config.build_mapper(worker),
+                time_limit=5.0,
+            )
+            for worker in (0, 1)
+        ]
+        try:
+            (solved,) = explorers[0].evaluate_ilp([_scenario()])
+            assert explorers[1].store.solved(solved.solve_key) is None
+            explorers[1].store.reload()
+            (variant,) = explorers[1].evaluate_ilp([_scenario(profile="hotspot")])
+            entry = explorers[1].store.get(variant.fingerprint)
+        finally:
+            for explorer in explorers:
+                explorer.store.close()
+        assert solved.optimal and solved.solves == 1
+        assert variant.fingerprint != solved.fingerprint
+        assert variant.from_store and variant.solves == 0
+        assert result_payload(variant)["cached"] is True
+        assert variant.assignment == solved.assignment
+        assert variant.objectives.energy != solved.objectives.energy
+        assert entry.meta["solved_as"] == solved.fingerprint
 
 
 # ----------------------------------------------------------------------

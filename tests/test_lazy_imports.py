@@ -29,6 +29,18 @@ LAZY_PACKAGES = (
     "repro.dse",
     "repro.mapping",
     "repro.service",
+    "repro.trace",
+)
+#: What ``repro submit --spec`` must not load either: the trace runtime
+#: and renderers, the run store, the mapping package (any submodule
+#: needs it) and the stdlib modules they pull in.
+SUBMIT_SPEC_FREE = (
+    "repro.trace.runtime",
+    "repro.trace.export",
+    "repro.dse.store",
+    "repro.mapping",
+    "logging",
+    "inspect",
 )
 #: A closed port: the submit is refused, so ``main`` exits 2 after the
 #: client has built and sent its request.
@@ -55,6 +67,21 @@ def _heavy_after(code: str, heavy: tuple[str, ...] = HEAVY) -> list[str]:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def _spec_file(tmp_path: Path) -> str:
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "scenario": {
+                    "kind": "scenario",
+                    "workload": {"network": "C", "scale": 0.1},
+                }
+            }
+        )
+    )
+    return str(spec)
+
+
 def _submit(argv: list[str]) -> str:
     return (
         "from repro.cli import main\n"
@@ -75,19 +102,19 @@ class TestStdlibOnlyClient:
         assert _heavy_after(_submit(argv)) == []
 
     def test_submit_with_spec(self, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(
-            json.dumps(
-                {
-                    "scenario": {
-                        "kind": "scenario",
-                        "workload": {"network": "C", "scale": 0.1},
-                    }
-                }
-            )
-        )
-        argv = ["submit", *REFUSED, "--spec", str(spec)]
+        argv = ["submit", *REFUSED, "--spec", _spec_file(tmp_path)]
         assert _heavy_after(_submit(argv)) == []
+
+    def test_submit_with_spec_loads_only_the_client(self, tmp_path):
+        argv = ["submit", *REFUSED, "--spec", _spec_file(tmp_path)]
+        assert _heavy_after(_submit(argv), heavy=SUBMIT_SPEC_FREE) == []
+
+    def test_spec_probe_sees_the_flag_path(self):
+        # The probe is live: building a scenario from flags loads
+        # dataclasses (and so inspect) and the mapping package.
+        argv = ["submit", *REFUSED, *FLAGS]
+        loaded = _heavy_after(_submit(argv), heavy=SUBMIT_SPEC_FREE)
+        assert {"inspect", "repro.mapping"} <= set(loaded)
 
     def test_probe_sees_heavy_imports(self):
         # The probe itself is live: a module that does import NumPy shows.
