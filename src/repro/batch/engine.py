@@ -159,7 +159,9 @@ class JobRecord:
     metrics + solve summary) in execution order; ``status`` is ``"ok"`` or
     ``"error"``; ``from_cache`` marks answers reused by fingerprint rather
     than freshly solved: cache hits, and twins of a job solved earlier in
-    the same batch.
+    the same batch (a twin reports ``wall_time`` 0: it spent none).
+    ``optimal`` is the payload's ``all_optimal``: every stage that ran a
+    solve closed ``optimal``, so the answer holds under any budget.
     """
 
     name: str
@@ -169,6 +171,7 @@ class JobRecord:
     error: str | None = None
     wall_time: float = 0.0
     from_cache: bool = False
+    optimal: bool = False
 
     @property
     def ok(self) -> bool:
@@ -274,7 +277,7 @@ class BatchMapper:
         Jobs sharing a ``(fingerprint, area_time_limit, route_time_limit)``
         are solved once; each twin is rehydrated from that one payload
         against its own job (so its metrics use its own profile) and
-        comes back ``from_cache``.
+        comes back ``from_cache`` with ``wall_time`` 0.
         """
         names = [job.name for job in batch_jobs]
         if len(set(names)) != len(names):
@@ -309,8 +312,9 @@ class BatchMapper:
             if cacheable and self.cache is not None:
                 self.cache.put(key, payload)
             records[idx] = _rehydrate(job, key, payload, from_cache=False)
+            reused = {**payload, "wall_time": 0.0}
             for twin_idx, twin in twins[idx]:
-                records[twin_idx] = _rehydrate(twin, key, payload, from_cache=True)
+                records[twin_idx] = _rehydrate(twin, key, reused, from_cache=True)
 
         return BatchResult([records[i] for i in range(len(batch_jobs))])
 
@@ -595,4 +599,5 @@ def _rehydrate(job: BatchJob, key: str, payload: dict, from_cache: bool) -> JobR
         stages=stages,
         wall_time=float(payload.get("wall_time", 0.0)),
         from_cache=from_cache,
+        optimal=bool(payload.get("all_optimal", False)),
     )

@@ -16,10 +16,10 @@ and return an :class:`~repro.dse.explorer.ExplorationResult`.
   so its ``area`` sibling's point is a heuristic bound), and candidates
   whose optimistic bound a confirmed point dominates are pruned
   outright.  Total ILP spend is hard-capped at ``budget_fraction`` of
-  the grid's stage count (one solve per stage per scenario) — met by
-  construction, not by luck.  The grid itself can pay less: scenarios
-  that share a solve (profile variants of a pgo-free formulation) cost
-  it one solve between them.
+  what the grid executes — met by construction, not by luck.  Both
+  count stage solves per distinct solve key: scenarios that share one
+  (profile variants of a pgo-free formulation) cost one solve between
+  them when they run together.
 
 Both drivers are resumable for free: every evaluation goes store-first
 through the explorer, so re-running a finished sweep costs zero solves
@@ -92,11 +92,15 @@ def explore_adaptive(
     """Successive-halving sweep: greedy bounds first, ILP on the band.
 
     ``budget_fraction`` is a hard ceiling on ILP stage-solves relative to
-    the grid's stage count (one solve per pipeline stage per scenario,
-    what :func:`explore_grid` spends when no two scenarios share a
-    solve); promotion never exceeds it.  ``keep`` is each rung's share of the *remaining* budget (the
-    final rung drains it), so early rungs probe broadly with cheap
-    pipelines and later rungs concentrate on refinement.
+    what :func:`explore_grid` spends on the same candidates: one solve
+    per pipeline stage per distinct solve key (see
+    :meth:`Explorer.solve_key`); promotion never exceeds it.  A band is
+    picked at full stage cost per candidate, and the rung is then
+    charged per distinct solve key, so twins promoted together pay once
+    and the rest carries to later rungs.  ``keep`` is each rung's
+    share of the *remaining* budget (the final rung drains it), so early
+    rungs probe broadly with cheap pipelines and later rungs concentrate
+    on refinement.
 
     ``prune_slack`` is how optimistic the halving step assumes a bound to
     be: a candidate is pruned only when a confirmed ILP point dominates
@@ -135,10 +139,12 @@ def explore_adaptive(
             # be scored must show up as failed, not silently vanish.
             failures[result.fingerprint] = result
 
-    # The hard solve budget, denominated in grid-equivalent stage solves.
-    grid_solves = sum(
-        len(s.formulation.stages) for s, _ in candidates.values()
-    )
+    # The hard solve budget, denominated in the stage solves the grid
+    # executes: one per stage per distinct solve key.
+    solve_keys = {
+        fp: explorer.solve_key(scenario) for fp, (scenario, _) in candidates.items()
+    }
+    grid_solves = _stage_solves(candidates, solve_keys, list(candidates))
     budget = math.floor(grid_solves * budget_fraction)
 
     bounds = {
@@ -169,9 +175,7 @@ def explore_adaptive(
             remaining.pop(fingerprint, None)
         # Decrement by the *estimated* cost, not executed solves, so a
         # fresh (store-less) rerun of the same schedule also fits.
-        budget -= sum(
-            len(candidates[fp][0].formulation.stages) for fp in promote
-        )
+        budget -= _stage_solves(candidates, solve_keys, promote)
         _tighten_bounds(remaining, bounds, ilp_results)
         remaining = _filter_dominated(remaining, bounds, ilp_results, prune_slack)
         rung += 1
@@ -196,6 +200,23 @@ def explore_adaptive(
             "rungs": rung - 1,
         },
     )
+
+
+def _stage_solves(
+    candidates: dict[str, Candidate],
+    solve_keys: dict[str, str],
+    fingerprints: list[str],
+) -> int:
+    """Stage solves one batch of ``fingerprints`` executes.
+
+    The batch engine solves each distinct solve key once, so twins after
+    the first cost nothing.
+    """
+    stages = {
+        solve_keys[fp]: len(candidates[fp][0].formulation.stages)
+        for fp in fingerprints
+    }
+    return sum(stages.values())
 
 
 def _select_band(

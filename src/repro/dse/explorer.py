@@ -34,7 +34,6 @@ import numpy as np
 from .. import trace
 from ..batch.cache import ResultCache
 from ..batch.engine import BatchMapper, solve_summary
-from ..ilp.result import SolveStatus
 from ..mapping.greedy import greedy_first_fit
 from ..mapping.problem import MappingProblem
 from ..mapping.solution import Mapping
@@ -144,6 +143,14 @@ class Explorer:
     @property
     def portfolio(self) -> bool:
         return self.mapper.portfolio
+
+    def solve_key(self, scenario: Scenario) -> str:
+        """The batch-job fingerprint ``scenario`` is solved under.
+
+        Scenarios that differ only in what scores a mapping (a profile no
+        ``pgo`` stage reads, the NoC) share it, and so share one solve.
+        """
+        return self.registry.to_job(scenario).fingerprint(self.portfolio)
 
     # ------------------------------------------------------------------
     def _safe_fingerprint(self, scenario: Scenario) -> tuple[str, str | None]:
@@ -414,11 +421,7 @@ class Explorer:
             stages=stages,
             wall_time=record.wall_time,
             solve_key=record.fingerprint,
-            optimal=all(
-                stage.solve_result is not None
-                and stage.solve_result.status is SolveStatus.OPTIMAL
-                for stage in record.stages.values()
-            ),
+            optimal=record.optimal,
         )
 
 

@@ -94,6 +94,8 @@ class TestTwinDedup:
         first, second = BatchMapper().map_all(jobs).records
         assert solves == ["light"]
         assert not first.from_cache and second.from_cache
+        assert first.wall_time > 0 and second.wall_time == 0
+        assert first.optimal and second.optimal
         assert first.fingerprint == second.fingerprint
         assert first.final().mapping.assignment == second.final().mapping.assignment
         for record, profile in ((first, light), (second, heavy)):

@@ -214,6 +214,22 @@ class TestAdaptiveDriver:
         assert adaptive.ilp_solves <= grid.ilp_solves // 2
         assert adaptive.greedy_evaluations == 4
 
+    def test_budget_counts_the_solves_the_grid_executes(self, tiny_space):
+        """Profile twins share the grid's solves, so they share the budget's."""
+        space = DesignSpace(
+            architectures=tiny_space.architectures,
+            workloads=(
+                WorkloadSpec(network="C", scale=0.1, profile="uniform"),
+                WorkloadSpec(network="C", scale=0.1, profile="hotspot", num_samples=2),
+            ),
+            formulations=tiny_space.formulations,
+        )
+        grid = explore_grid(space, Explorer(time_limit=TIME_LIMIT))
+        adaptive = explore_adaptive(space, Explorer(time_limit=TIME_LIMIT))
+        assert grid.ilp_solves == 6  # 8 scenarios, 2 of each solve key
+        assert adaptive.meta["grid_solve_estimate"] == grid.ilp_solves
+        assert adaptive.ilp_solves <= grid.ilp_solves // 2
+
     def test_every_scenario_is_evaluated_or_pruned(self, tiny_space):
         adaptive = explore_adaptive(tiny_space, Explorer(time_limit=TIME_LIMIT))
         assert len(adaptive.results) + len(adaptive.pruned) == 4
