@@ -11,8 +11,9 @@ sides.
 from bench_config import once
 from repro.experiments.networks import paper_network
 from repro.experiments.runner import ExperimentConfig
-from repro.experiments.common import area_optimize, het_problem, pgo_optimize, snu_optimize
+from repro.experiments.common import het_problem
 from repro.mapping.pgo import expected_global_packets
+from repro.mapping.pipeline import STAGES, MappingPipeline
 from repro.profile.profiler import collect_profile
 from repro.profile.workloads import hotspot_frames, noise_frames
 
@@ -26,15 +27,18 @@ def test_benchmark_pgo_transfer(benchmark):
     side = max(2, int(len(network.input_ids()) ** 0.5))
 
     def run():
-        area = area_optimize(problem, CONFIG)
-        snu = snu_optimize(problem, area.mapping, CONFIG)
         hot_profile = collect_profile(
             network,
             hotspot_frames(rows=side, cols=side, num_samples=8, seed=3),
             window=WINDOW,
         )
-        pgo = pgo_optimize(problem, snu.mapping, hot_profile, CONFIG)
-        return snu.mapping, pgo.mapping, hot_profile
+        pipeline = MappingPipeline(
+            problem,
+            area_time_limit=CONFIG.area_time_limit,
+            route_time_limit=CONFIG.route_time_limit,
+        )
+        stages = pipeline.run(stages=STAGES, profile=hot_profile).stages
+        return stages["snu"].mapping, stages["pgo"].mapping, hot_profile
 
     snu_mapping, pgo_mapping, hot_profile = once(benchmark, run)
 

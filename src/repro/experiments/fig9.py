@@ -18,15 +18,10 @@ import math
 from dataclasses import dataclass
 
 from ..mapping.metrics import improvement_pct
+from ..mapping.pipeline import STAGES, MappingPipeline
 from ..profile.profiler import collect_profile, evaluate_packets
 from ..profile.smartpixel import SmartPixelConfig, generate_dataset, split_dataset
-from .common import (
-    ExhibitResult,
-    area_optimize,
-    het_problem,
-    pgo_optimize,
-    snu_optimize,
-)
+from .common import ExhibitResult, het_problem
 from .networks import NETWORK_NAMES, paper_network
 from .runner import ExperimentConfig, format_table
 
@@ -86,10 +81,13 @@ def run_network(name: str, config: ExperimentConfig) -> Fig9Row:
         network, profile_samples, window=config.sim_window, method=config.encoding
     )
 
-    area_opt = area_optimize(problem, config)
-    snu_opt = snu_optimize(problem, area_opt.mapping, config)
-    pgo_opt = pgo_optimize(problem, snu_opt.mapping, profile, config)
-    assert pgo_opt.mapping.area() <= snu_opt.mapping.area() + 1e-9
+    pipeline = MappingPipeline(
+        problem,
+        area_time_limit=config.area_time_limit,
+        route_time_limit=config.route_time_limit,
+    )
+    stages = pipeline.run(stages=STAGES, profile=profile).stages
+    snu_opt, pgo_opt = stages["snu"], stages["pgo"]
 
     snu_eval = evaluate_packets(
         snu_opt.mapping, eval_samples,
@@ -108,8 +106,8 @@ def run_network(name: str, config: ExperimentConfig) -> Fig9Row:
         pgo_packets_std=pgo_eval.std,
         snu_det=snu_opt.det_time,
         pgo_det=pgo_opt.det_time,
-        snu_wall=snu_opt.solve.wall_time,
-        pgo_wall=pgo_opt.solve.wall_time,
+        snu_wall=snu_opt.solve_result.wall_time,
+        pgo_wall=pgo_opt.solve_result.wall_time,
     )
 
 

@@ -47,18 +47,16 @@ class MoveEngine:
     """Relocations, swaps and ruin-and-recreate over a ``DeltaEvaluator``.
 
     ``slots`` are the destinations a move may use, in candidate order.
-    The score minimized is ``(area, global routes)``, or ``(global
-    routes, area)`` with ``routes_first``; both are compared as float
-    pairs.
+    The score minimized is ``(area, global routes)``, compared as a
+    float pair.
     """
 
     slots: Sequence[int]
-    routes_first: bool = False
 
     def key(self, ev: DeltaEvaluator) -> tuple[float, float]:
         """The score of the evaluator's current state."""
         area, routes = ev.score()
-        return (float(routes), area) if self.routes_first else (area, float(routes))
+        return area, float(routes)
 
     def probe(
         self, ev: DeltaEvaluator, neuron: int, dst: int
@@ -68,7 +66,7 @@ class MoveEngine:
         feasible, area, routes = ev.probe(neuron, dst)
         if not feasible:
             return None
-        return (float(routes), area) if self.routes_first else (area, float(routes))
+        return area, float(routes)
 
     def improve(
         self, ev: DeltaEvaluator, neurons: Sequence[int], max_rounds: int = 20

@@ -68,6 +68,8 @@ class TrafficCounter:
 
     Build once per (network, placement); :meth:`count` then weights any
     spike profile in O(sources) dict lookups plus O(pairs) vector math.
+    This is the one implementation of the packet rule:
+    :meth:`repro.mapping.solution.Mapping.packet_count` counts with it too.
     """
 
     def __init__(self, network: Network, assignment: Mapping[int, int]) -> None:
@@ -191,9 +193,8 @@ def _assemble_report(
 class MappedProcessor:
     """A network placed onto an architecture, ready to execute.
 
-    ``engine`` selects the simulation engine (``"vector"`` by default,
-    ``"reference"`` for the scalar specification loop; see
-    :mod:`repro.snn.engine`).
+    The network runs on the :class:`~repro.snn.simulator.Simulator`
+    (the vector kernel); the placement only decides the traffic.
     """
 
     def __init__(
@@ -201,7 +202,6 @@ class MappedProcessor:
         network: Network,
         assignment: Mapping[int, int],
         architecture: Architecture,
-        engine: str | None = None,
     ) -> None:
         missing = set(network.neuron_ids()) - set(assignment)
         if missing:
@@ -213,7 +213,7 @@ class MappedProcessor:
         self.assignment = dict(assignment)
         self.architecture = architecture
         self.noc = MeshNoC(architecture.num_slots)
-        self._simulator = Simulator(network, engine=engine)
+        self._simulator = Simulator(network)
         self._traffic = TrafficCounter(network, self.assignment)
 
     def run(

@@ -27,20 +27,18 @@ def collect_profile(
     samples: list[PixelSample],
     window: int = 24,
     method: str = "rate",
-    engine: str | None = None,
 ) -> SpikeProfile:
     """Simulate every sample and accumulate per-neuron spike counts.
 
-    ``engine`` selects the simulation engine (``"vector"`` default /
-    ``"reference"``; see :mod:`repro.snn.engine`) — profiling simulates
-    every dataset sample, so this is the knob that matters at sweep scale.
+    One :class:`~repro.snn.simulator.Simulator` (the vector kernel,
+    compiled once) runs every dataset sample.
     """
     if window < 1:
         raise ValueError("window must be positive")
     input_ids = network.input_ids()
     if not input_ids:
         raise ValueError("network has no input neurons to encode onto")
-    sim = Simulator(network, engine=engine)
+    sim = Simulator(network)
     totals = {nid: 0 for nid in network.neuron_ids()}
     for sample in samples:
         spikes = encode_frame(sample.frame, input_ids, window, method)
@@ -82,14 +80,13 @@ def evaluate_packets(
     samples: list[PixelSample],
     window: int = 24,
     method: str = "rate",
-    engine: str | None = None,
 ) -> PacketEvaluation:
     """Global packets the mapping generates on each evaluation sample."""
     network = mapping.problem.network
     input_ids = network.input_ids()
     if not input_ids:
         raise ValueError("network has no input neurons to encode onto")
-    sim = Simulator(network, engine=engine)
+    sim = Simulator(network)
     per_sample: list[int] = []
     for sample in samples:
         spikes = encode_frame(sample.frame, input_ids, window, method)

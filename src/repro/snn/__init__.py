@@ -11,7 +11,7 @@ from .analysis import (
     weakly_connected_components,
 )
 from .encoding import decode_rate, encode_frame, rate_encode, ttfs_encode
-from .engine import ENGINE_ENV_VAR, ENGINES, CompiledNetwork, resolve_engine
+from .engine import CompiledNetwork
 from .generators import (
     TwinSpec,
     gini_degree_sequence,
@@ -35,9 +35,6 @@ from .stats import (
 
 __all__ = [
     "CompiledNetwork",
-    "ENGINES",
-    "ENGINE_ENV_VAR",
-    "resolve_engine",
     "Network",
     "NetworkStats",
     "Neuron",

@@ -1,10 +1,10 @@
 """Array-compiled networks and the vectorized LIF simulation kernel.
 
-The scalar reference simulator walks dicts neuron-by-neuron; fine for
-hand-checked examples, hopeless for profiling sweeps that simulate every
-dataset sample.  This module compiles a :class:`~repro.snn.network.Network`
-once into flat CSR-style arrays and executes the identical discrete-time
-dynamics with dense NumPy state:
+This is the one simulation engine.  It compiles a
+:class:`~repro.snn.network.Network` once into flat CSR-style arrays and
+executes the discrete-time dynamics with dense NumPy state (the scalar
+loop :func:`repro.snn.simulator.reference_run` walks dicts
+neuron-by-neuron: the executable specification, and the test oracle):
 
 - membrane potentials, leaks and thresholds are ``(n,)`` vectors;
 - scheduled charges live in a ``(max_delay + 1, n)`` ring buffer — the
@@ -14,7 +14,7 @@ dynamics with dense NumPy state:
   sparse matrix-vector product per distinct synaptic delay (a SciPy CSR
   matrix transposed so rows are *targets*).
 
-Equivalence with the reference engine is spike-for-spike exact: within
+Equivalence with the reference loop is spike-for-spike exact: within
 every ``(timestep, target)`` charge bucket the deliveries accumulate in
 the reference order (external injections first, then synaptic deliveries
 in fire-time order, sources ascending), so rasters and spike counts
@@ -25,7 +25,6 @@ this.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -34,25 +33,8 @@ from scipy import sparse as _sparse
 
 from .network import Network
 
-#: Engines the :class:`~repro.snn.simulator.Simulator` understands.
-ENGINES = ("vector", "reference")
-
-#: Environment knob consulted when no explicit ``engine=`` is given.
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
 #: Above this many staged floats, external inputs use the sparse path.
 _DENSE_EXT_LIMIT = 1 << 21
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Pick the simulation engine: explicit arg > $REPRO_SIM_ENGINE > vector."""
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR) or "vector"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown simulation engine {engine!r}; choose from {ENGINES}"
-        )
-    return engine
 
 
 @dataclass(frozen=True)
@@ -62,7 +44,7 @@ class CompiledNetwork:
     Neuron ids map to dense indices in ascending-id order; synapses are
     grouped by pre-synaptic neuron (``indptr``/``post``/``weight``/
     ``delay``), targets ascending within each row — the same deterministic
-    order the reference engine iterates.  ``delay_groups`` additionally
+    order the reference loop iterates.  ``delay_groups`` additionally
     splits the synapses by delay into transposed CSR matrices (rows =
     targets, columns = sources, ascending) so one spike vector per step
     turns into one mat-vec per distinct delay.

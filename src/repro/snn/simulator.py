@@ -16,12 +16,11 @@ Dynamics per timestep (TENNLab RISP-style):
    outgoing charges are scheduled at ``t + delay``, and the potential
    resets to zero.
 
-Two engines implement these dynamics behind one API: the default
-``"vector"`` engine (:mod:`repro.snn.engine`) runs them as dense NumPy
-array operations, and the scalar ``"reference"`` engine keeps the original
-dict-walking loop as the executable specification.  Select per simulator
-via ``Simulator(net, engine=...)`` or globally via ``$REPRO_SIM_ENGINE``;
-both produce identical spike rasters (enforced by the property suite).
+:class:`Simulator` runs these dynamics on the one engine, the NumPy
+kernel of :mod:`repro.snn.engine`.  :func:`reference_run` keeps the
+original dict-walking loop as the executable specification: it is the
+oracle the equivalence suite and the simulator bench compare the kernel
+against, and no product path calls it.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .engine import CompiledNetwork, resolve_engine, run_compiled
+from .engine import CompiledNetwork, run_compiled
 from .network import Network
 
 
@@ -140,28 +139,11 @@ class SimulationResult:
 
 
 class Simulator:
-    """Executes a network over discrete timesteps.
+    """Executes a network over discrete timesteps on the vector kernel."""
 
-    ``engine`` selects the implementation: ``"vector"`` (NumPy kernel,
-    the default), ``"reference"`` (scalar specification loop), or ``None``
-    to defer to ``$REPRO_SIM_ENGINE`` (falling back to ``"vector"``).
-    """
-
-    def __init__(self, network: Network, engine: str | None = None) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.engine = resolve_engine(engine)
-        if self.engine == "vector":
-            self._compiled = CompiledNetwork.from_network(network)
-        else:
-            # Cache outgoing synapse tuples for the scalar hot loop.
-            self._out_syn: dict[int, list[tuple[int, float, int]]] = {
-                nid: [
-                    (post, network.synapse(nid, post).weight,
-                     network.synapse(nid, post).delay)
-                    for post in sorted(network.successors(nid))
-                ]
-                for nid in network.neuron_ids()
-            }
+        self._compiled = CompiledNetwork.from_network(network)
 
     def run(
         self,
@@ -181,19 +163,6 @@ class Simulator:
             arbitrary ``(neuron_id, timestep, amount)`` injections for
             sub-threshold stimulation.
         """
-        if self.engine == "vector":
-            return self._run_vector(duration, input_spikes, input_charges)
-        return self._run_reference(duration, input_spikes, input_charges)
-
-    # ------------------------------------------------------------------
-    # vector engine (default)
-    # ------------------------------------------------------------------
-    def _run_vector(
-        self,
-        duration: int,
-        input_spikes: Mapping[int, Iterable[int]] | None,
-        input_charges: Iterable[tuple[int, int, float]] | None,
-    ) -> SimulationResult:
         times, ids, counts, potentials = run_compiled(
             self._compiled, duration, input_spikes, input_charges
         )
@@ -206,80 +175,89 @@ class Simulator:
             final_potentials=dict(zip(neuron_ids, potentials.tolist())),
         )
 
-    # ------------------------------------------------------------------
-    # reference engine (scalar specification)
-    # ------------------------------------------------------------------
-    def _run_reference(
-        self,
-        duration: int,
-        input_spikes: Mapping[int, Iterable[int]] | None,
-        input_charges: Iterable[tuple[int, int, float]] | None,
-    ) -> SimulationResult:
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        net = self.network
-        pending: dict[int, dict[int, float]] = defaultdict(dict)  # t -> {nid: charge}
 
-        def inject(nid: int, t: int, amount: float) -> None:
-            if not net.has_neuron(nid):
-                raise KeyError(f"input targets unknown neuron {nid}")
-            if 0 <= t < duration:
-                slot = pending[t]
-                slot[nid] = slot.get(nid, 0.0) + amount
+def reference_run(
+    network: Network,
+    duration: int,
+    input_spikes: Mapping[int, Iterable[int]] | None = None,
+    input_charges: Iterable[tuple[int, int, float]] | None = None,
+) -> SimulationResult:
+    """The scalar specification of :meth:`Simulator.run` (the test oracle).
 
-        if input_spikes:
-            for nid, times in input_spikes.items():
-                thr = net.neuron(nid).threshold
-                for t in times:
-                    inject(nid, t, thr)
-        if input_charges:
-            for nid, t, amount in input_charges:
-                inject(nid, t, amount)
+    Same arguments and result as :meth:`Simulator.run`, computed by
+    walking dicts neuron by neuron in the documented order.
+    """
+    if duration < 0:
+        raise ValueError("duration must be non-negative")
+    out_syn = {
+        nid: [
+            (post, network.synapse(nid, post).weight,
+             network.synapse(nid, post).delay)
+            for post in sorted(network.successors(nid))
+        ]
+        for nid in network.neuron_ids()
+    }
+    pending: dict[int, dict[int, float]] = defaultdict(dict)  # t -> {nid: charge}
 
-        potentials = {nid: 0.0 for nid in net.neuron_ids()}
-        leaks = {n.id: n.leak for n in net.neurons()}
-        thresholds = {n.id: n.threshold for n in net.neurons()}
-        result = SimulationResult(duration=duration)
-        counts = {nid: 0 for nid in net.neuron_ids()}
+    def inject(nid: int, t: int, amount: float) -> None:
+        if not network.has_neuron(nid):
+            raise KeyError(f"input targets unknown neuron {nid}")
+        if 0 <= t < duration:
+            slot = pending[t]
+            slot[nid] = slot.get(nid, 0.0) + amount
 
-        for t in range(duration):
-            for nid, leak in leaks.items():
-                if leak != 1.0:
-                    potentials[nid] *= leak
-            for nid, charge in pending.pop(t, {}).items():
-                potentials[nid] += charge
-            # Deterministic firing order by neuron id.
-            fired = [
-                nid for nid in potentials
-                if potentials[nid] >= thresholds[nid] - 1e-12
-            ]
-            for nid in sorted(fired):
-                result.spikes.append((t, nid))
-                counts[nid] += 1
-                potentials[nid] = 0.0
-                for post, weight, delay in self._out_syn[nid]:
-                    target_t = t + delay
-                    if target_t < duration:
-                        slot = pending[target_t]
-                        slot[post] = slot.get(post, 0.0) + weight
+    if input_spikes:
+        for nid, times in input_spikes.items():
+            thr = network.neuron(nid).threshold
+            for t in times:
+                inject(nid, t, thr)
+    if input_charges:
+        for nid, t, amount in input_charges:
+            inject(nid, t, amount)
 
-        result.spike_counts = counts
-        result.final_potentials = dict(potentials)
-        return result
+    potentials = {nid: 0.0 for nid in network.neuron_ids()}
+    leaks = {n.id: n.leak for n in network.neurons()}
+    thresholds = {n.id: n.threshold for n in network.neurons()}
+    result = SimulationResult(duration=duration)
+    counts = {nid: 0 for nid in network.neuron_ids()}
+
+    for t in range(duration):
+        for nid, leak in leaks.items():
+            if leak != 1.0:
+                potentials[nid] *= leak
+        for nid, charge in pending.pop(t, {}).items():
+            potentials[nid] += charge
+        # Deterministic firing order by neuron id.
+        fired = [
+            nid for nid in potentials
+            if potentials[nid] >= thresholds[nid] - 1e-12
+        ]
+        for nid in sorted(fired):
+            result.spikes.append((t, nid))
+            counts[nid] += 1
+            potentials[nid] = 0.0
+            for post, weight, delay in out_syn[nid]:
+                target_t = t + delay
+                if target_t < duration:
+                    slot = pending[target_t]
+                    slot[post] = slot.get(post, 0.0) + weight
+
+    result.spike_counts = counts
+    result.final_potentials = dict(potentials)
+    return result
 
 
 def spike_profile(
     network: Network,
     samples: Iterable[Mapping[int, Iterable[int]]],
     duration: int,
-    engine: str | None = None,
 ) -> dict[int, int]:
     """Aggregate per-neuron spike counts over many input samples.
 
     This is the PGO profile ``W[i]`` of §IV-D: the number of times each
     neuron fired across the profiling dataset.
     """
-    sim = Simulator(network, engine=engine)
+    sim = Simulator(network)
     totals = {nid: 0 for nid in network.neuron_ids()}
     for sample in samples:
         result = sim.run(duration, input_spikes=sample)

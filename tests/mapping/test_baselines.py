@@ -133,11 +133,25 @@ class TestSpikeHard:
             iterate_spikehard(problem, max_iterations=0)
 
 
+class RoutesFirst(MoveEngine):
+    """The move engine under a ``(global routes, area)`` score."""
+
+    __slots__ = ()
+
+    def key(self, ev):
+        area, routes = ev.score()
+        return float(routes), area
+
+    def probe(self, ev, neuron, dst):
+        feasible, area, routes = ev.probe(neuron, dst)
+        return (float(routes), area) if feasible else None
+
+
 def kl_refine(initial):
     """The move engine under the KL policy: score ``(global routes, area)``
     and never leave the crossbars ``initial`` enabled."""
     ev = DeltaEvaluator.from_mapping(initial)
-    engine = MoveEngine(sorted(ev.occupied_slots()), routes_first=True)
+    engine = RoutesFirst(sorted(ev.occupied_slots()))
     engine.improve(ev, initial.problem.network.neuron_ids(), max_rounds=8)
     return ev.to_mapping()
 

@@ -1,6 +1,7 @@
-"""Spike-for-spike equivalence of the vector and reference engines.
+"""Spike-for-spike equivalence of the vector kernel and the reference loop.
 
-The vector engine is only allowed to be *faster*, never different: on any
+The vector kernel (:class:`Simulator`) is only allowed to be *faster*
+than the scalar oracle (:func:`reference_run`), never different: on any
 network (random topology, delays, leaks, inhibitory weights, self-loops)
 and any input program (forced spikes + sub-threshold charges) it must
 produce the identical spike raster and spike counts.  Final potentials
@@ -13,13 +14,9 @@ record stays bit-exact.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.snn.engine import (
-    ENGINES,
-    CompiledNetwork,
-    resolve_engine,
-)
+from repro.snn.engine import CompiledNetwork
 from repro.snn.network import Network
-from repro.snn.simulator import Simulator, spike_profile
+from repro.snn.simulator import Simulator, reference_run, spike_profile
 
 pytestmark = pytest.mark.engines
 
@@ -84,10 +81,10 @@ class TestPropertyEquivalence:
     def test_raster_counts_and_potentials_match(self, net, data):
         duration = data.draw(st.integers(0, 30))
         spikes, charges = data.draw(input_programs(net.num_neurons, duration))
-        ref = Simulator(net, engine="reference").run(
-            duration, input_spikes=spikes, input_charges=charges
+        ref = reference_run(
+            net, duration, input_spikes=spikes, input_charges=charges
         )
-        vec = Simulator(net, engine="vector").run(
+        vec = Simulator(net).run(
             duration, input_spikes=spikes, input_charges=charges
         )
         assert vec.spikes == ref.spikes
@@ -104,9 +101,7 @@ class TestPropertyEquivalence:
     def test_spike_index_matches_raster_scan(self, net, data):
         duration = data.draw(st.integers(0, 25))
         spikes, _ = data.draw(input_programs(net.num_neurons, duration))
-        result = Simulator(net, engine="vector").run(
-            duration, input_spikes=spikes
-        )
+        result = Simulator(net).run(duration, input_spikes=spikes)
         raster = result.spikes
         for nid in net.neuron_ids():
             expected = [t for t, fired in raster if fired == nid]
@@ -119,39 +114,21 @@ class TestPropertyEquivalence:
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        net = Network()
-        net.add_neuron(0)
-        with pytest.raises(ValueError):
-            Simulator(net, engine="warp")
-
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert resolve_engine() == "reference"
-        net = Network()
-        net.add_neuron(0)
-        assert Simulator(net).engine == "reference"
-        # Explicit argument wins over the environment.
-        assert Simulator(net, engine="vector").engine == "vector"
-
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert resolve_engine() == "vector"
-        assert set(ENGINES) == {"vector", "reference"}
+    """The one engine's input checks, and profiling against the oracle."""
 
     def test_vector_rejects_unknown_input_neuron(self):
         net = Network()
         net.add_neuron(0)
         with pytest.raises(KeyError):
-            Simulator(net, engine="vector").run(3, input_spikes={9: [0]})
+            Simulator(net).run(3, input_spikes={9: [0]})
         with pytest.raises(KeyError):
-            Simulator(net, engine="vector").run(3, input_charges=[(9, 0, 1.0)])
+            Simulator(net).run(3, input_charges=[(9, 0, 1.0)])
 
     def test_vector_rejects_negative_duration(self):
         net = Network()
         net.add_neuron(0)
         with pytest.raises(ValueError):
-            Simulator(net, engine="vector").run(-1)
+            Simulator(net).run(-1)
 
     def test_spike_profile_engine_passthrough(self):
         net = Network()
@@ -160,9 +137,13 @@ class TestEngineSelection:
         net.add_synapse(0, 1)
         net.add_synapse(1, 2)
         samples = [{0: [0]}, {0: [0, 2]}]
-        assert spike_profile(net, samples, 8, engine="vector") == spike_profile(
-            net, samples, 8, engine="reference"
-        )
+        expected = {nid: 0 for nid in net.neuron_ids()}
+        for sample in samples:
+            ref = reference_run(net, 8, input_spikes=sample)
+            for nid, count in ref.spike_counts.items():
+                expected[nid] += count
+        assert spike_profile(net, samples, 8) == expected
+        assert expected == {0: 3, 1: 3, 2: 3}
 
 
 class TestCompiledNetwork:
@@ -188,8 +169,8 @@ class TestCompiledNetwork:
             net.add_neuron(nid, is_input=(nid == 3))
         net.add_synapse(3, 7)
         net.add_synapse(7, 11)
-        ref = Simulator(net, engine="reference").run(5, input_spikes={3: [0]})
-        vec = Simulator(net, engine="vector").run(5, input_spikes={3: [0]})
+        ref = reference_run(net, 5, input_spikes={3: [0]})
+        vec = Simulator(net).run(5, input_spikes={3: [0]})
         assert vec.spikes == ref.spikes == [(0, 3), (1, 7), (2, 11)]
 
     def test_sparse_staging_path_equivalent(self, monkeypatch):
@@ -203,11 +184,11 @@ class TestCompiledNetwork:
         net.add_synapse(0, 1, weight=0.6, delay=2)
         spikes = {0: [0, 3, 3, 9]}
         charges = [(1, 4, 0.5), (1, 5, -0.2), (0, 11, 1.0)]
-        vec = Simulator(net, engine="vector").run(
+        vec = Simulator(net).run(
             12, input_spikes=spikes, input_charges=charges
         )
-        ref = Simulator(net, engine="reference").run(
-            12, input_spikes=spikes, input_charges=charges
+        ref = reference_run(
+            net, 12, input_spikes=spikes, input_charges=charges
         )
         assert vec.spikes == ref.spikes
         assert vec.final_potentials == ref.final_potentials

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
+import repro
+from repro.batch.engine import BatchJob, BatchMapper
 from repro.cli import build_parser, main
+from repro.experiments.networks import paper_network
+from repro.ilp.result import SolveStatus
+from repro.mapping.io import load_mapping
+from repro.mca.architecture import heterogeneous_architecture
 from repro.snn.generators import random_network
 from repro.snn.io import save_network
 
@@ -130,6 +136,56 @@ class TestMapAndSimulate:
         out = capsys.readouterr().out
         assert "global packets" in out
         assert "energy estimate" in out
+
+
+class TestOneStageRunner:
+    """`repro map`, `repro batch` and `repro.quick_map` run one pipeline."""
+
+    @pytest.fixture
+    def twin_a(self, tmp_path):
+        network = paper_network("A", scale=0.1)
+        path = tmp_path / "A.json"
+        save_network(network, path)
+        return network, path
+
+    def test_map_quick_map_and_batch_mapper_agree(self, twin_a, tmp_path):
+        network, path = twin_a
+        out = tmp_path / "map.json"
+        assert main(["map", str(path), "-o", str(out), "--time-limit", "10"]) == 0
+        job = BatchJob(
+            "A",
+            network,
+            heterogeneous_architecture(network.num_neurons),
+            area_time_limit=10.0,
+        )
+        (record,) = BatchMapper().map_all([job])
+        assert record.final().solve_result.status is SolveStatus.OPTIMAL
+        quick = repro.quick_map(network, time_limit=10.0)
+        assert load_mapping(out).assignment == record.final().mapping.assignment
+        assert quick.assignment == record.final().mapping.assignment
+
+    def test_map_snu_and_batch_snu_write_the_same_mapping(self, twin_a, tmp_path):
+        _, path = twin_a
+        out = tmp_path / "map.json"
+        flags = ["--time-limit", "10", "--snu"]
+        assert main(["map", str(path), "-o", str(out), *flags]) == 0
+        assert main(["batch", str(path), "-o", str(tmp_path), *flags]) == 0
+        batch = load_mapping(tmp_path / "A.mapping.json")
+        assert load_mapping(out).assignment == batch.assignment
+
+    def test_unmappable_network_exits_1_without_a_traceback(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "C.json"
+        save_network(paper_network("C", scale=0.12), path)  # fan-in 11
+        out = tmp_path / "map.json"
+        code = main(["map", str(path), "-o", str(out),
+                     "--homogeneous", "--dimension", "8"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "fan-in 11 exceeds" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestExhibitsForwarding:

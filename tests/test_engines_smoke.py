@@ -1,10 +1,10 @@
-"""One tiny sweep end-to-end under the vectorized engine.
+"""One tiny sweep end-to-end on the vector simulation kernel.
 
 Covers the full per-instance path the exhibits exercise — profile a
-network with the vector simulator, map it, weight the mapping with the
-profile, execute it on the processor model and price the result — with
-``$REPRO_SIM_ENGINE`` pinned to ``vector``, so a regression anywhere in
-the engine selection plumbing fails fast in the tier-1 run.
+network with the simulator, map it, weight the mapping with the profile,
+execute it on the processor model and price the result — and checks the
+run against the scalar reference loop, so a regression anywhere on that
+path fails fast in the tier-1 run.
 """
 
 import pytest
@@ -16,15 +16,14 @@ from repro.mca.architecture import heterogeneous_architecture
 from repro.mca.energy import cost_summary
 from repro.mca.processor import MappedProcessor
 from repro.snn.generators import random_network
-from repro.snn.simulator import Simulator, spike_profile
+from repro.snn.simulator import reference_run, spike_profile
 
 pytestmark = pytest.mark.engines
 
 DURATION = 24
 
 
-def test_tiny_sweep_end_to_end_vector_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "vector")
+def test_tiny_sweep_end_to_end_vector_engine():
     net = random_network(16, 32, seed=9, max_fan_in=6, name="smoke")
 
     # Profile: W[i] over a few input programs.
@@ -44,9 +43,8 @@ def test_tiny_sweep_end_to_end_vector_engine(monkeypatch):
     assert metrics.total_packets is not None
     assert metrics.total_packets >= 0
 
-    # Execute on the processor model (vector engine via env var) and price.
+    # Execute on the processor model and price.
     proc = MappedProcessor(net, mapping.assignment, problem.architecture)
-    assert proc._simulator.engine == "vector"
     sim_result, traffic = proc.run(DURATION, input_spikes=samples[0])
     assert sim_result.total_spikes > 0
     assert traffic.total_packets >= traffic.global_packets
@@ -56,10 +54,8 @@ def test_tiny_sweep_end_to_end_vector_engine(monkeypatch):
     assert summary.total_energy_pj > 0
     assert summary.area_memristors == pytest.approx(mapping.area())
 
-    # The reference engine agrees on the same sweep (spot check).
-    ref = Simulator(net, engine="reference").run(
-        DURATION, input_spikes=samples[0]
-    )
+    # The reference loop agrees on the same sweep (spot check).
+    ref = reference_run(net, DURATION, input_spikes=samples[0])
     assert ref.spikes == sim_result.spikes
     assert mapping.packet_count(ref.spike_counts) == (
         traffic.local_packets,
